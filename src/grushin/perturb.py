@@ -116,7 +116,9 @@ def offdiagonal_form(potential: Potential, w: Perturbation, k: int,
 @dataclass
 class Branch:
     """One eigenbranch t -> lambda(t) continued from level ``level`` of the
-    undeformed operator, with its eigenvectors on the fixed tracking grid."""
+    undeformed operator, with its eigenvectors on the fixed tracking grid.
+    ``lambdas`` are Richardson extrapolants across the tracking grid and its
+    coarsening, like ``EigenPair.lam``."""
 
     k: int
     level: int
@@ -181,11 +183,12 @@ def track_branches(potential: Potential, w: Perturbation, k: int, levels,
     current = [base[n].u for n in levels]
 
     def solve_at(t: float):
+        # the extrapolant of the two tracking grids, as base[n].lam is at t = 0
         pert = perturbed_potential(potential, w, t)
         lams_f, vecs_f = solve_on_grid(pert, k, m_solve, grid)
-        lams_c, _ = solve_on_grid(pert, k, m_solve, grid_coarse)
+        lams_c, _ = solve_on_grid(pert, k, m_solve, grid_coarse, vectors=False)
         err = np.abs(lams_f - lams_c) / 3.0 + 1e-14 * np.abs(lams_f)
-        return lams_f, vecs_f, err
+        return (4.0 * lams_f - lams_c) / 3.0, vecs_f, err
 
     def advance(t_to: float, depth: int):
         lams_f, vecs_f, err = solve_at(t_to)

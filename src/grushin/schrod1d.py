@@ -6,13 +6,30 @@ Discretization is second-order central differences. On the line the matrix is
 symmetric tridiagonal and the lowest m eigenvalues come from Sturm-sequence
 bisection with inverse-iteration eigenvectors (LAPACK stebz/stein); on the
 circle the periodic corner entries break tridiagonality and a dense symmetric
-solver is used at N <= 4096. A posteriori accuracy comes from one Richardson
-step across grids h and h/2:
+solver is used at N <= 4096.
 
-    err_est = |lambda_h - lambda_{h/2}| / 3
+The grid is halved until the requested levels are accurate. Each grid after
+the first yields the Richardson extrapolant
 
-and the grid is refined until err_est <= eig_rel * lambda for every requested
-level.
+    R_{h/2} = (4 lambda_{h/2} - lambda_h) / 3,
+
+which removes the h^2 term of the discretization error; R is the returned
+eigenvalue. Its error is estimated from successive extrapolants,
+
+    err_est = |R_{h/2} - R_h| / 3,
+
+which bounds the error of R whenever the remainder left after extrapolation
+is of order 2 or higher (order 4 for smooth potentials, about 2.5 for
+V = |x|^1.5). The estimate needs three grids, and it is used only when the
+order observed on those grids, log2((lambda_{2h} - lambda_h) /
+(lambda_h - lambda_{h/2})), is 2 to within ORDER_SLACK. Otherwise, and on the
+first two grids, the plain estimate |lambda_h - lambda_{h/2}| / 3 of the
+unextrapolated error is used, which also bounds the error of R. Refinement
+stops when err_est <= eig_rel * lambda for every requested level.
+
+Intermediate grids are solved for eigenvalues only; eigenvectors are
+computed once, on the final grid, where they are O(h^2) accurate and carry
+the discrete eigenvalue lam_grid rather than the extrapolant.
 """
 
 from __future__ import annotations
@@ -48,6 +65,12 @@ _EPS = float(np.finfo(float).eps)
 
 LINE_MAX_NODES = 2**21
 CIRCLE_MAX_NODES = 4096
+
+# Largest |p - 2| at which the observed order p counts as second order. A
+# sequence of any single order p' inside the band has an extrapolant whose
+# error is at most 3 / (2^p' - 1) < 1.05 times the successive-extrapolant
+# estimate.
+ORDER_SLACK = 0.05
 
 
 @dataclass(frozen=True)
@@ -96,8 +119,12 @@ class Grid:
 class EigenPair:
     """One computed eigenpair of -d^2/dx^2 + k^2 V.
 
-    ``u`` is sampled on ``grid`` and normalized so that h * sum(u^2) = 1; the
-    sign convention makes the first nonzero component positive.
+    ``lam`` is the Richardson-extrapolated eigenvalue, the best estimate of
+    the continuum level, and ``err_est`` estimates its error. ``u`` is the
+    discrete eigenvector on ``grid``, normalized so that h * sum(u^2) = 1,
+    with the first nonzero component positive; ``lam_grid`` is its discrete
+    eigenvalue on that grid, which differs from ``lam`` by the O(h^2) grid
+    bias. Rayleigh quotients of ``u`` on ``grid`` reproduce ``lam_grid``.
     """
 
     lam: float
@@ -106,14 +133,17 @@ class EigenPair:
     n: int
     err_est: float
     grid: Grid
+    lam_grid: float
 
 
 def truncation_length(potential: Potential, k: int, e_max: float, margin: float = 2.0) -> float:
     """Smallest L on a geometric search grid with
-    k^2 * min(V(L), V(-L)) >= margin * e_max.
+    k^2 * (min(V(L), V(-L)) - V(0)) >= margin * e_max.
 
     Eigenfunctions with lambda <= e_max then decay well inside [-L, L], since
     L lies beyond their classical turning points by a factor margin in energy.
+    The rise is measured above the floor V(0): a constant part of V raises
+    every level and the barrier alike, so it adds no confinement.
     """
     if potential.geometry == "torus":
         raise PreconditionError("circle problems need no truncation")
@@ -122,10 +152,12 @@ def truncation_length(potential: Potential, k: int, e_max: float, margin: float 
     if not (margin >= 2):
         raise PreconditionError("margin must be >= 2")
     threshold = margin * e_max / (k * k)
+    floor = eval_potential(potential, 0.0)
     length = 0.5
     ratio = 2.0 ** (1.0 / 64.0)
     while length < 1e9:
-        if min(eval_potential(potential, length), eval_potential(potential, -length)) >= threshold:
+        rise = min(eval_potential(potential, length), eval_potential(potential, -length)) - floor
+        if rise >= threshold:
             return length
         length *= ratio
     raise ConvergenceError(
@@ -155,11 +187,13 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     return vecs
 
 
-def solve_on_grid(potential: Potential, k: int, m: int, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+def solve_on_grid(potential: Potential, k: int, m: int, grid: Grid, *,
+                  vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """The m lowest eigenpairs of the discretized operator on a fixed grid.
 
     Returns (lams, vecs) with vecs of shape (npoints, m), L2-normalized in the
-    discrete inner product h * <u, v>.
+    discrete inner product h * <u, v>; with ``vectors=False`` only the
+    eigenvalues are computed and vecs is None.
     """
     if k == 0:
         raise PreconditionError("k must be nonzero")
@@ -173,8 +207,9 @@ def solve_on_grid(potential: Potential, k: int, m: int, grid: Grid) -> tuple[np.
     diag = 2.0 / (h * h) + (k * k) * pot
     if grid.kind == "line":
         off = np.full(grid.npoints - 1, -1.0 / (h * h))
-        lams, vecs = scipy.linalg.eigh_tridiagonal(
-            diag, off, select="i", select_range=(0, m - 1), lapack_driver="stebz")
+        out = scipy.linalg.eigh_tridiagonal(
+            diag, off, eigvals_only=not vectors, select="i", select_range=(0, m - 1),
+            lapack_driver="stebz")
     else:
         if grid.npoints > CIRCLE_MAX_NODES:
             raise PreconditionError(f"circle grids are capped at {CIRCLE_MAX_NODES} nodes")
@@ -184,50 +219,86 @@ def solve_on_grid(potential: Potential, k: int, m: int, grid: Grid) -> tuple[np.
         mat[idx + 1, idx] = -1.0 / (h * h)
         mat[0, -1] += -1.0 / (h * h)
         mat[-1, 0] += -1.0 / (h * h)
-        lams, vecs = scipy.linalg.eigh(mat, subset_by_index=(0, m - 1))
-    vecs = vecs / math.sqrt(h)
-    return lams, _fix_signs(vecs)
+        out = scipy.linalg.eigh(mat, eigvals_only=not vectors, subset_by_index=(0, m - 1))
+    if not vectors:
+        return out, None
+    lams, vecs = out
+    return lams, _fix_signs(vecs / math.sqrt(h))
 
 
 def _err_floor(grid: Grid, lam: float) -> float:
-    # roundoff floor of the discrete eigenproblem, dominated by the 1/h^2 entries
-    return 2.0 * _EPS / (grid.h * grid.h) + 4.0 * _EPS * abs(lam)
+    # roundoff floor of the extrapolant: bisection resolves each discrete
+    # eigenvalue to about eps * ||T|| ~ 4 eps / h^2, and (4 lam_{h/2} - lam_h)/3
+    # adds the errors of both grids with weights 4/3 and 1/3
+    return 6.0 * _EPS / (grid.h * grid.h) + 4.0 * _EPS * abs(lam)
 
 
-def _refine(potential: Potential, k: int, m: int, first_grid: Grid,
-            tol: Tolerances) -> tuple[np.ndarray, np.ndarray, np.ndarray, Grid]:
-    """Double the grid until every level meets err_est <= eig_rel * lambda.
+def _extrapolate(coarser: np.ndarray | None, coarse: np.ndarray,
+                 fine: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The extrapolant (4 fine - coarse) / 3 of eigenvalues on grids h and h/2
+    and its error estimate before the roundoff floor (module docstring):
+    successive extrapolants when the eigenvalues ``coarser`` on grid 2h are
+    given and the observed order is 2 to within ORDER_SLACK, otherwise the
+    plain |coarse - fine| / 3."""
+    extrap = (4.0 * fine - coarse) / 3.0
+    diff = coarse - fine
+    err = np.abs(diff) / 3.0
+    if coarser is not None:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            order = np.log2((coarser - coarse) / diff)  # nan when the differences change sign
+        successive = np.abs(extrap - (4.0 * coarse - coarser) / 3.0) / 3.0
+        err = np.where(np.abs(order - 2.0) <= ORDER_SLACK, successive, err)
+    return extrap, err
 
-    Stops with ConvergenceError (best estimates attached) when the node budget
-    runs out, or when the roundoff floor of the discrete problem already
-    exceeds the target so further refinement cannot help."""
-    max_nodes = LINE_MAX_NODES if first_grid.kind == "line" else CIRCLE_MAX_NODES
-    grid = first_grid
-    lams_coarse, _ = solve_on_grid(potential, k, m, grid)
+
+def _refine(potential: Potential, k: int, m: int, grid: Grid, tol: Tolerances,
+            lams: np.ndarray | None = None):
+    """Halve h from ``grid`` until every level meets err_est <= eig_rel * lambda
+    (see the module docstring), then compute eigenvectors on the final grid.
+
+    ``lams`` are the eigenvalues on ``grid`` when the caller already has them.
+    Returns (lams, lams_grid, vecs, err, grid): the extrapolated eigenvalues,
+    the discrete eigenvalues and eigenvectors on the final grid, the error
+    estimates and the final grid.
+
+    Stops with ConvergenceError (best estimates attached, without vectors)
+    when the node budget runs out, or when the roundoff floor of the discrete
+    problem already exceeds the target so further refinement cannot help."""
+    max_nodes = LINE_MAX_NODES if grid.kind == "line" else CIRCLE_MAX_NODES
+    if lams is None:
+        lams, _ = solve_on_grid(potential, k, m, grid, vectors=False)
+    visited = [grid.npoints]
+    coarser = None
+    extrap, err, best_rel = lams, np.full(m, math.inf), math.inf
+
+    def failure(reason: str) -> ConvergenceError:
+        best = [EigenPair(float(extrap[i]), np.array([]), k, i, float(err[i]), grid,
+                          float(lams[i])) for i in range(m)]
+        return ConvergenceError(
+            f"{reason} (target eig_rel={tol.eig_rel!r}; grids visited: "
+            f"{', '.join(map(str, visited))} nodes; best relative error "
+            f"reached {best_rel:.3g})", best=best)
+
     while True:
         fine = grid.refined()
         if fine.npoints > max_nodes:
-            best = [EigenPair(float(lams_coarse[i]), np.array([]), k, i, math.inf, grid)
-                    for i in range(m)]
-            raise ConvergenceError(
-                f"refinement budget exhausted at {grid.npoints} nodes "
-                f"(target eig_rel={tol.eig_rel!r})", best=best)
-        lams_fine, vecs_fine = solve_on_grid(potential, k, m, fine)
-        raw = np.abs(lams_fine - lams_coarse) / 3.0
-        floor = _err_floor(fine, float(np.max(np.abs(lams_fine))))
+            raise failure(f"refinement budget of {max_nodes} nodes exhausted")
+        lams_fine, _ = solve_on_grid(potential, k, m, fine, vectors=False)
+        visited.append(fine.npoints)
+        extrap, raw = _extrapolate(coarser, lams, lams_fine)
+        floor = _err_floor(fine, float(np.max(np.abs(extrap))))
         err = np.maximum(raw, floor)
-        target = tol.eig_rel * np.maximum(np.abs(lams_fine), 1e-300)
+        scale = np.maximum(np.abs(extrap), 1e-300)
+        best_rel = min(best_rel, float(np.max(err / scale)))
+        target = tol.eig_rel * scale
+        coarser, lams, grid = lams, lams_fine, fine
         if np.all(err <= target):
-            return lams_fine, vecs_fine, err, fine
+            lams_grid, vecs = solve_on_grid(potential, k, m, grid)
+            return extrap, lams_grid, vecs, err, grid
         hopeless = (floor > target) & (raw <= floor)
         if np.all((err <= target) | hopeless):
-            best = [EigenPair(float(lams_fine[i]), vecs_fine[:, i].copy(), k, i,
-                              float(err[i]), fine) for i in range(m)]
-            raise ConvergenceError(
-                f"target eig_rel={tol.eig_rel!r} sits below the roundoff floor "
-                f"{float(np.max(floor / np.maximum(np.abs(lams_fine), 1e-300)))!r} "
-                "of the discretized problem", best=best)
-        grid, lams_coarse = fine, lams_fine
+            raise failure(f"target sits below the roundoff floor "
+                          f"{float(np.max(floor / scale))!r} of the discretized problem")
 
 
 def _initial_line_grid(length: float, m: int) -> Grid:
@@ -251,26 +322,24 @@ def solve_eigen(potential: Potential, k: int, m: int,
     if m < 1:
         raise PreconditionError("m must be >= 1")
     if potential.geometry == "torus":
-        grid0 = Grid("circle", max(64, 16 * ((2 * m + 15) // 16)))
-        lams, vecs, err, grid = _refine(potential, k, m, grid0, tol)
-        return [EigenPair(float(lams[i]), vecs[:, i].copy(), k, i, float(err[i]), grid)
-                for i in range(m)]
+        probe = Grid("circle", max(64, 16 * ((2 * m + 15) // 16)))
+        lams_probe = None
+    else:
+        e_guess = max(1.0, abs(k) * (2.0 * m + 1.0))
+        for _ in range(64):
+            length = 2.0 * truncation_length(potential, k, e_guess)
+            probe = _initial_line_grid(length, m)
+            lams_probe, _ = solve_on_grid(potential, k, m, probe, vectors=False)
+            top = float(lams_probe[-1])
+            if top <= e_guess:
+                break
+            e_guess = max(2.0 * top, 2.0 * e_guess)
+        else:  # pragma: no cover - 2^64 growth always terminates first
+            raise ConvergenceError("could not certify a truncation domain")
 
-    e_guess = max(1.0, abs(k) * (2.0 * m + 1.0))
-    for _ in range(64):
-        length = 2.0 * truncation_length(potential, k, e_guess)
-        probe = _initial_line_grid(length, m)
-        lams_probe, _ = solve_on_grid(potential, k, m, probe)
-        top = float(lams_probe[-1])
-        if top <= e_guess:
-            break
-        e_guess = max(2.0 * top, 2.0 * e_guess)
-    else:  # pragma: no cover - 2^64 growth always terminates first
-        raise ConvergenceError("could not certify a truncation domain")
-
-    lams, vecs, err, grid = _refine(potential, k, m, probe, tol)
-    return [EigenPair(float(lams[i]), vecs[:, i].copy(), k, i, float(err[i]), grid)
-            for i in range(m)]
+    lams, lams_grid, vecs, err, grid = _refine(potential, k, m, probe, tol, lams_probe)
+    return [EigenPair(float(lams[i]), vecs[:, i].copy(), k, i, float(err[i]), grid,
+                      float(lams_grid[i])) for i in range(m)]
 
 
 def solve_levels_below(potential: Potential, k: int, e_max: float,

@@ -96,6 +96,13 @@ def test_solve1d_json(capsys):
     assert lams == pytest.approx([1.0, 3.0, 5.0], rel=1e-6)
 
 
+def test_torus_spectrum_at_default_tolerance(capsys):
+    code, out, err = run_capture(capsys, [
+        "spectrum", "--potential", "torus:gamma=1", "--emax", "4"])
+    assert code == 0, err
+    assert json.loads(out)["lines"]
+
+
 def test_usage_errors_are_single_line_exit_2(capsys):
     code, out, err = run_capture(capsys, ["spectrum", "--emax", "5"])
     assert code == 2

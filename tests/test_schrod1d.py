@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from helpers import mathieu_levels, shooting_level
 from numpy.testing import assert_allclose
 
+from grushin import schrod1d
 from grushin.core import (
     CallableProfile,
     ConvergenceError,
@@ -15,6 +17,7 @@ from grushin.core import (
 )
 from grushin.schrod1d import (
     Grid,
+    _extrapolate,
     hermite_eigenfunction,
     rayleigh_max,
     solve_eigen,
@@ -116,10 +119,115 @@ def test_ground_state_has_no_sign_change():
 
 
 def test_refinement_budget_error_carries_best():
-    with pytest.raises(ConvergenceError) as info:
+    with pytest.raises(ConvergenceError, match="roundoff floor") as info:
         solve_eigen(HARMONIC, 1, 1, Tolerances(eig_rel=1e-15))
     assert info.value.best is not None
     assert info.value.best[0].lam == pytest.approx(1.0, rel=1e-5)
+    # the message says how far the solve got, not only that it failed
+    assert "grids visited: 255, 511, 1023" in str(info.value)
+    assert "best relative error reached" in str(info.value)
+
+
+def test_budget_exhausted_message_carries_grids_and_best_error(monkeypatch):
+    # six harmonic levels need 2047 nodes at the default tolerance
+    monkeypatch.setattr(schrod1d, "LINE_MAX_NODES", 1023)
+    with pytest.raises(ConvergenceError, match="budget of 1023 nodes exhausted") as info:
+        solve_eigen(HARMONIC, 1, 6)
+    assert "grids visited: 255, 511, 1023 nodes" in str(info.value)
+    assert "best relative error reached" in str(info.value)
+    best = info.value.best
+    assert [p.n for p in best] == list(range(6))
+    assert_allclose([p.lam for p in best], [1, 3, 5, 7, 9, 11], rtol=1e-6)
+    assert all(abs(p.lam - (2 * p.n + 1)) <= p.err_est for p in best)
+
+
+# --- error-estimate effectivity at default tolerances ------------------------
+# Every level must satisfy |lam - ref| <= err_est <= eig_rel * lam: the
+# estimate may not under-run the true error, and the target must be met.
+
+QUARTIC_LITERATURE = (1.0603620905, 3.7996730298, 7.4556979380, 11.6447455114)
+
+
+def _assert_effective(pairs, refs, ref_tol=0.0):
+    for p, ref in zip(pairs, refs, strict=True):
+        assert abs(p.lam - ref) <= p.err_est + ref_tol, (p.k, p.n, p.lam, ref, p.err_est)
+        assert p.err_est <= Tolerances().eig_rel * p.lam, (p.k, p.n, p.err_est)
+
+
+@pytest.mark.parametrize("k", [1, 3, 7])
+def test_effectivity_harmonic(k):
+    _assert_effective(solve_eigen(HARMONIC, k, 6), [(2 * n + 1) * k for n in range(6)])
+
+
+@pytest.mark.parametrize("s2,shift", [("1", 1.0), ("1/2", 0.5)])
+@pytest.mark.parametrize("k", [1, 3, 7])
+def test_effectivity_shifted(s2, shift, k):
+    pairs = solve_eigen(parse_potential(f"shifted:s2={s2}"), k, 6)
+    _assert_effective(pairs, [(2 * n + 1) * k + k * k * shift for n in range(6)])
+
+
+def test_shifted_truncation_measures_rise_above_floor():
+    # the constant part of V = x^2 + 1 confines nothing; counting it toward
+    # the barrier once gave a domain whose truncation error was 3x err_est
+    pair = solve_eigen(parse_potential("shifted:s2=1"), 2, 1)[0]
+    assert abs(pair.lam - 6.0) <= pair.err_est <= 1e-7 * 6.0
+
+
+def test_effectivity_quartic_literature():
+    # the references are rounded to 10 decimals
+    pairs = solve_eigen(parse_potential("power:gamma=2"), 1, 4)
+    _assert_effective(pairs, QUARTIC_LITERATURE, ref_tol=5e-11)
+
+
+@pytest.mark.parametrize("gamma", ["0.5", "0.75", "1.5"])
+def test_effectivity_against_shooting(gamma):
+    pairs = solve_eigen(parse_potential(f"power:gamma={gamma}"), 1, 3)
+    refs = [shooting_level(float(gamma), 1, p.n, (0.999 * p.lam, 1.001 * p.lam))
+            for p in pairs]
+    _assert_effective(pairs, refs)
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_effectivity_torus_default_tolerance(k):
+    pairs = solve_eigen(parse_potential("torus:gamma=1"), k, 5)
+    _assert_effective(pairs, mathieu_levels(k, 5))
+
+
+@pytest.mark.parametrize("gamma,engages", [("0.5", True), ("0.75", True),
+                                           ("1.5", False), ("2", False)])
+def test_order_fallback_engages_on_nonsmooth_potentials(gamma, engages):
+    # |x|^(2 gamma) is not smooth at 0 for gamma < 1: on some of the solver's
+    # own grids the observed order of some level strays from 2, and the plain
+    # estimate |lam_h - lam_{h/2}| / 3 replaces the successive-extrapolant one
+    pot = parse_potential(f"power:gamma={gamma}")
+    pairs = solve_eigen(pot, 1, 6)
+    grids = [pairs[0].grid]
+    while grids[-1].npoints > 255:
+        grids.append(grids[-1].coarsened())
+    lams = [solve_on_grid(pot, 1, 6, g, vectors=False)[0] for g in reversed(grids)]
+    plain_used = False
+    for coarser, coarse, fine in zip(lams, lams[1:], lams[2:]):
+        _, err = _extrapolate(coarser, coarse, fine)
+        plain_used |= bool(np.any(err == np.abs(coarse - fine) / 3.0))
+    assert plain_used == engages
+
+
+def test_lam_is_extrapolant_of_final_grid_and_its_coarsening():
+    pair = solve_eigen(HARMONIC, 1, 1)[0]
+    fine, _ = solve_on_grid(HARMONIC, 1, 1, pair.grid, vectors=False)
+    coarse, _ = solve_on_grid(HARMONIC, 1, 1, pair.grid.coarsened(), vectors=False)
+    assert pair.lam_grid == fine[0]
+    assert pair.lam == (4.0 * fine[0] - coarse[0]) / 3.0
+    # the grid value carries the O(h^2) bias that the extrapolant removes
+    assert abs(pair.lam_grid - 1.0) > 100.0 * abs(pair.lam - 1.0)
+
+
+def test_eigenvalues_only_matches_full_solve():
+    grid = Grid("line", 511, 8.0)
+    lams, vecs = solve_on_grid(HARMONIC, 1, 3, grid)
+    only, none = solve_on_grid(HARMONIC, 1, 3, grid, vectors=False)
+    assert none is None and vecs.shape == (511, 3)
+    assert_allclose(only, lams, rtol=0, atol=0)
 
 
 def test_solve_levels_below():
@@ -178,11 +286,12 @@ def test_hermite_matches_inverse_iteration_vectors():
 def test_rayleigh_of_eigenvectors():
     pairs = solve_eigen(HARMONIC, 1, 4)
     grid = pairs[0].grid
+    # the vectors are discrete eigenvectors: their quotients give lam_grid
     assert rayleigh_max(HARMONIC, 1, grid, [pairs[0].u]) == pytest.approx(
-        pairs[0].lam, rel=1e-8)
+        pairs[0].lam_grid, rel=1e-8)
     # min-max: the span of the first m eigenvectors realizes lambda_{m-1}
     assert rayleigh_max(HARMONIC, 1, grid, [p.u for p in pairs]) == pytest.approx(
-        pairs[3].lam, rel=1e-8)
+        pairs[3].lam_grid, rel=1e-8)
 
 
 def test_rayleigh_translate_against_2x2_oracle():
