@@ -32,7 +32,6 @@ from .concentration import (
     kappa_coefficients,
     min_ratio,
     ratio_closed_form,
-    ratio_quadrature,
 )
 from .perturb import (
     Branch,
@@ -74,7 +73,6 @@ __all__ = [
     "kappa_coefficients",
     "min_ratio",
     "ratio_closed_form",
-    "ratio_quadrature",
     "Branch",
     "check_continuity_bound",
     "check_gap_avoidance",

@@ -10,20 +10,21 @@ that can contribute below the cap.
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import combinations
 
 from .core import (
     ExactFamilyProfile,
+    ExactScalar,
     InvariantViolation,
     Potential,
     PreconditionError,
     StructuredProfile,
     Tolerances,
 )
-from .exact_family import SpectrumLine, enumerate_exact_pairs
+from .exact_family import ExactEigenvalue, SpectrumLine, enumerate_exact_pairs, exact_eigenvalue
 from .schrod1d import solve_eigen, solve_levels_below
 
 __all__ = [
@@ -33,17 +34,7 @@ __all__ = [
     "check_property_p",
     "PropertyPReport",
     "PropertyPPair",
-    "parallel_map",
 ]
-
-
-def parallel_map(fn, items, workers: int = 1) -> list:
-    """Order-preserving map over independent pure computations."""
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -65,24 +56,14 @@ class AssembledSpectrum:
         return sum(line.multiplicity for line in self.lines)
 
 
-_ground_cache: dict[tuple[str, float], float] = {}
-_ground_lock = threading.Lock()
-
-
+@cache
 def _ground_constant(geometry: str, gamma: float) -> float:
     """Lowest eigenvalue of -u'' + base(x) u for the pure-power (cylinder) or
     pure-sine (torus) potential; 1 exactly for the cylinder with gamma=1."""
     if geometry == "cylinder" and gamma == 1.0:
         return 1.0
-    key = (geometry, gamma)
-    with _ground_lock:
-        if key in _ground_cache:
-            return _ground_cache[key]
     pot = Potential(geometry=geometry, gamma=gamma, profile=StructuredProfile())
-    lam = solve_eigen(pot, 1, 1, Tolerances(eig_rel=1e-7))[0].lam
-    with _ground_lock:
-        _ground_cache[key] = lam
-    return lam
+    return solve_eigen(pot, 1, 1, Tolerances(eig_rel=1e-7))[0].lam
 
 
 def k_cutoff(potential: Potential, e_max: float) -> int:
@@ -114,27 +95,31 @@ def k_cutoff(potential: Potential, e_max: float) -> int:
     raise PreconditionError("mode cutoff exceeds 4096; e_max too large for the torus scan")
 
 
+def _exact_level(pair: ExactEigenvalue, s2: ExactScalar
+                 ) -> tuple[float, Fraction | tuple[int, int]]:
+    """A shifted-parabola level as (value, key): the key decides equality in
+    exact arithmetic (the Fraction value for rational s2, the (lin, quad) pair
+    otherwise) and the value is its float."""
+    if s2.is_rational:
+        key = pair.exact_value(s2)
+        return float(key), key
+    return pair.value(s2), (pair.lin, pair.quad)
+
+
 def _assemble_exact(potential: Potential, e_max: float, tol: Tolerances) -> AssembledSpectrum:
     s2 = potential.profile.s2
     pairs = enumerate_exact_pairs(s2, e_max)
     groups: dict = {}
     for k, n, pair in pairs:
-        key = pair.exact_value(s2) if s2.is_rational else (pair.lin, pair.quad)
-        groups.setdefault(key, []).append((k, n))
+        value, key = _exact_level(pair, s2)
+        _, members = groups.setdefault(key, (value, []))
+        members.extend([(k, n), (-k, n)])
+    exact_field = "exact_value" if s2.is_rational else "exact_pair"
     lines = []
-    for key, members in groups.items():
-        contributors = []
-        for k, n in members:
-            contributors.extend([(k, n), (-k, n)])
-        contributors = tuple(sorted(contributors, key=lambda kn: (abs(kn[0]), kn[0], kn[1])))
-        if s2.is_rational:
-            lines.append(SpectrumLine(value=float(key), contributors=contributors,
-                                      multiplicity=len(contributors), exact_value=key))
-        else:
-            lin, quad = key
-            lines.append(SpectrumLine(value=float(lin + quad * s2.approx),
-                                      contributors=contributors,
-                                      multiplicity=len(contributors), exact_pair=key))
+    for key, (value, members) in groups.items():
+        contributors = tuple(sorted(members, key=lambda kn: (abs(kn[0]), kn[0], kn[1])))
+        lines.append(SpectrumLine(value=value, contributors=contributors,
+                                  multiplicity=len(contributors), **{exact_field: key}))
     lines.sort(key=lambda ln: (ln.value, ln.contributors))
     k_cut = max((k for k, _, _ in pairs), default=0)
     return AssembledSpectrum(e_max=float(e_max), lines=tuple(lines), k_cut=k_cut,
@@ -174,14 +159,9 @@ def _cluster(entries: list[tuple[float, float, int, int]], cluster_abs: float
     return lines, warnings
 
 
-def _assemble_numeric(potential: Potential, e_max: float, tol: Tolerances,
-                      workers: int) -> AssembledSpectrum:
+def _assemble_numeric(potential: Potential, e_max: float, tol: Tolerances) -> AssembledSpectrum:
     k_cut = k_cutoff(potential, e_max)
-
-    def one_mode(k: int):
-        return solve_levels_below(potential, k, e_max, tol)
-
-    per_mode = parallel_map(one_mode, range(1, k_cut + 1), workers)
+    per_mode = [solve_levels_below(potential, k, e_max, tol) for k in range(1, k_cut + 1)]
     entries: list[tuple[float, float, int, int]] = []
     for pairs in per_mode:
         for p in pairs:
@@ -193,7 +173,7 @@ def _assemble_numeric(potential: Potential, e_max: float, tol: Tolerances,
 
 
 def assemble(potential: Potential, e_max: float, tol: Tolerances = Tolerances(),
-             mode: str = "auto", workers: int = 1) -> AssembledSpectrum:
+             mode: str = "auto") -> AssembledSpectrum:
     """Assemble the 2D spectrum below e_max.
 
     mode "exact" requires the shifted-parabola family and merges by exact
@@ -210,7 +190,7 @@ def assemble(potential: Potential, e_max: float, tol: Tolerances = Tolerances(),
             raise PreconditionError("exact assembly needs an exact-family potential")
         return _assemble_exact(potential, e_max, tol)
     if mode == "numeric":
-        return _assemble_numeric(potential, e_max, tol, workers)
+        return _assemble_numeric(potential, e_max, tol)
     raise PreconditionError(f"unknown mode {mode!r}")
 
 
@@ -244,7 +224,7 @@ class PropertyPReport:
 
 
 def check_property_p(potential: Potential, n: int, k_range: int,
-                     tol: Tolerances = Tolerances(), workers: int = 1) -> PropertyPReport:
+                     tol: Tolerances = Tolerances()) -> PropertyPReport:
     """Report every near-collision |lam_i(P^k) - lam_j(P^l)| <= cluster_abs
     among the first n levels for 1 <= k < l <= k_range.
 
@@ -257,51 +237,29 @@ def check_property_p(potential: Potential, n: int, k_range: int,
         raise PreconditionError("n must be >= 1")
     if k_range < 2:
         raise PreconditionError("k_range must be >= 2")
-    records: list[PropertyPPair] = []
+    # per mode, the first n levels as (i, value, exact key or None, err)
     if isinstance(potential.profile, ExactFamilyProfile):
-        s2 = potential.profile.s2
         mode = "exact"
-
-        def level_value(k: int, i: int):
-            if s2.is_rational:
-                return Fraction((2 * i + 1) * k) + k * k * s2.rational
-            return ((2 * i + 1) * k, k * k)
-
-        for k in range(1, k_range + 1):
-            for l in range(k + 1, k_range + 1):
-                for i in range(n):
-                    for j in range(n):
-                        vi, vj = level_value(k, i), level_value(l, j)
-                        if s2.is_rational:
-                            gap = abs(float(vi - vj))
-                            equal = vi == vj
-                        else:
-                            gap = abs((vi[0] + vi[1] * s2.approx) - (vj[0] + vj[1] * s2.approx))
-                            equal = vi == vj
-                        if equal:
-                            records.append(PropertyPPair(k, l, i, j,
-                                                         float(vi if s2.is_rational else vi[0] + vi[1] * s2.approx),
-                                                         float(vj if s2.is_rational else vj[0] + vj[1] * s2.approx),
-                                                         0.0, 0.0, "FAIL"))
-                        elif gap <= tol.cluster_abs:
-                            records.append(PropertyPPair(k, l, i, j,
-                                                         float(vi if s2.is_rational else vi[0] + vi[1] * s2.approx),
-                                                         float(vj if s2.is_rational else vj[0] + vj[1] * s2.approx),
-                                                         gap, 0.0, "PASS"))
+        s2 = potential.profile.s2
+        levels = [[(i, *_exact_level(exact_eigenvalue(k, i, s2), s2), 0.0) for i in range(n)]
+                  for k in range(1, k_range + 1)]
     else:
         mode = "numeric"
-        per_mode = parallel_map(lambda k: solve_eigen(potential, k, n, tol),
-                                range(1, k_range + 1), workers)
-        for k in range(1, k_range + 1):
-            for l in range(k + 1, k_range + 1):
-                for pi in per_mode[k - 1]:
-                    for pj in per_mode[l - 1]:
-                        gap = abs(pi.lam - pj.lam)
-                        if gap <= tol.cluster_abs:
-                            err_bound = 10.0 * (pi.err_est + pj.err_est)
-                            status = "PASS" if gap > err_bound else "UNDECIDED"
-                            records.append(PropertyPPair(k, l, pi.n, pj.n, pi.lam, pj.lam,
-                                                         gap, err_bound, status))
+        levels = [[(p.n, p.lam, None, p.err_est) for p in solve_eigen(potential, k, n, tol)]
+                  for k in range(1, k_range + 1)]
+    records: list[PropertyPPair] = []
+    for k, l in combinations(range(1, k_range + 1), 2):
+        for i, vi, key_i, ei in levels[k - 1]:
+            for j, vj, key_j, ej in levels[l - 1]:
+                if key_i is not None and key_i == key_j:
+                    records.append(PropertyPPair(k, l, i, j, vi, vj, 0.0, 0.0, "FAIL"))
+                    continue
+                gap = abs(float(key_i - key_j)) if isinstance(key_i, Fraction) else abs(vi - vj)
+                if gap <= tol.cluster_abs:
+                    # distinct exact keys certify the gap on their own
+                    err_bound = 10.0 * (ei + ej)
+                    status = "PASS" if key_i is not None or gap > err_bound else "UNDECIDED"
+                    records.append(PropertyPPair(k, l, i, j, vi, vj, gap, err_bound, status))
     if any(r.status == "FAIL" for r in records):
         verdict = "FAIL"
     elif any(r.status == "UNDECIDED" for r in records):

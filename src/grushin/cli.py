@@ -3,9 +3,8 @@
 Every subcommand resolves its configuration (flags override an optional JSON
 config file, which overrides built-in defaults), runs a pure computation, and
 emits a deterministic report: identical resolved configurations produce
-byte-identical output files regardless of the worker count. JSON reports
-embed the resolved configuration and the tool version; CSV output is the
-plot-ready delimited form.
+byte-identical output files. JSON reports embed the resolved configuration
+and the tool version; CSV output is the plot-ready delimited form.
 
 Exit codes: 0 success, 1 computation error, 2 usage error, 3 when a
 certification comes back UNDECIDED.
@@ -16,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 from fractions import Fraction
@@ -102,21 +100,17 @@ def parse_levels(text: str) -> list[int]:
 
 _DEFAULTS = {
     "format": "json",
-    "workers": 1,
-    "seed": 0,
     "eig_rel": 1e-7,
     "cluster_abs": 1e-3,
-    "quad_rel": 1e-9,
     "mode": "auto",
-    "margin": 2.0,
     "samples": 4,
     "steps": 32,
     "count": 10,
 }
 
 # execution-only knobs: never embedded in reports, so outputs stay
-# byte-identical across worker counts and destinations
-_EXECUTION_KEYS = {"output", "config", "workers"}
+# byte-identical across destinations
+_EXECUTION_KEYS = {"output", "config"}
 
 
 def _build_parser() -> _Parser:
@@ -125,11 +119,8 @@ def _build_parser() -> _Parser:
     common.add_argument("--config", help="JSON file with the same keys as the flags")
     common.add_argument("--output", help="output path ('-' or omitted: stdout)")
     common.add_argument("--format", choices=["json", "csv"])
-    common.add_argument("--workers", type=int)
-    common.add_argument("--seed", type=int)
     common.add_argument("--eig-rel", dest="eig_rel", type=float)
     common.add_argument("--cluster-abs", dest="cluster_abs", type=float)
-    common.add_argument("--quad-rel", dest="quad_rel", type=float)
 
     sub = parser.add_subparsers(dest="command")
 
@@ -203,9 +194,6 @@ def _resolve(args: argparse.Namespace) -> dict:
     for key, value in _DEFAULTS.items():
         if key in merged and merged[key] is None:
             merged[key] = value
-    env_workers = os.environ.get("GRUSHIN_THREADS")
-    if env_workers:
-        merged["workers"] = int(env_workers)
     return merged
 
 
@@ -216,8 +204,7 @@ def _require(conf: dict, *keys: str):
 
 
 def _tolerances(conf: dict) -> Tolerances:
-    return Tolerances(eig_rel=conf["eig_rel"], cluster_abs=conf["cluster_abs"],
-                      quad_rel=conf["quad_rel"])
+    return Tolerances(eig_rel=conf["eig_rel"], cluster_abs=conf["cluster_abs"])
 
 
 def _embedded_config(conf: dict) -> dict:
@@ -259,8 +246,7 @@ def _line_json(line) -> dict:
 def _cmd_spectrum(conf: dict) -> int:
     _require(conf, "potential", "emax")
     potential = parse_potential(conf["potential"])
-    spectrum = assemble(potential, conf["emax"], _tolerances(conf), mode=conf["mode"],
-                    workers=conf["workers"])
+    spectrum = assemble(potential, conf["emax"], _tolerances(conf), mode=conf["mode"])
     if conf["format"] == "csv":
         rows = [f"{line.value!r},{line.multiplicity},{_contributors_field(line)}"
                 for line in spectrum.lines]
@@ -361,8 +347,7 @@ def _cmd_check(conf: dict) -> int:
     if conf["format"] == "csv":
         raise _UsageError("check reports are JSON only")
     potential = parse_potential(conf["potential"])
-    report = check_property_p(potential, conf["n"], conf["krange"],
-                              _tolerances(conf), workers=conf["workers"])
+    report = check_property_p(potential, conf["n"], conf["krange"], _tolerances(conf))
     _emit_json({
         "potential": conf["potential"],
         "n": report.n,

@@ -20,15 +20,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import (
-    ConvergenceError,
-    InvariantViolation,
-    MultiplicityError,
-    Tolerances,
-)
-from .schrod1d import EigenPair
+from .core import InvariantViolation, MultiplicityError
 
 __all__ = [
     "Strip",
@@ -37,7 +29,6 @@ __all__ = [
     "ratio_closed_form",
     "min_ratio",
     "min_ratio_witness",
-    "ratio_quadrature",
     "concentration_certificate",
     "Certificate",
 ]
@@ -129,47 +120,6 @@ def min_ratio_witness(k: int, w: Strip) -> tuple[float, ModeCoefficients]:
 
 def min_ratio(k: int, w: Strip) -> float:
     return min_ratio_witness(k, w)[0]
-
-
-def _simpson(values: np.ndarray, h: float) -> float:
-    # composite Simpson; len(values) must be odd
-    return float(h / 3.0 * (values[0] + values[-1]
-                            + 4.0 * np.sum(values[1:-1:2])
-                            + 2.0 * np.sum(values[2:-2:2])))
-
-
-def _integrate_y(k1: float, k2: float, k3: float, k: int,
-                 lo: float, hi: float, panels: int, quad_rel: float) -> float:
-    def density(y: np.ndarray) -> np.ndarray:
-        cy, sy = np.cos(k * y), np.sin(k * y)
-        return k1 * cy * cy + k2 * sy * sy + 2.0 * k3 * cy * sy
-
-    n = max(8, panels + panels % 2)
-    ys = np.linspace(lo, hi, n + 1)
-    prev = _simpson(density(ys), (hi - lo) / n)
-    for _ in range(24):
-        n *= 2
-        ys = np.linspace(lo, hi, n + 1)
-        cur = _simpson(density(ys), (hi - lo) / n)
-        if abs(cur - prev) <= quad_rel * max(abs(cur), 1e-300):
-            return cur
-        prev = cur
-    raise ConvergenceError(
-        f"y-quadrature disagreement above quad_rel={quad_rel!r} after refinement")
-
-
-def ratio_quadrature(phi_x: EigenPair, c: ModeCoefficients, w: Strip,
-                     grid_y: int = 512, tol: Tolerances = Tolerances()) -> float:
-    """The strip/total mass ratio by direct quadrature of
-    |u(x)|^2 |alpha e^{iky} + beta e^{-iky}|^2 over the x-grid and a refining
-    y-grid. Cross-checks ratio_closed_form; the x-factor cancels in the
-    quotient but is integrated anyway."""
-    k1, k2, k3 = kappa_coefficients(c)
-    k = phi_x.k
-    x_mass = phi_x.grid.h * float(np.sum(phi_x.u * phi_x.u))
-    num = x_mass * _integrate_y(k1, k2, k3, k, w.a, w.b, grid_y, tol.quad_rel)
-    den = x_mass * _integrate_y(k1, k2, k3, k, -math.pi, math.pi, grid_y, tol.quad_rel)
-    return num / den
 
 
 @dataclass(frozen=True)

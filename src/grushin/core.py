@@ -41,7 +41,6 @@ __all__ = [
     "base_factor",
     "mollified_indicator",
     "sup_on_interval",
-    "sampled_norm_estimate",
     "validate_potential",
 ]
 
@@ -160,7 +159,6 @@ class StructuredProfile:
     ``w_tilde is None`` means the constant function 1 (the parseable case)."""
 
     w_tilde: Callable[[np.ndarray], np.ndarray] | None = None
-    sup_bound: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -467,6 +465,10 @@ def sup_on_interval(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float
 # Perturbations
 # ---------------------------------------------------------------------------
 
+# relative accuracy of the perturbation suprema
+SUP_REL = 1e-10
+
+
 @dataclass(frozen=True)
 class Perturbation:
     """A smooth non-negative function vanishing outside ``support``.
@@ -474,7 +476,7 @@ class Perturbation:
     The weighted norm used by gap estimates depends on the potential it
     perturbs (|x|^(2*gamma) on the cylinder, the sine base on the torus), so
     it is computed on demand by ``sup_weighted``; ``sup_plain`` is the plain
-    sup of w itself. Both are accurate to 1e-10 relative.
+    sup of w itself. Both are accurate to SUP_REL relative.
     """
 
     w: Callable[[np.ndarray], np.ndarray]
@@ -504,23 +506,23 @@ class Perturbation:
             object.__setattr__(self, "_sup_cache", cache)
         return cache
 
-    def sup_plain(self, rel: float = 1e-10) -> float:
+    def sup_plain(self) -> float:
         cache = self._cache()
-        key = ("plain", rel)
+        key = "plain"
         if key not in cache:
             lo, hi = self.support
             cache[key] = sup_on_interval(
-                lambda x: np.asarray(self.w(x), dtype=float), lo, hi, rel=rel)
+                lambda x: np.asarray(self.w(x), dtype=float), lo, hi, rel=SUP_REL)
         return cache[key]
 
-    def sup_weighted(self, potential: Potential, rel: float = 1e-10) -> float:
+    def sup_weighted(self, potential: Potential) -> float:
         cache = self._cache()
-        key = ("weighted", potential.geometry, potential.gamma, rel)
+        key = ("weighted", potential.geometry, potential.gamma)
         if key not in cache:
             lo, hi = self.support
             cache[key] = sup_on_interval(
                 lambda x: base_factor(potential, x) * np.asarray(self.w(x), dtype=float),
-                lo, hi, rel=rel)
+                lo, hi, rel=SUP_REL)
         return cache[key]
 
 
@@ -590,34 +592,12 @@ class Tolerances:
     eig_rel      relative eigenvalue accuracy the refinement loop must reach
     cluster_abs  absolute width used to merge numeric eigenvalues into lines;
                  must stay >= 10x the achieved error estimate
-    quad_rel     relative quadrature accuracy
     """
 
     eig_rel: float = 1e-7
     cluster_abs: float = 1e-3
-    quad_rel: float = 1e-9
 
     def __post_init__(self):
-        for name in ("eig_rel", "cluster_abs", "quad_rel"):
+        for name in ("eig_rel", "cluster_abs"):
             if not (getattr(self, name) > 0):
                 raise InvariantViolation(f"{name} must be strictly positive")
-
-
-def sampled_norm_estimate(potential: Potential) -> dict:
-    """Best-effort bounded-part norm for sampled data: sup of V(x)/base(x)
-    over the node range, flagged because the extrapolated tail is excluded."""
-    if not isinstance(potential.profile, SampledProfile):
-        raise PreconditionError("only sampled potentials carry a norm estimate")
-    xs = np.array([x for x, _ in potential.profile.nodes])
-    lo, hi = float(xs[0]), float(xs[-1])
-
-    def ratio(x):
-        base = base_factor(potential, x)
-        v = eval_potential(potential, x)
-        return np.where(base > 0, v / np.maximum(base, 1e-300), 0.0)
-
-    return {
-        "w_sup_estimate": sup_on_interval(ratio, lo, hi, rel=1e-10),
-        "node_range": (lo, hi),
-        "extrapolated": True,
-    }

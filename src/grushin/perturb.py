@@ -38,7 +38,6 @@ from .schrod1d import Grid, solve_eigen, solve_on_grid
 __all__ = [
     "perturbed_potential",
     "hellmann_feynman",
-    "offdiagonal_form",
     "Branch",
     "track_branches",
     "ContinuityRecord",
@@ -97,20 +96,6 @@ def hellmann_feynman(potential: Potential, w: Perturbation, k: int, n: int,
     i_fine = _weighted_density(potential, w, fine.u, fine.u, fine.grid)
     i_coarse = _weighted_density(potential, w, vecs_c[:, n], vecs_c[:, n], coarse_grid)
     return k * k * (4.0 * i_fine - i_coarse) / 3.0
-
-
-def offdiagonal_form(potential: Potential, w: Perturbation, k: int,
-                     n: int, m: int, tol: Tolerances = Tolerances()) -> float:
-    """The off-diagonal entry k^2 * integral(base W u_n u_m) of the
-    perturbation form between two distinct levels. On the line the levels are
-    simple, so this quantity carries no branch-derivative meaning; it is
-    exposed for experiments and is generically nonzero."""
-    if n == m:
-        raise PreconditionError("use hellmann_feynman for the diagonal entry")
-    top = max(n, m)
-    pairs = solve_eigen(potential, k, top + 1, tol)
-    grid = pairs[0].grid
-    return k * k * _weighted_density(potential, w, pairs[n].u, pairs[m].u, grid)
 
 
 @dataclass

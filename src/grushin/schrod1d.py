@@ -45,7 +45,6 @@ from .core import (
     InvariantViolation,
     Potential,
     PreconditionError,
-    RankDeficientBasis,
     Tolerances,
     eval_potential,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "solve_on_grid",
     "solve_eigen",
     "solve_levels_below",
-    "rayleigh_max",
     "hermite_eigenfunction",
 ]
 
@@ -71,6 +69,14 @@ CIRCLE_MAX_NODES = 4096
 # error is at most 3 / (2^p' - 1) < 1.05 times the successive-extrapolant
 # estimate.
 ORDER_SLACK = 0.05
+
+# Energy factor by which the truncation barrier exceeds the levels it confines.
+TRUNCATION_MARGIN = 2.0
+
+# The search grid for the truncation length, L = 0.5 * 2^(j/64) below 1e9,
+# accumulated by repeated multiplication.
+_LENGTH_LADDER = np.cumprod(np.r_[0.5, np.full(64 * 32, 2.0 ** (1.0 / 64.0))])
+_LENGTH_LADDER = _LENGTH_LADDER[_LENGTH_LADDER < 1e9]
 
 
 @dataclass(frozen=True)
@@ -136,45 +142,31 @@ class EigenPair:
     lam_grid: float
 
 
-def truncation_length(potential: Potential, k: int, e_max: float, margin: float = 2.0) -> float:
+def truncation_length(potential: Potential, k: int, e_max: float) -> float:
     """Smallest L on a geometric search grid with
-    k^2 * (min(V(L), V(-L)) - V(0)) >= margin * e_max.
+    k^2 * (min(V(L), V(-L)) - V(0)) >= TRUNCATION_MARGIN * e_max.
 
     Eigenfunctions with lambda <= e_max then decay well inside [-L, L], since
-    L lies beyond their classical turning points by a factor margin in energy.
-    The rise is measured above the floor V(0): a constant part of V raises
-    every level and the barrier alike, so it adds no confinement.
+    L lies beyond their classical turning points by a factor TRUNCATION_MARGIN
+    in energy. The rise is measured above the floor V(0): a constant part of V
+    raises every level and the barrier alike, so it adds no confinement.
     """
     if potential.geometry == "torus":
         raise PreconditionError("circle problems need no truncation")
     if not (e_max > 0):
         raise PreconditionError("e_max must be positive")
-    if not (margin >= 2):
-        raise PreconditionError("margin must be >= 2")
-    threshold = margin * e_max / (k * k)
+    threshold = TRUNCATION_MARGIN * e_max / (k * k)
     floor = eval_potential(potential, 0.0)
-    length = 0.5
-    ratio = 2.0 ** (1.0 / 64.0)
-    while length < 1e9:
-        rise = min(eval_potential(potential, length), eval_potential(potential, -length)) - floor
-        if rise >= threshold:
-            return length
-        length *= ratio
+    # far points may overflow to inf (or inf * 0 = nan), which is harmless here
+    with np.errstate(over="ignore", invalid="ignore"):
+        rise = np.minimum(eval_potential(potential, _LENGTH_LADDER),
+                          eval_potential(potential, -_LENGTH_LADDER)) - floor
+    hits = np.flatnonzero(rise >= threshold)
+    if hits.size:
+        return float(_LENGTH_LADDER[hits[0]])
     raise ConvergenceError(
         "potential never reaches the confinement threshold "
         f"{threshold!r}; cannot truncate")
-
-
-def _apply_operator(u: np.ndarray, pot_values: np.ndarray, k: int, grid: Grid) -> np.ndarray:
-    h2 = grid.h * grid.h
-    out = (2.0 * u) / h2 + (k * k) * pot_values * u
-    if grid.kind == "line":
-        out[1:] -= u[:-1] / h2
-        out[:-1] -= u[1:] / h2
-    else:
-        out -= np.roll(u, 1) / h2
-        out -= np.roll(u, -1) / h2
-    return out
 
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
@@ -357,30 +349,6 @@ def solve_levels_below(potential: Potential, k: int, e_max: float,
             raise ConvergenceError(f"more than {m} levels below e_max={e_max!r}")
         m *= 2
     return [p for p in pairs if p.lam <= e_max + 10.0 * p.err_est]
-
-
-def rayleigh_max(potential: Potential, k: int, grid: Grid,
-                 basis: list[np.ndarray]) -> float:
-    """Maximum Rayleigh quotient <P u, u>/<u, u> over the span of the basis,
-    computed as the top eigenvalue of the projected pencil (h B^T A B, h B^T B).
-    """
-    if not basis:
-        raise PreconditionError("empty basis")
-    b_mat = np.column_stack([np.asarray(v, dtype=float) for v in basis])
-    if b_mat.shape[0] != grid.npoints:
-        raise PreconditionError("basis vectors do not live on the given grid")
-    h = grid.h
-    pot = np.asarray(eval_potential(potential, grid.points()), dtype=float)
-    gram = h * (b_mat.T @ b_mat)
-    gvals = np.linalg.eigvalsh(gram)
-    if gvals[0] < 1e-12 * max(gvals[-1], 1e-300):
-        raise RankDeficientBasis("basis vectors are numerically dependent")
-    a_cols = np.column_stack([_apply_operator(b_mat[:, j], pot, k, grid)
-                              for j in range(b_mat.shape[1])])
-    proj = h * (b_mat.T @ a_cols)
-    proj = 0.5 * (proj + proj.T)
-    vals = scipy.linalg.eigh(proj, gram, eigvals_only=True)
-    return float(vals[-1])
 
 
 def hermite_eigenfunction(k: int, n: int, x) -> np.ndarray | float:

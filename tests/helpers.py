@@ -3,15 +3,26 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
+import scipy.linalg
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq, minimize
 from scipy.special import mathieu_a, mathieu_b
 
-from grushin.concentration import ModeCoefficients, Strip, ratio_closed_form
-from grushin.core import Perturbation, Potential
-from grushin.schrod1d import Grid, solve_on_grid
+from grushin.assembler import PropertyPPair
+from grushin.concentration import ModeCoefficients, Strip, kappa_coefficients, ratio_closed_form
+from grushin.core import (
+    ConvergenceError,
+    ExactScalar,
+    Perturbation,
+    Potential,
+    PreconditionError,
+    RankDeficientBasis,
+    eval_potential,
+)
+from grushin.schrod1d import EigenPair, Grid, solve_on_grid
 
 
 def enumeration_multiplicities(limit: int) -> np.ndarray:
@@ -109,3 +120,127 @@ def mathieu_levels(k: int, m: int) -> list[float]:
     for r in range(2, 2 * m + 2, 2):
         chars += [float(mathieu_a(r, q)), float(mathieu_b(r, q))]
     return [2.0 * k * k + a / 4.0 for a in sorted(chars)[:m]]
+
+
+def scalar_truncation_length(potential: Potential, k: int, e_max: float) -> float:
+    """The truncation search as a scalar walk: L = 0.5, 0.5 r, 0.5 r^2, ...
+    with r = 2^(1/64), stopping at the first L below 1e9 where
+    k^2 * (min(V(L), V(-L)) - V(0)) >= 2 * e_max."""
+    threshold = 2.0 * e_max / (k * k)
+    floor = eval_potential(potential, 0.0)
+    length = 0.5
+    ratio = 2.0 ** (1.0 / 64.0)
+    while length < 1e9:
+        if min(eval_potential(potential, length), eval_potential(potential, -length)) - floor \
+                >= threshold:
+            return length
+        length *= ratio
+    raise ConvergenceError("potential never reaches the confinement threshold")
+
+
+def _apply_operator(u: np.ndarray, pot_values: np.ndarray, k: int, grid: Grid) -> np.ndarray:
+    h2 = grid.h * grid.h
+    out = (2.0 * u) / h2 + (k * k) * pot_values * u
+    if grid.kind == "line":
+        out[1:] -= u[:-1] / h2
+        out[:-1] -= u[1:] / h2
+    else:
+        out -= np.roll(u, 1) / h2
+        out -= np.roll(u, -1) / h2
+    return out
+
+
+def rayleigh_max(potential: Potential, k: int, grid: Grid,
+                 basis: list[np.ndarray]) -> float:
+    """Maximum Rayleigh quotient <P u, u>/<u, u> of the discretized operator
+    over the span of the basis, computed as the top eigenvalue of the
+    projected pencil (h B^T A B, h B^T B)."""
+    if not basis:
+        raise PreconditionError("empty basis")
+    b_mat = np.column_stack([np.asarray(v, dtype=float) for v in basis])
+    if b_mat.shape[0] != grid.npoints:
+        raise PreconditionError("basis vectors do not live on the given grid")
+    h = grid.h
+    pot = np.asarray(eval_potential(potential, grid.points()), dtype=float)
+    gram = h * (b_mat.T @ b_mat)
+    gvals = np.linalg.eigvalsh(gram)
+    if gvals[0] < 1e-12 * max(gvals[-1], 1e-300):
+        raise RankDeficientBasis("basis vectors are numerically dependent")
+    a_cols = np.column_stack([_apply_operator(b_mat[:, j], pot, k, grid)
+                              for j in range(b_mat.shape[1])])
+    proj = h * (b_mat.T @ a_cols)
+    proj = 0.5 * (proj + proj.T)
+    vals = scipy.linalg.eigh(proj, gram, eigvals_only=True)
+    return float(vals[-1])
+
+
+def _simpson(values: np.ndarray, h: float) -> float:
+    # composite Simpson; len(values) must be odd
+    return float(h / 3.0 * (values[0] + values[-1]
+                            + 4.0 * np.sum(values[1:-1:2])
+                            + 2.0 * np.sum(values[2:-2:2])))
+
+
+def _integrate_y(k1: float, k2: float, k3: float, k: int,
+                 lo: float, hi: float, panels: int, quad_rel: float) -> float:
+    def density(y: np.ndarray) -> np.ndarray:
+        cy, sy = np.cos(k * y), np.sin(k * y)
+        return k1 * cy * cy + k2 * sy * sy + 2.0 * k3 * cy * sy
+
+    n = max(8, panels + panels % 2)
+    ys = np.linspace(lo, hi, n + 1)
+    prev = _simpson(density(ys), (hi - lo) / n)
+    for _ in range(24):
+        n *= 2
+        ys = np.linspace(lo, hi, n + 1)
+        cur = _simpson(density(ys), (hi - lo) / n)
+        if abs(cur - prev) <= quad_rel * max(abs(cur), 1e-300):
+            return cur
+        prev = cur
+    raise ConvergenceError(
+        f"y-quadrature disagreement above quad_rel={quad_rel!r} after refinement")
+
+
+def ratio_quadrature(phi_x: EigenPair, c: ModeCoefficients, w: Strip,
+                     grid_y: int = 512, quad_rel: float = 1e-9) -> float:
+    """The strip/total mass ratio by direct quadrature of
+    |u(x)|^2 |alpha e^{iky} + beta e^{-iky}|^2 over the x-grid and a refining
+    Simpson y-grid (successive refinements agree to quad_rel). Cross-checks
+    ratio_closed_form; the x-factor cancels in the quotient but is integrated
+    anyway."""
+    k1, k2, k3 = kappa_coefficients(c)
+    k = phi_x.k
+    x_mass = phi_x.grid.h * float(np.sum(phi_x.u * phi_x.u))
+    num = x_mass * _integrate_y(k1, k2, k3, k, w.a, w.b, grid_y, quad_rel)
+    den = x_mass * _integrate_y(k1, k2, k3, k, -math.pi, math.pi, grid_y, quad_rel)
+    return num / den
+
+
+def brute_property_p(s2: ExactScalar, n: int, k_range: int,
+                     cluster_abs: float) -> list[PropertyPPair]:
+    """Property (P) records for V = x^2 + s2 by direct pair comparison: every
+    level (2i+1)k + k^2 s2, i < n, of every mode pair k < l <= k_range,
+    compared in Fraction arithmetic for rational s2 and as integer pairs
+    (lin, quad) otherwise. Equal values are FAIL records with zero gap; other
+    pairs within cluster_abs are PASS records with their float gap."""
+    records = []
+    for k in range(1, k_range + 1):
+        for l in range(k + 1, k_range + 1):
+            for i in range(n):
+                for j in range(n):
+                    a_lin, b_lin = (2 * i + 1) * k, (2 * j + 1) * l
+                    if s2.is_rational:
+                        a = Fraction(a_lin) + k * k * s2.rational
+                        b = Fraction(b_lin) + l * l * s2.rational
+                        equal, gap = a == b, abs(float(a - b))
+                        lam_a, lam_b = float(a), float(b)
+                    else:
+                        equal = (a_lin, k * k) == (b_lin, l * l)
+                        lam_a = float(a_lin + k * k * s2.approx)
+                        lam_b = float(b_lin + l * l * s2.approx)
+                        gap = abs(lam_a - lam_b)
+                    if equal:
+                        records.append(PropertyPPair(k, l, i, j, lam_a, lam_b, 0.0, 0.0, "FAIL"))
+                    elif gap <= cluster_abs:
+                        records.append(PropertyPPair(k, l, i, j, lam_a, lam_b, gap, 0.0, "PASS"))
+    return records

@@ -48,7 +48,8 @@ def test_spectrum_json_embeds_config_and_version(capsys):
     assert payload["version"]
     assert payload["config"]["command"] == "spectrum"
     assert payload["config"]["emax"] == 5.0
-    assert "workers" not in payload["config"]
+    for key in ("workers", "seed", "quad_rel"):
+        assert key not in payload["config"]
     assert [line["mult"] for line in payload["lines"]] == [2, 2, 4, 2, 4]
 
 
@@ -215,16 +216,23 @@ def test_config_file_merging(tmp_path, capsys):
     assert len(out2.strip().split("\n")) == 4  # header + lines 1, 2, 3
 
 
-def test_output_file_and_determinism(tmp_path, monkeypatch):
+def test_output_file_and_determinism(tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
     argv = ["spectrum", "--potential", "power:gamma=1", "--emax", "4",
             "--mode", "numeric"]
-    monkeypatch.setenv("GRUSHIN_THREADS", "1")
     assert run(argv + ["--output", str(out1)]) == 0
-    monkeypatch.setenv("GRUSHIN_THREADS", "4")
     assert run(argv + ["--output", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("flag", [["--workers", "2"], ["--seed", "1"], ["--quad-rel", "1e-9"]])
+def test_removed_flags_are_usage_errors(capsys, flag):
+    code, out, err = run_capture(capsys, [
+        "spectrum", "--potential", "shifted:s2=0", "--emax", "5"] + flag)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: code=usage")
 
 
 def test_csv_rejected_for_report_commands(capsys):

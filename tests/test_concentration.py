@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import brute_force_min_ratio
+from helpers import brute_force_min_ratio, ratio_quadrature
 
 from grushin.assembler import assemble
 from grushin.concentration import (
@@ -14,7 +14,6 @@ from grushin.concentration import (
     min_ratio,
     min_ratio_witness,
     ratio_closed_form,
-    ratio_quadrature,
 )
 from grushin.core import InvariantViolation, MultiplicityError, parse_potential
 from grushin.schrod1d import solve_eigen

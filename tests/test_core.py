@@ -19,7 +19,6 @@ from grushin.core import (
     parse_exact_scalar,
     parse_potential,
     render_potential,
-    sampled_norm_estimate,
     sup_on_interval,
     validate_potential,
 )
@@ -122,7 +121,7 @@ def test_structured_dominates_pure_power():
     def w_tilde(x):
         return 1.0 + np.exp(-((x - 0.7) ** 2))
 
-    pot = Potential("cylinder", 1.5, StructuredProfile(w_tilde=w_tilde, sup_bound=2.0))
+    pot = Potential("cylinder", 1.5, StructuredProfile(w_tilde=w_tilde))
     xs = rng.uniform(-8, 8, size=300)
     assert np.all(eval_potential(pot, xs) >= np.abs(xs) ** 3.0 - 1e-12)
     validate_potential(pot)
@@ -211,13 +210,3 @@ def test_tolerances_validated():
         Tolerances(eig_rel=0.0)
     with pytest.raises(InvariantViolation):
         Tolerances(cluster_abs=-1.0)
-
-
-def test_sampled_norm_estimate_flags_extrapolation(tmp_path):
-    path = tmp_path / "pot.csv"
-    path.write_text("x,v\n-2,8\n-1,1.5\n1,1.5\n2,8\n", encoding="utf-8")
-    pot = parse_potential(f"table:{path},ext=2")
-    est = sampled_norm_estimate(pot)
-    assert est["extrapolated"] is True
-    assert est["node_range"] == (-2.0, 2.0)
-    assert est["w_sup_estimate"] > 0

@@ -16,7 +16,6 @@ from grushin.perturb import (
     check_continuity_bound,
     check_gap_avoidance,
     hellmann_feynman,
-    offdiagonal_form,
     perturbed_potential,
     splitting_experiment,
     track_branches,
@@ -71,14 +70,6 @@ def test_hf_matches_central_difference(pot, k, n):
     delta = min(0.01, 0.1 * kappa / max(rate, 1e-12))
     slope = central_difference_slope(pot, BUMP, k, n, pairs[n].grid, delta)
     assert abs(hf - slope) <= 1e-4 * max(1.0, abs(slope))
-
-
-def test_offdiagonal_form_generically_nonzero():
-    # even bump couples levels of equal parity
-    val = offdiagonal_form(HARMONIC, BUMP, 1, 0, 2)
-    assert abs(val) > 1e-3
-    with pytest.raises(PreconditionError):
-        offdiagonal_form(HARMONIC, BUMP, 1, 1, 1)
 
 
 # --- branch tracking --------------------------------------------------------

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import mathieu_levels, shooting_level
+from helpers import mathieu_levels, rayleigh_max, scalar_truncation_length, shooting_level
 from numpy.testing import assert_allclose
 
 from grushin import schrod1d
@@ -13,13 +13,14 @@ from grushin.core import (
     PreconditionError,
     RankDeficientBasis,
     Tolerances,
+    mollified_indicator,
     parse_potential,
 )
+from grushin.perturb import perturbed_potential
 from grushin.schrod1d import (
     Grid,
     _extrapolate,
     hermite_eigenfunction,
-    rayleigh_max,
     solve_eigen,
     solve_levels_below,
     solve_on_grid,
@@ -56,11 +57,21 @@ def test_exactness_oracle_rational_shift():
 
 def test_truncation_length_examples():
     lo = math.sqrt(50.0)
-    val = truncation_length(HARMONIC, 1, 25.0, 2.0)
+    val = truncation_length(HARMONIC, 1, 25.0)
     assert lo <= val <= 1.02 * lo
     lo5 = math.sqrt(2.0)
-    val5 = truncation_length(HARMONIC, 5, 25.0, 2.0)
+    val5 = truncation_length(HARMONIC, 5, 25.0)
     assert lo5 <= val5 <= 1.02 * lo5
+
+
+def test_truncation_length_matches_scalar_walk():
+    # the vectorized search returns exactly the point the scalar walk stops at
+    bump = mollified_indicator(-1.0, 1.5, 0.3)
+    pots = [perturbed_potential(HARMONIC, bump, 0.7), parse_potential("power:gamma=0.75")]
+    for pot in pots:
+        for k in (1, 2, 3, 5, 8):
+            for cap in (0.3, 1.0, 7.5, 30.0, 300.0, 3000.0):
+                assert truncation_length(pot, k, cap) == scalar_truncation_length(pot, k, cap)
 
 
 def test_truncation_rejects_torus_and_bad_args():
@@ -69,8 +80,6 @@ def test_truncation_rejects_torus_and_bad_args():
         truncation_length(torus, 1, 10.0)
     with pytest.raises(PreconditionError):
         truncation_length(HARMONIC, 1, -1.0)
-    with pytest.raises(PreconditionError):
-        truncation_length(HARMONIC, 1, 10.0, margin=1.0)
 
 
 def test_truncation_nonconfining_errors():
