@@ -106,7 +106,7 @@ def _exact_level(pair: ExactEigenvalue, s2: ExactScalar
     return pair.value(s2), (pair.lin, pair.quad)
 
 
-def _assemble_exact(potential: Potential, e_max: float, tol: Tolerances) -> AssembledSpectrum:
+def _assemble_exact(potential: Potential, e_max: float) -> AssembledSpectrum:
     s2 = potential.profile.s2
     pairs = enumerate_exact_pairs(s2, e_max)
     groups: dict = {}
@@ -188,7 +188,7 @@ def assemble(potential: Potential, e_max: float, tol: Tolerances = Tolerances(),
     if mode == "exact":
         if not is_exact:
             raise PreconditionError("exact assembly needs an exact-family potential")
-        return _assemble_exact(potential, e_max, tol)
+        return _assemble_exact(potential, e_max)
     if mode == "numeric":
         return _assemble_numeric(potential, e_max, tol)
     raise PreconditionError(f"unknown mode {mode!r}")

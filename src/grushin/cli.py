@@ -176,10 +176,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _resolve(args: argparse.Namespace) -> dict:
-    """Merge flags > config file > defaults into one plain dict."""
-    merged = {k: v for k, v in vars(args).items()}
-    config_path = merged.pop("config", None)
+def _resolve(parser: _Parser, argv: list[str], args: argparse.Namespace) -> dict:
+    """Merge flags > config file > defaults into one plain dict. Each config entry
+    must name a flag of the subcommand and is parsed as that flag, ahead of the
+    command-line flags so that those win."""
+    config_path = args.config
     if config_path:
         try:
             file_conf = json.loads(Path(config_path).read_text(encoding="utf-8"))
@@ -187,10 +188,19 @@ def _resolve(args: argparse.Namespace) -> dict:
             raise _UsageError(f"cannot read config {config_path!r}: {exc}") from None
         if not isinstance(file_conf, dict):
             raise _UsageError("config file must hold a JSON object")
+        flags = []
         for key, value in file_conf.items():
             key = key.replace("-", "_")
-            if key in merged and merged[key] is None:
-                merged[key] = value
+            if key not in vars(args) or key == "config":
+                raise _UsageError(f"config key {key!r} matches no flag of {args.command}")
+            if value is not None:
+                text = value if isinstance(value, str) else json.dumps(value)
+                flags.append(f"--{key.replace('_', '-')}={text}")
+        try:  # argv[0] is the subcommand: the top-level parser has no options
+            args = parser.parse_args(argv[:1] + flags + argv[1:])
+        except _UsageError as exc:
+            raise _UsageError(f"config {config_path!r}: {exc}") from None
+    merged = {k: v for k, v in vars(args).items() if k != "config"}
     for key, value in _DEFAULTS.items():
         if key in merged and merged[key] is None:
             merged[key] = value
@@ -478,7 +488,7 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise _UsageError("missing subcommand")
-        conf = _resolve(args)
+        conf = _resolve(parser, argv, args)
         return _COMMANDS[args.command](conf)
     except _UsageError as exc:
         print(f'error: code=usage msg="{exc}"', file=sys.stderr)

@@ -23,7 +23,6 @@ __all__ = [
     "ConvergenceError",
     "PreconditionError",
     "IntegerOverflowError",
-    "RankDeficientBasis",
     "MultiplicityError",
     "ExactScalar",
     "StructuredProfile",
@@ -76,10 +75,6 @@ class PreconditionError(GrushinError):
 
 class IntegerOverflowError(GrushinError):
     """Exact integer arithmetic would exceed the 64-bit guard."""
-
-
-class RankDeficientBasis(GrushinError):
-    """Basis vectors handed to a projected eigenproblem are not independent."""
 
 
 class MultiplicityError(GrushinError):

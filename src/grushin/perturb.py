@@ -73,10 +73,12 @@ def perturbed_potential(potential: Potential, w: Perturbation, t: float) -> Pote
                      profile=CallableProfile(fn=fn))
 
 
-def _weighted_density(potential: Potential, w: Perturbation,
-                      u: np.ndarray, v: np.ndarray, grid: Grid) -> float:
+def _weighted_density(potential: Potential, w: Perturbation, k: int, n: int,
+                      grid: Grid) -> float:
+    # h * sum(base W u_n^2) for the discrete eigenvector u_n on grid
+    _, vecs = solve_on_grid(potential, k, n + 1, grid)
     x = grid.points()
-    return grid.h * float(np.sum(base_factor(potential, x) * w(x) * u * v))
+    return grid.h * float(np.sum(base_factor(potential, x) * w(x) * vecs[:, n] * vecs[:, n]))
 
 
 def hellmann_feynman(potential: Potential, w: Perturbation, k: int, n: int,
@@ -86,15 +88,12 @@ def hellmann_feynman(potential: Potential, w: Perturbation, k: int, n: int,
         k^2 * integral( base(x) W(x) |u_n(x)|^2 dx ),
 
     with u_n the normalized n-th eigenfunction. The quadrature is evaluated on
-    the solver's fine grid and its h/2-coarser partner and Richardson
+    the solver's final grid and its 2h coarsening and Richardson
     extrapolated, so the result is accurate beyond the O(h^2) vector error.
     """
-    pairs = solve_eigen(potential, k, n + 1, tol)
-    fine = pairs[n]
-    coarse_grid = fine.grid.coarsened()
-    _, vecs_c = solve_on_grid(potential, k, n + 1, coarse_grid)
-    i_fine = _weighted_density(potential, w, fine.u, fine.u, fine.grid)
-    i_coarse = _weighted_density(potential, w, vecs_c[:, n], vecs_c[:, n], coarse_grid)
+    grid = solve_eigen(potential, k, n + 1, tol)[n].grid
+    i_fine = _weighted_density(potential, w, k, n, grid)
+    i_coarse = _weighted_density(potential, w, k, n, grid.coarsened())
     return k * k * (4.0 * i_fine - i_coarse) / 3.0
 
 
@@ -158,14 +157,15 @@ def track_branches(potential: Potential, w: Perturbation, k: int, levels,
     grid = base[0].grid
     grid_coarse = grid.coarsened()
     h = grid.h
+    _, vecs0 = solve_on_grid(potential, k, m_solve, grid)
+    current = [vecs0[:, n].copy() for n in levels]
 
     branches = [Branch(k=k, level=n, t_grid=np.array([0.0]),
                        lambdas=np.array([base[n].lam]),
                        err_ests=np.array([base[n].err_est]),
-                       vectors=[base[n].u], grid=grid,
+                       vectors=[vec], grid=grid,
                        potential=potential, perturbation=w)
-                for n in levels]
-    current = [base[n].u for n in levels]
+                for n, vec in zip(levels, current)]
 
     def solve_at(t: float):
         # the extrapolant of the two tracking grids, as base[n].lam is at t = 0

@@ -27,9 +27,9 @@ first two grids, the plain estimate |lambda_h - lambda_{h/2}| / 3 of the
 unextrapolated error is used, which also bounds the error of R. Refinement
 stops when err_est <= eig_rel * lambda for every requested level.
 
-Intermediate grids are solved for eigenvalues only; eigenvectors are
-computed once, on the final grid, where they are O(h^2) accurate and carry
-the discrete eigenvalue lam_grid rather than the extrapolant.
+Refinement solves for eigenvalues only. Eigenvectors, where needed, come from
+solve_on_grid on the final grid; they are O(h^2) accurate and carry that
+grid's discrete eigenvalues rather than the extrapolants.
 """
 
 from __future__ import annotations
@@ -123,23 +123,21 @@ class Grid:
 
 @dataclass(frozen=True)
 class EigenPair:
-    """One computed eigenpair of -d^2/dx^2 + k^2 V.
+    """Level ``n`` of -d^2/dx^2 + k^2 V, as found by refinement.
 
     ``lam`` is the Richardson-extrapolated eigenvalue, the best estimate of
-    the continuum level, and ``err_est`` estimates its error. ``u`` is the
-    discrete eigenvector on ``grid``, normalized so that h * sum(u^2) = 1,
-    with the first nonzero component positive; ``lam_grid`` is its discrete
-    eigenvalue on that grid, which differs from ``lam`` by the O(h^2) grid
-    bias. Rayleigh quotients of ``u`` on ``grid`` reproduce ``lam_grid``.
+    the continuum level, and ``err_est`` estimates its error. ``grid`` is the
+    final refinement grid: column n of the vectors from
+    ``solve_on_grid(potential, k, n + 1, grid)`` is the discrete eigenvector
+    there, and its discrete eigenvalue differs from ``lam`` by the O(h^2)
+    grid bias.
     """
 
     lam: float
-    u: np.ndarray
     k: int
     n: int
     err_est: float
     grid: Grid
-    lam_grid: float
 
 
 def truncation_length(potential: Potential, k: int, e_max: float) -> float:
@@ -184,8 +182,9 @@ def solve_on_grid(potential: Potential, k: int, m: int, grid: Grid, *,
     """The m lowest eigenpairs of the discretized operator on a fixed grid.
 
     Returns (lams, vecs) with vecs of shape (npoints, m), L2-normalized in the
-    discrete inner product h * <u, v>; with ``vectors=False`` only the
-    eigenvalues are computed and vecs is None.
+    discrete inner product h * <u, v>, each with its first significant
+    component positive; with ``vectors=False`` only the eigenvalues are
+    computed and vecs is None.
     """
     if k == 0:
         raise PreconditionError("k must be nonzero")
@@ -246,16 +245,15 @@ def _extrapolate(coarser: np.ndarray | None, coarse: np.ndarray,
 def _refine(potential: Potential, k: int, m: int, grid: Grid, tol: Tolerances,
             lams: np.ndarray | None = None):
     """Halve h from ``grid`` until every level meets err_est <= eig_rel * lambda
-    (see the module docstring), then compute eigenvectors on the final grid.
+    (see the module docstring).
 
     ``lams`` are the eigenvalues on ``grid`` when the caller already has them.
-    Returns (lams, lams_grid, vecs, err, grid): the extrapolated eigenvalues,
-    the discrete eigenvalues and eigenvectors on the final grid, the error
+    Returns (lams, err, grid): the extrapolated eigenvalues, their error
     estimates and the final grid.
 
-    Stops with ConvergenceError (best estimates attached, without vectors)
-    when the node budget runs out, or when the roundoff floor of the discrete
-    problem already exceeds the target so further refinement cannot help."""
+    Stops with ConvergenceError (best estimates attached) when the node budget
+    runs out, or when the roundoff floor of the discrete problem already
+    exceeds the target so further refinement cannot help."""
     max_nodes = LINE_MAX_NODES if grid.kind == "line" else CIRCLE_MAX_NODES
     if lams is None:
         lams, _ = solve_on_grid(potential, k, m, grid, vectors=False)
@@ -264,8 +262,7 @@ def _refine(potential: Potential, k: int, m: int, grid: Grid, tol: Tolerances,
     extrap, err, best_rel = lams, np.full(m, math.inf), math.inf
 
     def failure(reason: str) -> ConvergenceError:
-        best = [EigenPair(float(extrap[i]), np.array([]), k, i, float(err[i]), grid,
-                          float(lams[i])) for i in range(m)]
+        best = [EigenPair(float(extrap[i]), k, i, float(err[i]), grid) for i in range(m)]
         return ConvergenceError(
             f"{reason} (target eig_rel={tol.eig_rel!r}; grids visited: "
             f"{', '.join(map(str, visited))} nodes; best relative error "
@@ -285,8 +282,7 @@ def _refine(potential: Potential, k: int, m: int, grid: Grid, tol: Tolerances,
         target = tol.eig_rel * scale
         coarser, lams, grid = lams, lams_fine, fine
         if np.all(err <= target):
-            lams_grid, vecs = solve_on_grid(potential, k, m, grid)
-            return extrap, lams_grid, vecs, err, grid
+            return extrap, err, grid
         hopeless = (floor > target) & (raw <= floor)
         if np.all((err <= target) | hopeless):
             raise failure(f"target sits below the roundoff floor "
@@ -302,7 +298,7 @@ def _initial_line_grid(length: float, m: int) -> Grid:
 
 def solve_eigen(potential: Potential, k: int, m: int,
                 tol: Tolerances = Tolerances()) -> list[EigenPair]:
-    """The m lowest eigenpairs of -u'' + k^2 V(x) u.
+    """The m lowest eigenvalues of -u'' + k^2 V(x) u, with error estimates.
 
     Line problems are truncated to [-L, L] with a confinement margin of 2 in
     energy and one extra doubling of L for safety; the domain is enlarged
@@ -329,14 +325,13 @@ def solve_eigen(potential: Potential, k: int, m: int,
         else:  # pragma: no cover - 2^64 growth always terminates first
             raise ConvergenceError("could not certify a truncation domain")
 
-    lams, lams_grid, vecs, err, grid = _refine(potential, k, m, probe, tol, lams_probe)
-    return [EigenPair(float(lams[i]), vecs[:, i].copy(), k, i, float(err[i]), grid,
-                      float(lams_grid[i])) for i in range(m)]
+    lams, err, grid = _refine(potential, k, m, probe, tol, lams_probe)
+    return [EigenPair(float(lams[i]), k, i, float(err[i]), grid) for i in range(m)]
 
 
 def solve_levels_below(potential: Potential, k: int, e_max: float,
                        tol: Tolerances = Tolerances()) -> list[EigenPair]:
-    """All eigenpairs with lambda <= e_max (up to solver resolution at the
+    """All levels with lambda <= e_max (up to solver resolution at the
     boundary: levels within 10 * err_est of e_max are kept)."""
     if not (e_max > 0):
         raise PreconditionError("e_max must be positive")

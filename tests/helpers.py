@@ -16,10 +16,10 @@ from grushin.concentration import ModeCoefficients, Strip, kappa_coefficients, r
 from grushin.core import (
     ConvergenceError,
     ExactScalar,
+    GrushinError,
     Perturbation,
     Potential,
     PreconditionError,
-    RankDeficientBasis,
     eval_potential,
 )
 from grushin.schrod1d import EigenPair, Grid, solve_on_grid
@@ -138,6 +138,10 @@ def scalar_truncation_length(potential: Potential, k: int, e_max: float) -> floa
     raise ConvergenceError("potential never reaches the confinement threshold")
 
 
+class RankDeficientBasis(GrushinError):
+    """Basis vectors handed to rayleigh_max are not independent."""
+
+
 def _apply_operator(u: np.ndarray, pot_values: np.ndarray, k: int, grid: Grid) -> np.ndarray:
     h2 = grid.h * grid.h
     out = (2.0 * u) / h2 + (k * k) * pot_values * u
@@ -201,16 +205,24 @@ def _integrate_y(k1: float, k2: float, k3: float, k: int,
         f"y-quadrature disagreement above quad_rel={quad_rel!r} after refinement")
 
 
-def ratio_quadrature(phi_x: EigenPair, c: ModeCoefficients, w: Strip,
-                     grid_y: int = 512, quad_rel: float = 1e-9) -> float:
+def eigenvector(potential: Potential, pair: EigenPair) -> np.ndarray:
+    """The discrete eigenvector of ``pair`` on its final grid."""
+    _, vecs = solve_on_grid(potential, pair.k, pair.n + 1, pair.grid)
+    return vecs[:, pair.n]
+
+
+def ratio_quadrature(potential: Potential, phi_x: EigenPair, c: ModeCoefficients,
+                     w: Strip, grid_y: int = 512, quad_rel: float = 1e-9) -> float:
     """The strip/total mass ratio by direct quadrature of
     |u(x)|^2 |alpha e^{iky} + beta e^{-iky}|^2 over the x-grid and a refining
-    Simpson y-grid (successive refinements agree to quad_rel). Cross-checks
+    Simpson y-grid (successive refinements agree to quad_rel), with u the
+    eigenvector of ``phi_x`` for ``potential``. Cross-checks
     ratio_closed_form; the x-factor cancels in the quotient but is integrated
     anyway."""
     k1, k2, k3 = kappa_coefficients(c)
     k = phi_x.k
-    x_mass = phi_x.grid.h * float(np.sum(phi_x.u * phi_x.u))
+    u = eigenvector(potential, phi_x)
+    x_mass = phi_x.grid.h * float(np.sum(u * u))
     num = x_mass * _integrate_y(k1, k2, k3, k, w.a, w.b, grid_y, quad_rel)
     den = x_mass * _integrate_y(k1, k2, k3, k, -math.pi, math.pi, grid_y, quad_rel)
     return num / den

@@ -216,6 +216,39 @@ def test_config_file_merging(tmp_path, capsys):
     assert len(out2.strip().split("\n")) == 4  # header + lines 1, 2, 3
 
 
+_SOLVE1D = ["solve1d", "--potential", "power:gamma=1", "--k", "1", "--m", "2"]
+
+
+def test_config_key_without_flag_is_usage_error(tmp_path, capsys):
+    conf = tmp_path / "run.json"
+    conf.write_text(json.dumps({"eig_rell": 1e-12}), encoding="utf-8")
+    code, out, err = run_capture(capsys, _SOLVE1D + ["--config", str(conf)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: code=usage")
+    assert "eig_rell" in err
+
+
+def test_config_value_parsed_as_its_flag(tmp_path, capsys):
+    conf = tmp_path / "run.json"
+    conf.write_text(json.dumps({"eig_rel": "1e-9"}), encoding="utf-8")
+    code, out, _ = run_capture(capsys, _SOLVE1D + ["--config", str(conf)])
+    assert code == 0
+    code, by_flag, _ = run_capture(capsys, _SOLVE1D + ["--eig-rel", "1e-9"])
+    assert code == 0
+    assert out == by_flag
+
+
+@pytest.mark.parametrize("entry", [{"eig_rel": "tight"}, {"format": "xml"}, {"k": 1.5}])
+def test_config_value_rejected_like_its_flag(tmp_path, capsys, entry):
+    conf = tmp_path / "run.json"
+    conf.write_text(json.dumps(entry), encoding="utf-8")
+    code, out, err = run_capture(capsys, _SOLVE1D + ["--config", str(conf)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: code=usage")
+
+
 def test_output_file_and_determinism(tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"

@@ -112,7 +112,7 @@ def test_ratio_quadrature_matches_closed_form():
         b = float(rng.uniform(a + 0.3, math.pi))
         c = ModeCoefficients(*rng.normal(size=4))
         w = Strip(a, b)
-        got = ratio_quadrature(pairs[k], c, w)
+        got = ratio_quadrature(pot, pairs[k], c, w)
         assert got == pytest.approx(ratio_closed_form(c, k, w), abs=1e-8)
 
 
@@ -120,7 +120,7 @@ def test_ratio_quadrature_full_circle():
     pot = parse_potential("power:gamma=1")
     pair = solve_eigen(pot, 2, 1)[0]
     c = ModeCoefficients(0.3, -1.2, 0.8, 0.1)
-    got = ratio_quadrature(pair, c, Strip(-math.pi, math.pi))
+    got = ratio_quadrature(pot, pair, c, Strip(-math.pi, math.pi))
     assert got == pytest.approx(1.0, abs=1e-10)
 
 
@@ -128,7 +128,7 @@ def test_ratio_quadrature_x_factor_cancels():
     # the circulating ground mode on (0, pi) gives exactly 1/2
     pot = parse_potential("power:gamma=1")
     pair = solve_eigen(pot, 1, 1)[0]
-    got = ratio_quadrature(pair, ModeCoefficients(1, 0, 0, 0), Strip(0.0, math.pi))
+    got = ratio_quadrature(pot, pair, ModeCoefficients(1, 0, 0, 0), Strip(0.0, math.pi))
     assert got == pytest.approx(0.5, abs=1e-10)
 
 

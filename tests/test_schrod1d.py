@@ -2,16 +2,23 @@ import math
 
 import numpy as np
 import pytest
-from helpers import mathieu_levels, rayleigh_max, scalar_truncation_length, shooting_level
+from helpers import (
+    RankDeficientBasis,
+    eigenvector,
+    mathieu_levels,
+    rayleigh_max,
+    scalar_truncation_length,
+    shooting_level,
+)
 from numpy.testing import assert_allclose
 
 from grushin import schrod1d
+from grushin.assembler import assemble
 from grushin.core import (
     CallableProfile,
     ConvergenceError,
     Potential,
     PreconditionError,
-    RankDeficientBasis,
     Tolerances,
     mollified_indicator,
     parse_potential,
@@ -102,12 +109,13 @@ def test_second_order_convergence():
 
 
 def test_orthogonality_and_normalization():
-    pairs = solve_eigen(HARMONIC, 1, 6)
-    h = pairs[0].grid.h
-    for i, p in enumerate(pairs):
-        assert h * np.dot(p.u, p.u) == pytest.approx(1.0, abs=1e-10)
-        for q in pairs[i + 1:]:
-            assert abs(h * np.dot(p.u, q.u)) <= 1e-8
+    grid = solve_eigen(HARMONIC, 1, 6)[0].grid
+    _, vecs = solve_on_grid(HARMONIC, 1, 6, grid)
+    h = grid.h
+    for i, u in enumerate(vecs.T):
+        assert h * np.dot(u, u) == pytest.approx(1.0, abs=1e-10)
+        for v in vecs.T[i + 1:]:
+            assert abs(h * np.dot(u, v)) <= 1e-8
 
 
 def test_line_levels_simple_positive_increasing():
@@ -122,8 +130,8 @@ def test_line_levels_simple_positive_increasing():
 
 def test_ground_state_has_no_sign_change():
     for pot in (HARMONIC, parse_potential("power:gamma=2")):
-        ground = solve_eigen(pot, 1, 1)[0]
-        body = ground.u[np.abs(ground.u) > 1e-9 * np.max(np.abs(ground.u))]
+        u = eigenvector(pot, solve_eigen(pot, 1, 1)[0])
+        body = u[np.abs(u) > 1e-9 * np.max(np.abs(u))]
         assert np.all(body > 0)
 
 
@@ -225,10 +233,11 @@ def test_lam_is_extrapolant_of_final_grid_and_its_coarsening():
     pair = solve_eigen(HARMONIC, 1, 1)[0]
     fine, _ = solve_on_grid(HARMONIC, 1, 1, pair.grid, vectors=False)
     coarse, _ = solve_on_grid(HARMONIC, 1, 1, pair.grid.coarsened(), vectors=False)
-    assert pair.lam_grid == fine[0]
+    lam_grid, _ = solve_on_grid(HARMONIC, 1, 1, pair.grid)
+    assert lam_grid[0] == fine[0]
     assert pair.lam == (4.0 * fine[0] - coarse[0]) / 3.0
     # the grid value carries the O(h^2) bias that the extrapolant removes
-    assert abs(pair.lam_grid - 1.0) > 100.0 * abs(pair.lam - 1.0)
+    assert abs(lam_grid[0] - 1.0) > 100.0 * abs(pair.lam - 1.0)
 
 
 def test_eigenvalues_only_matches_full_solve():
@@ -237,6 +246,23 @@ def test_eigenvalues_only_matches_full_solve():
     only, none = solve_on_grid(HARMONIC, 1, 3, grid, vectors=False)
     assert none is None and vecs.shape == (511, 3)
     assert_allclose(only, lams, rtol=0, atol=0)
+
+
+def test_refinement_computes_no_eigenvectors(monkeypatch):
+    # eigenvalue solves never ask for vectors, on the line or on the circle
+    calls = []
+    original = schrod1d.solve_on_grid
+
+    def spy(*args, vectors=True, **kwargs):
+        calls.append(vectors)
+        return original(*args, vectors=vectors, **kwargs)
+
+    monkeypatch.setattr(schrod1d, "solve_on_grid", spy)
+    solve_eigen(HARMONIC, 1, 3)
+    solve_eigen(parse_potential("torus:gamma=1"), 1, 2, Tolerances(eig_rel=1e-5))
+    solve_levels_below(HARMONIC, 2, 13.0)
+    assemble(HARMONIC, 6.0, mode="numeric")
+    assert calls and not any(calls)
 
 
 def test_solve_levels_below():
@@ -280,27 +306,28 @@ def test_hermite_scaling_and_norm():
 def test_hermite_matches_inverse_iteration_vectors():
     for k, n in ((1, 0), (1, 2), (3, 1), (1, 5)):
         pair = solve_eigen(HARMONIC, k, n + 1)[n]
+        u = eigenvector(HARMONIC, pair)
         x = pair.grid.points()
         h = pair.grid.h
         phi = hermite_eigenfunction(k, n, x)
         phi = phi / math.sqrt(h * np.dot(phi, phi))
-        if np.dot(phi, pair.u) < 0:
+        if np.dot(phi, u) < 0:
             phi = -phi
-        dist = math.sqrt(h * np.dot(phi - pair.u, phi - pair.u))
+        dist = math.sqrt(h * np.dot(phi - u, phi - u))
         assert dist <= 1e-4
 
 
 # --- Rayleigh quotients ----------------------------------------------------
 
 def test_rayleigh_of_eigenvectors():
-    pairs = solve_eigen(HARMONIC, 1, 4)
-    grid = pairs[0].grid
-    # the vectors are discrete eigenvectors: their quotients give lam_grid
-    assert rayleigh_max(HARMONIC, 1, grid, [pairs[0].u]) == pytest.approx(
-        pairs[0].lam_grid, rel=1e-8)
+    grid = solve_eigen(HARMONIC, 1, 4)[0].grid
+    lam_grid, vecs = solve_on_grid(HARMONIC, 1, 4, grid)
+    # the vectors are discrete eigenvectors: their quotients give the grid values
+    assert rayleigh_max(HARMONIC, 1, grid, [vecs[:, 0]]) == pytest.approx(
+        lam_grid[0], rel=1e-8)
     # min-max: the span of the first m eigenvectors realizes lambda_{m-1}
-    assert rayleigh_max(HARMONIC, 1, grid, [p.u for p in pairs]) == pytest.approx(
-        pairs[3].lam_grid, rel=1e-8)
+    assert rayleigh_max(HARMONIC, 1, grid, list(vecs.T)) == pytest.approx(
+        lam_grid[3], rel=1e-8)
 
 
 def test_rayleigh_translate_against_2x2_oracle():
@@ -308,7 +335,7 @@ def test_rayleigh_translate_against_2x2_oracle():
     grid = ground.grid
     x = grid.points()
     h = grid.h
-    u = ground.u
+    u = eigenvector(HARMONIC, ground)
     v = np.interp(x - 0.5, x, u, left=0.0, right=0.0)
     got = rayleigh_max(HARMONIC, 1, grid, [u, v])
 
@@ -333,7 +360,8 @@ def test_rayleigh_translate_against_2x2_oracle():
 def test_rayleigh_rank_deficient():
     ground = solve_eigen(HARMONIC, 1, 1)[0]
     with pytest.raises(RankDeficientBasis):
-        rayleigh_max(HARMONIC, 1, ground.grid, [ground.u, 2.0 * ground.u])
+        u = eigenvector(HARMONIC, ground)
+        rayleigh_max(HARMONIC, 1, ground.grid, [u, 2.0 * u])
 
 
 # --- circle problems -------------------------------------------------------
@@ -358,7 +386,8 @@ def test_circle_sine_base_potential():
     assert np.all(np.diff(lams) > -1e-12)
     h = pairs[0].grid.h
     for p in pairs:
-        assert h * np.dot(p.u, p.u) == pytest.approx(1.0, abs=1e-10)
+        u = eigenvector(pot, p)
+        assert h * np.dot(u, u) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_grid_invariants():
