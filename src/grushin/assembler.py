@@ -24,7 +24,13 @@ from .core import (
     StructuredProfile,
     Tolerances,
 )
-from .exact_family import ExactEigenvalue, SpectrumLine, enumerate_exact_pairs, exact_eigenvalue
+from .exact_family import (
+    ExactEigenvalue,
+    SpectrumLine,
+    _sorted_contributors,
+    enumerate_exact_pairs,
+    exact_eigenvalue,
+)
 from .schrod1d import solve_eigen, solve_levels_below
 
 __all__ = [
@@ -95,14 +101,15 @@ def k_cutoff(potential: Potential, e_max: float) -> int:
     raise PreconditionError("mode cutoff exceeds 4096; e_max too large for the torus scan")
 
 
-def _exact_level(pair: ExactEigenvalue, s2: ExactScalar
-                 ) -> tuple[float, Fraction | tuple[int, int]]:
+def _exact_level(pair: ExactEigenvalue, s2: ExactScalar) -> tuple[float, int | tuple[int, int]]:
     """A shifted-parabola level as (value, key): the key decides equality in
-    exact arithmetic (the Fraction value for rational s2, the (lin, quad) pair
-    otherwise) and the value is its float."""
+    exact arithmetic and the value is its float. For rational s2 = p/q the
+    key is the integer q * level = q lin + p quad; otherwise it is the
+    (lin, quad) pair."""
     if s2.is_rational:
-        key = pair.exact_value(s2)
-        return float(key), key
+        q = s2.rational.denominator
+        key = q * pair.lin + s2.rational.numerator * pair.quad
+        return key / q, key
     return pair.value(s2), (pair.lin, pair.quad)
 
 
@@ -114,12 +121,13 @@ def _assemble_exact(potential: Potential, e_max: float) -> AssembledSpectrum:
         value, key = _exact_level(pair, s2)
         _, members = groups.setdefault(key, (value, []))
         members.extend([(k, n), (-k, n)])
-    exact_field = "exact_value" if s2.is_rational else "exact_pair"
     lines = []
     for key, (value, members) in groups.items():
-        contributors = tuple(sorted(members, key=lambda kn: (abs(kn[0]), kn[0], kn[1])))
+        exact = ({"exact_value": Fraction(key, s2.rational.denominator)} if s2.is_rational
+                 else {"exact_pair": key})
+        contributors = _sorted_contributors(members)
         lines.append(SpectrumLine(value=value, contributors=contributors,
-                                  multiplicity=len(contributors), **{exact_field: key}))
+                                  multiplicity=len(contributors), **exact))
     lines.sort(key=lambda ln: (ln.value, ln.contributors))
     k_cut = max((k for k, _, _ in pairs), default=0)
     return AssembledSpectrum(e_max=float(e_max), lines=tuple(lines), k_cut=k_cut,
@@ -152,8 +160,7 @@ def _cluster(entries: list[tuple[float, float, int, int]], cluster_abs: float
     lines = []
     for members in clusters:
         value = sum(lam for lam, _, _, _ in members) / len(members)
-        contributors = tuple(sorted(((k, n) for _, _, k, n in members),
-                                    key=lambda kn: (abs(kn[0]), kn[0], kn[1])))
+        contributors = _sorted_contributors((k, n) for _, _, k, n in members)
         lines.append(SpectrumLine(value=value, contributors=contributors,
                                   multiplicity=len(contributors)))
     return lines, warnings
@@ -238,9 +245,12 @@ def check_property_p(potential: Potential, n: int, k_range: int,
     if k_range < 2:
         raise PreconditionError("k_range must be >= 2")
     # per mode, the first n levels as (i, value, exact key or None, err)
+    q = None  # the denominator of a rational s2, whose keys are q * level
     if isinstance(potential.profile, ExactFamilyProfile):
         mode = "exact"
         s2 = potential.profile.s2
+        if s2.is_rational:
+            q = s2.rational.denominator
         levels = [[(i, *_exact_level(exact_eigenvalue(k, i, s2), s2), 0.0) for i in range(n)]
                   for k in range(1, k_range + 1)]
     else:
@@ -254,7 +264,7 @@ def check_property_p(potential: Potential, n: int, k_range: int,
                 if key_i is not None and key_i == key_j:
                     records.append(PropertyPPair(k, l, i, j, vi, vj, 0.0, 0.0, "FAIL"))
                     continue
-                gap = abs(float(key_i - key_j)) if isinstance(key_i, Fraction) else abs(vi - vj)
+                gap = abs(key_i - key_j) / q if q else abs(vi - vj)
                 if gap <= tol.cluster_abs:
                     # distinct exact keys certify the gap on their own
                     err_bound = 10.0 * (ei + ej)

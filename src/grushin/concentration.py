@@ -94,21 +94,24 @@ def ratio_closed_form(c: ModeCoefficients, k: int, w: Strip) -> float:
             + k3 / total * g / (math.pi * k))
 
 
-def min_ratio_witness(k: int, w: Strip) -> tuple[float, ModeCoefficients]:
-    """Minimum of ratio_closed_form over nonzero coefficients, with a
-    minimizer.
+def min_ratio(k: int, w: Strip) -> float:
+    """Minimum of ratio_closed_form over nonzero coefficients.
 
     The quotient is the Rayleigh quotient of the 2x2 Hermitian Gram matrix of
     {e^{iky}, e^{-iky}} on (a, b) against 2 pi I, so the minimum is
 
-        ((b - a) - |sin(k (b - a))| / |k|) / (2 pi)
-
-    attained at alpha = 1, beta = -conj(c)/|c| where c is the off-diagonal
-    Gram entry (any unit beta when the off-diagonal vanishes).
+        ((b - a) - |sin(k (b - a))| / |k|) / (2 pi).
     """
     if k == 0:
         raise InvariantViolation("k must be nonzero")
-    value = (w.width - abs(math.sin(k * w.width)) / abs(k)) / (2.0 * math.pi)
+    return (w.width - abs(math.sin(k * w.width)) / abs(k)) / (2.0 * math.pi)
+
+
+def min_ratio_witness(k: int, w: Strip) -> tuple[float, ModeCoefficients]:
+    """min_ratio(k, w) with a minimizer: alpha = 1, beta = -conj(c)/|c| where
+    c is the off-diagonal Gram entry (any unit beta when the off-diagonal
+    vanishes)."""
+    value = min_ratio(k, w)
     off = (cmath.exp(2j * k * w.b) - cmath.exp(2j * k * w.a)) / (2j * k)
     if abs(off) < 1e-15 * w.width:
         coeffs = ModeCoefficients(1.0, 0.0, 0.0, 0.0)
@@ -116,10 +119,6 @@ def min_ratio_witness(k: int, w: Strip) -> tuple[float, ModeCoefficients]:
         beta = -off / abs(off)
         coeffs = ModeCoefficients(1.0, 0.0, beta.real, beta.imag)
     return value, coeffs
-
-
-def min_ratio(k: int, w: Strip) -> float:
-    return min_ratio_witness(k, w)[0]
 
 
 @dataclass(frozen=True)

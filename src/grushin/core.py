@@ -266,12 +266,15 @@ def eval_potential(potential: Potential, x) -> np.ndarray | float:
 # Potential mini-grammar
 #
 #   power:gamma=<g>            cylinder, V = |x|^(2g)
-#   torus:gamma=<g>            torus,    V = (4 sin^2(x/2))^(g/2)
+#   torus:gamma=<g>            torus,    V = (4 sin^2(x/2))^g
 #   shifted:s2=<p[/q]|irr:tag> cylinder, V = x^2 + s2 (exact family)
 #   table:<path>,ext=<e>[,gamma=<g>]   sampled CSV with header x,v
 # ---------------------------------------------------------------------------
 
-def _parse_kv(parts: list[str], text: str, offset: int) -> dict[str, tuple[str, int]]:
+def _parse_kv(parts: list[str], offset: int, allowed: set[str]) -> dict[str, tuple[str, int]]:
+    """The key=value fields starting at character ``offset``, as
+    {key: (value, position of the value)}; keys outside ``allowed`` are
+    rejected, naming the first in sorted order."""
     out: dict[str, tuple[str, int]] = {}
     pos = offset
     for part in parts:
@@ -282,10 +285,13 @@ def _parse_kv(parts: list[str], text: str, offset: int) -> dict[str, tuple[str, 
             raise PotentialSyntaxError(f"duplicate key {key!r}", pos)
         out[key] = (value, pos + len(key) + 1)
         pos += len(part) + 1
+    unknown = sorted(set(out) - allowed)
+    if unknown:
+        raise PotentialSyntaxError(f"unknown key {unknown[0]!r}", out[unknown[0]][1])
     return out
 
 
-def _float_field(kv, key, text_pos_default=0) -> float:
+def _float_field(kv, key) -> float:
     value, pos = kv[key]
     try:
         return float(value)
@@ -326,10 +332,7 @@ def parse_potential(spec: str) -> Potential:
     kind, rest = text.split(":", 1)
     offset = len(kind) + 1
     if kind == "power" or kind == "torus":
-        kv = _parse_kv(rest.split(","), text, offset)
-        unknown = set(kv) - {"gamma"}
-        if unknown:
-            raise PotentialSyntaxError(f"unknown key {sorted(unknown)[0]!r}", kv[sorted(unknown)[0]][1])
+        kv = _parse_kv(rest.split(","), offset, {"gamma"})
         if "gamma" not in kv:
             raise PotentialSyntaxError("missing gamma", offset)
         gamma = _float_field(kv, "gamma")
@@ -338,10 +341,7 @@ def parse_potential(spec: str) -> Potential:
         geometry = "cylinder" if kind == "power" else "torus"
         return Potential(geometry=geometry, gamma=gamma, profile=StructuredProfile())
     if kind == "shifted":
-        kv = _parse_kv(rest.split(","), text, offset)
-        unknown = set(kv) - {"s2"}
-        if unknown:
-            raise PotentialSyntaxError(f"unknown key {sorted(unknown)[0]!r}", kv[sorted(unknown)[0]][1])
+        kv = _parse_kv(rest.split(","), offset, {"s2"})
         if "s2" not in kv:
             raise PotentialSyntaxError("missing s2", offset)
         value, pos = kv["s2"]
@@ -357,10 +357,7 @@ def parse_potential(spec: str) -> Potential:
         if not parts or not parts[0]:
             raise PotentialSyntaxError("missing table path", offset)
         path = parts[0]
-        kv = _parse_kv(parts[1:], text, offset + len(path) + 1)
-        unknown = set(kv) - {"ext", "gamma"}
-        if unknown:
-            raise PotentialSyntaxError(f"unknown key {sorted(unknown)[0]!r}", kv[sorted(unknown)[0]][1])
+        kv = _parse_kv(parts[1:], offset + len(path) + 1, {"ext", "gamma"})
         if "ext" not in kv:
             raise PotentialSyntaxError("missing ext", offset)
         ext = _float_field(kv, "ext")
@@ -494,31 +491,15 @@ class Perturbation:
         return Perturbation(w=lambda x, _f=factor, _w=inner: _f * np.asarray(_w(x), dtype=float),
                             support=self.support)
 
-    def _cache(self) -> dict:
-        cache = getattr(self, "_sup_cache", None)
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_sup_cache", cache)
-        return cache
-
     def sup_plain(self) -> float:
-        cache = self._cache()
-        key = "plain"
-        if key not in cache:
-            lo, hi = self.support
-            cache[key] = sup_on_interval(
-                lambda x: np.asarray(self.w(x), dtype=float), lo, hi, rel=SUP_REL)
-        return cache[key]
+        lo, hi = self.support
+        return sup_on_interval(lambda x: np.asarray(self.w(x), dtype=float), lo, hi, rel=SUP_REL)
 
     def sup_weighted(self, potential: Potential) -> float:
-        cache = self._cache()
-        key = ("weighted", potential.geometry, potential.gamma)
-        if key not in cache:
-            lo, hi = self.support
-            cache[key] = sup_on_interval(
-                lambda x: base_factor(potential, x) * np.asarray(self.w(x), dtype=float),
-                lo, hi, rel=SUP_REL)
-        return cache[key]
+        lo, hi = self.support
+        return sup_on_interval(
+            lambda x: base_factor(potential, x) * np.asarray(self.w(x), dtype=float),
+            lo, hi, rel=SUP_REL)
 
 
 # Antiderivative of the standard bump, precomputed nodes for Gauss-Legendre.

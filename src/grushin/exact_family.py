@@ -6,8 +6,14 @@ so its levels are (2n+1)|k| + k^2 s2. That makes every spectral question below
 a question about integers: eigenvalues are integer pairs (lin, quad) denoting
 lin + quad * s2 with lin = (2n+1)|k| and quad = k^2, multiplicities count
 lattice points, and the eigenvalue counting function is an exact divisor-style
-sum. All arithmetic is exact: Fractions for rational s2, pair equality for
-tagged irrationals, 64-bit-guarded integers throughout.
+sum.
+
+One per-mode table, ``_modes``, decides which levels lie below a cap for
+counting, enumeration and multiplicities. For rational s2 = p/q every level is
+a multiple of 1/q, so the cap E floors to the integer c = floor(qE), and level
+n of mode k lies below it exactly when (2n+1) qk <= c - pk^2: 64-bit-guarded
+integers, no Fractions. Tagged irrationals compare by (lin, quad) pair
+equality; only their cap test goes through the float approximation.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ __all__ = [
 
 _INT64_MAX = 2**63 - 1
 _FACTOR_LIMIT = 10**12  # trial division stays cheap below this
+_BLOCK = 4096  # modes per _modes block: memory stays bounded for any cap
 
 
 def _check64(value: int, what: str) -> int:
@@ -172,8 +179,9 @@ def multiplicity_factorization(value: int) -> int:
 def multiplicity_enumeration(target, s2: ExactScalar) -> SpectrumLine:
     """All (k, n) whose eigenvalue equals the target, with exact equality.
 
-    Rational s2: the target is an exact rational (int, Fraction, or float
-    taken at face value) and equality is tested in Fraction arithmetic.
+    Rational s2 = p/q: the target is an exact rational (int, Fraction, or
+    float taken at face value); only targets on the 1/q lattice have
+    contributors, and equality is tested in integers on the ``_modes`` table.
     Irrational s2: the target is a pair (lin, quad) or an ExactEigenvalue and
     equality is pair equality; no float comparison ever happens.
     """
@@ -182,15 +190,13 @@ def multiplicity_enumeration(target, s2: ExactScalar) -> SpectrumLine:
         if t <= 0:
             raise PreconditionError("eigenvalues are positive")
         contributors = []
-        k = 1
-        while Fraction(k) + k * k * s2.rational <= t:
-            _check64(k, "k")
-            rem = t - k * k * s2.rational
-            q = rem / k
-            if q.denominator == 1 and q >= 1 and q.numerator % 2 == 1:
-                n = (q.numerator - 1) // 2
-                contributors.extend([(k, n), (-k, n)])
-            k += 1
+        if (t * s2.rational.denominator).denominator == 1:
+            # level n of mode k equals t exactly when (2n+1) d == r
+            for k, r, d in _modes(s2, t):
+                odd = r // d
+                hit = (r % d == 0) & (odd % 2 == 1)
+                for kk, n in zip(k[hit].tolist(), (odd[hit] // 2).tolist()):
+                    contributors.extend([(kk, n), (-kk, n)])
         return SpectrumLine(
             value=float(t),
             contributors=_sorted_contributors(contributors),
@@ -216,58 +222,52 @@ def multiplicity_enumeration(target, s2: ExactScalar) -> SpectrumLine:
     )
 
 
-def _count_levels(rem_num: int, rem_den: int, k: int) -> int:
-    """card{n >= 0 : (2n+1) <= rem/k} with rem = rem_num/rem_den >= 0:
-    floor((rem/k + 1)/2), and 0 when rem/k < 1."""
-    if rem_num < rem_den * k:
-        return 0
-    return (rem_num + rem_den * k) // (2 * rem_den * k)
+def _modes(s2: ExactScalar, e_max):
+    """The modes k >= 1 with a level <= e_max, as blocks of arrays (k, r, d)
+    of at most _BLOCK modes: level n of mode k lies below the cap exactly
+    when (2n+1) d <= r, and r >= d for every yielded k.
+
+    Rational s2 = p/q: r = floor(q e_max) - p k^2 and d = q k in int64, exact
+    because every level is a multiple of 1/q. Tagged irrational: among
+    k <= min(E, sqrt(E/s2)), those whose float quotient r = (e_max - k^2 s2)/k
+    is >= 1, with d = 1.
+    """
+    if s2.is_rational:
+        p, q = s2.rational.numerator, s2.rational.denominator
+        c = math.floor(q * Fraction(e_max))
+        # the largest k with p k^2 + q k <= c
+        k_max = c // q if p == 0 else (math.isqrt(q * q + 4 * p * c) - q) // (2 * p)
+        _check64(c + 2 * q * k_max, "floor(q*E) + 2*q*k_max")
+    else:
+        e = float(e_max)
+        k_max = int(min(e, math.sqrt(e) / math.sqrt(s2.approx)))
+    for lo in range(1, k_max + 1, _BLOCK):
+        k = np.arange(lo, min(lo + _BLOCK, k_max + 1), dtype=np.int64)
+        if s2.is_rational:
+            yield k, c - p * k * k, q * k
+        else:
+            r = (e - k * k * s2.approx) / k
+            keep = r >= 1.0
+            yield k[keep], r[keep], 1.0
+
+
+def _level_counts(r, d) -> np.ndarray:
+    """card{n >= 0 : (2n+1) d <= r} for each mode of a ``_modes`` block."""
+    return ((r + d) // (2 * d)).astype(np.int64, copy=False)
 
 
 def counting_function(e_max, s2: ExactScalar) -> int:
     """Exact number of eigenvalues (with multiplicity) <= e_max:
 
-        N(E) = 2 * sum over 0 < k <= min(E, sqrt(E)/s) of
-                   card{n : (2n+1) <= (E - k^2 s2)/k}.
+        N(E) = 2 * sum over k >= 1 of card{n : (2n+1) <= (E - k^2 s2)/k}.
 
-    Exact rational arithmetic when s2 is rational; the tagged-irrational case
-    evaluates through the numeric approximation.
+    Integer arithmetic when s2 is rational; the tagged-irrational case
+    evaluates the cap through the numeric approximation.
     """
     if not (float(e_max) > 0):
         raise PreconditionError("e_max must be positive")
-    if s2.is_rational:
-        t = Fraction(e_max)
-        s2f = s2.rational
-        if s2f == 0:
-            kmax = int(t)  # k <= E
-            if kmax < 1:
-                return 0
-            if t.denominator == 1 and kmax <= 10**8:
-                k = np.arange(1, kmax + 1, dtype=np.int64)
-                _check64(int(t) + kmax, "E + k")
-                return int(2 * np.sum((int(t) + k) // (2 * k)))
-            total = 0
-            for k in range(1, kmax + 1):
-                total += _count_levels(t.numerator, t.denominator, k)
-            return 2 * total
-        total = 0
-        k = 1
-        while k <= t and k * k * s2f <= t:
-            _check64(k * k * s2f.numerator, "k^2 * s2 numerator")
-            rem = t - k * k * s2f
-            total += _count_levels(rem.numerator, rem.denominator, k)
-            k += 1
-        return 2 * total
-
-    e = float(e_max)
-    s = math.sqrt(s2.approx)
-    kmax = int(min(e, math.sqrt(e) / s))
-    total = 0
-    for k in range(1, kmax + 1):
-        y = (e - k * k * s2.approx) / k
-        if y >= 1.0:
-            total += int(math.floor((y + 1.0) / 2.0))
-    return 2 * total
+    # summed as Python ints: the total can pass 2^63 when no term does
+    return 2 * sum(sum(_level_counts(r, d).tolist()) for _, r, d in _modes(s2, e_max))
 
 
 @dataclass(frozen=True)
@@ -303,25 +303,7 @@ def enumerate_exact_pairs(s2: ExactScalar, e_max) -> list[tuple[int, int, ExactE
     if not (float(e_max) > 0):
         raise PreconditionError("e_max must be positive")
     out = []
-    if s2.is_rational:
-        t = Fraction(e_max)
-        k = 1
-        while Fraction(k) + k * k * s2.rational <= t:
-            rem = t - k * k * s2.rational
-            top = rem / k
-            n = 0
-            while 2 * n + 1 <= top:
-                out.append((k, n, exact_eigenvalue(k, n, s2)))
-                n += 1
-            k += 1
-        return out
-    e = float(e_max)
-    k = 1
-    while k + k * k * s2.approx <= e:
-        top = (e - k * k * s2.approx) / k
-        n = 0
-        while 2 * n + 1 <= top:
-            out.append((k, n, exact_eigenvalue(k, n, s2)))
-            n += 1
-        k += 1
+    for k, r, d in _modes(s2, e_max):
+        for kk, count in zip(k.tolist(), _level_counts(r, d).tolist()):
+            out.extend((kk, n, exact_eigenvalue(kk, n, s2)) for n in range(count))
     return out

@@ -34,8 +34,9 @@ def enumeration_multiplicities(limit: int) -> np.ndarray:
     return mult
 
 
-def brute_count(e_max: int, s2_num: int = 0, s2_den: int = 1) -> int:
-    """Direct double-loop eigenvalue count for small caps."""
+def brute_count(e_max: int | Fraction, s2_num: int = 0, s2_den: int = 1) -> int:
+    """Direct double-loop eigenvalue count for small caps, exact for an
+    integer or Fraction cap."""
     total = 0
     k = 1
     while k * s2_den + k * k * s2_num <= e_max * s2_den:

@@ -91,6 +91,21 @@ def test_parse_errors_carry_positions(bad):
     assert "position" in str(info.value)
 
 
+@pytest.mark.parametrize("text, key, position", [
+    ("power:gama=1", "gama", 11),
+    ("torus:gamma=1,g=2", "g", 16),
+    ("shifted:s2=1,x=2", "x", 15),
+    ("table:p.csv,ext=2,foo=3", "foo", 22),   # rejected before the file is read
+    ("power:zeta=1,alpha=2", "alpha", 19),    # the first unknown key in sorted order
+])
+def test_unknown_key_message_and_position(text, key, position):
+    # the position is that of the unknown key's value
+    with pytest.raises(PotentialSyntaxError) as info:
+        parse_potential(text)
+    assert info.value.position == position
+    assert str(info.value) == f"unknown key {key!r} (at position {position})"
+
+
 def test_sampled_invariants_rejected(tmp_path):
     with pytest.raises(InvariantViolation, match="increasing"):
         SampledProfile(nodes=((0.0, 1.0), (0.0, 2.0)), extrapolation_exponent=2.0)

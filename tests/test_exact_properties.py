@@ -1,0 +1,65 @@
+"""Property tests of exact counting, enumeration and multiplicities for
+rational s2 = p/q against a brute-force lattice counter."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from helpers import brute_count
+
+from grushin.core import ExactScalar, IntegerOverflowError
+from grushin.exact_family import counting_function, enumerate_exact_pairs, multiplicity_enumeration
+
+shifts = st.tuples(st.integers(0, 60), st.integers(1, 50))
+
+# ints, rationals, and floats, which mostly fall off the 1/q lattice
+caps = st.one_of(
+    st.integers(1, 300),
+    st.fractions(Fraction(1, 60), 300, max_denominator=60),
+    st.floats(0.01, 300.0),
+)
+
+
+@given(shifts, caps)
+def test_counting_matches_brute_lattice_count(pq, e):
+    p, q = pq
+    assert counting_function(e, ExactScalar.from_rational(p, q)) == brute_count(Fraction(e), p, q)
+
+
+@given(shifts, caps)
+def test_enumeration_is_half_the_count_in_k_n_order(pq, e):
+    s2 = ExactScalar.from_rational(*pq)
+    pairs = [(k, n) for k, n, _ in enumerate_exact_pairs(s2, e)]
+    assert 2 * len(pairs) == counting_function(e, s2)
+    assert pairs == sorted(set(pairs))
+
+
+@given(st.tuples(st.integers(0, 20), st.integers(1, 8)),
+       st.fractions(Fraction(1, 10), 30, max_denominator=20))
+def test_multiplicities_on_the_lattice_sum_to_the_count(pq, e):
+    # every level is a multiple of 1/q, so these values hold the whole count
+    s2 = ExactScalar.from_rational(*pq)
+    q = s2.rational.denominator
+    total = sum(multiplicity_enumeration(Fraction(j, q), s2).multiplicity
+                for j in range(1, int(e * q) + 1))
+    assert total == counting_function(e, s2)
+
+
+@given(shifts, st.fractions(Fraction(1, 200), 300, max_denominator=200))
+def test_off_lattice_target_has_no_contributors(pq, t):
+    s2 = ExactScalar.from_rational(*pq)
+    if (t * s2.rational.denominator).denominator == 1:
+        t += Fraction(1, 2 * s2.rational.denominator)
+    line = multiplicity_enumeration(t, s2)
+    assert line.multiplicity == 0 and line.contributors == ()
+
+
+@given(st.integers(50 * 2**63, 2**72), st.integers(1, 50), st.integers(1, 100))
+def test_counting_beyond_64_bits_raises(p, q, extra):
+    # the reduced numerator of s2 passes 64 bits, and mode 1 has a level
+    # below the cap
+    s2 = ExactScalar.from_rational(p, q)
+    with pytest.raises(IntegerOverflowError):
+        counting_function(s2.rational + extra, s2)
