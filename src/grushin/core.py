@@ -53,6 +53,7 @@ class PotentialSyntaxError(GrushinError):
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
+        self.message = message
         self.position = position
 
 
@@ -348,7 +349,7 @@ def parse_potential(spec: str) -> Potential:
         try:
             s2 = parse_exact_scalar(value)
         except PotentialSyntaxError as exc:
-            raise PotentialSyntaxError(str(exc), pos) from None
+            raise PotentialSyntaxError(exc.message, pos) from None
         if s2.is_rational and s2.rational < 0:
             raise PotentialSyntaxError("s2 must be >= 0", pos)
         return Potential(geometry="cylinder", gamma=1.0, profile=ExactFamilyProfile(s2=s2))

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import (
     CallableProfile,
@@ -114,20 +113,28 @@ class Branch:
     potential: Potential
     perturbation: Perturbation
 
-    def overlaps(self) -> np.ndarray:
-        """|<u(t_i), u(t_{i+1})>| for consecutive accepted steps."""
-        h = self.grid.h
-        return np.array([abs(h * float(np.dot(a, b)))
-                         for a, b in zip(self.vectors, self.vectors[1:])])
+
+def _match(overlap: np.ndarray) -> np.ndarray:
+    """The column each row of an overlap matrix |<u_prev, u_new>| moves to:
+    its argmax."""
+    return np.argmax(overlap, axis=1)
 
 
 def track_branches(potential: Potential, w: Perturbation, k: int, levels,
                    t_max: float, steps: int = 32,
                    tol: Tolerances = Tolerances()) -> list[Branch]:
     """Continue the chosen levels of -u'' + k^2 (V + t base W) u across
-    t in [0, t_max], matching branches between steps by maximal eigenvector
-    overlap (assignment problem on |<u_prev, u_new>|) and halving any step
-    whose best overlap falls below 0.9.
+    t in [0, t_max]. Each branch moves to the new eigenvector of largest
+    overlap |<u_prev, u_new>| with its current one, and a step is halved
+    whenever one of these overlaps falls below 0.9.
+
+    The per-branch argmax is the maximal-overlap assignment wherever a step
+    is accepted. Old and new eigenvectors are each orthonormal, so by
+    Bessel's inequality a row or column of the overlap matrix holds at most
+    one entry >= 0.9 (two would square-sum to 1.62 > 1). When every row
+    maximum reaches 0.9 the argmax columns are therefore distinct and form
+    the unique optimal assignment; when one falls short, so does the smallest
+    entry of any assignment, and the step is halved either way.
 
     Precondition: t_max * k^2 * sup(base W) < kappa/2, where kappa is the
     smallest spectral gap around the tracked levels at t = 0, so branches
@@ -178,9 +185,7 @@ def track_branches(potential: Potential, w: Perturbation, k: int, levels,
     def advance(t_to: float, depth: int):
         lams_f, vecs_f, err = solve_at(t_to)
         overlap = np.abs(h * (np.column_stack(current).T @ vecs_f))
-        rows, cols = linear_sum_assignment(-overlap)
-        matched = overlap[rows, cols]
-        if np.min(matched) < 0.9:
+        if np.min(np.max(overlap, axis=1)) < 0.9:
             if depth >= 10:
                 raise ConvergenceError(
                     f"branch overlap stayed below 0.9 at t={t_to!r} after "
@@ -189,7 +194,7 @@ def track_branches(potential: Potential, w: Perturbation, k: int, levels,
             advance(0.5 * (t_prev + t_to), depth + 1)
             advance(t_to, depth + 1)
             return
-        for row, col in zip(rows, cols):
+        for row, col in enumerate(_match(overlap)):
             vec = vecs_f[:, col]
             if h * float(np.dot(current[row], vec)) < 0:
                 vec = -vec

@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy  # scipy.linalg loads on first use, so exact-only commands never load it
 
 from .core import (
     ConvergenceError,

@@ -88,6 +88,14 @@ def central_difference_slope(potential: Potential, w: Perturbation, k: int,
     return (lam(-2 * delta) - 8 * lam(-delta) + 8 * lam(delta) - lam(2 * delta)) / (12 * delta)
 
 
+def branch_overlaps(branch) -> np.ndarray:
+    """|<u(t_i), u(t_{i+1})>| for consecutive accepted steps of a tracked
+    perturb.Branch, in the inner product of its grid."""
+    h = branch.grid.h
+    return np.array([abs(h * float(np.dot(a, b)))
+                     for a, b in zip(branch.vectors, branch.vectors[1:])])
+
+
 def shooting_level(gamma: float, k: int, n: int, bracket: tuple[float, float]) -> float:
     """The n-th eigenvalue of -u'' + k^2 |x|^(2 gamma) u on the line, by
     shooting: u starts at x = 0 with the parity of n and is integrated

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -274,3 +278,23 @@ def test_csv_rejected_for_report_commands(capsys):
         "--a", "0", "--b", "pi", "--format", "csv"])
     assert code == 2
     assert "JSON only" in err
+
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+@pytest.mark.parametrize("code, loaded", [
+    ("import grushin, grushin.cli", []),
+    ("import grushin.cli; grushin.cli.run(['weyl', '--s2', '0', '--emax', '1e5'])", []),
+    ("import grushin.cli; grushin.cli.run(['solve1d', '--potential', 'power:gamma=1',"
+     " '--k', '1', '--m', '2'])", ["scipy.linalg"]),
+])
+def test_heavy_scipy_modules_load_only_for_numeric_solves(code, loaded):
+    # a fresh interpreter: exact-only commands never load LAPACK bindings or
+    # scipy.optimize; the first numeric solve loads scipy.linalg
+    probe = (f"{code}\nimport json, sys\nprint(json.dumps("
+             "[m for m in ('scipy.linalg', 'scipy.optimize') if m in sys.modules]))")
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert json.loads(done.stdout.splitlines()[-1]) == loaded

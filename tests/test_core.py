@@ -106,6 +106,18 @@ def test_unknown_key_message_and_position(text, key, position):
     assert str(info.value) == f"unknown key {key!r} (at position {position})"
 
 
+@pytest.mark.parametrize("text, message", [
+    ("shifted:s2=1/0", "bad exact scalar '1/0': Fraction(1, 0)"),
+    ("shifted:s2=x", "bad exact scalar 'x': invalid literal for int() with base 10: 'x'"),
+])
+def test_bad_shifted_scalar_message_and_position(text, message):
+    # one position suffix, pointing at the s2 value in the full text
+    with pytest.raises(PotentialSyntaxError) as info:
+        parse_potential(text)
+    assert info.value.position == 11
+    assert str(info.value) == f"{message} (at position 11)"
+
+
 def test_sampled_invariants_rejected(tmp_path):
     with pytest.raises(InvariantViolation, match="increasing"):
         SampledProfile(nodes=((0.0, 1.0), (0.0, 2.0)), extrapolation_exponent=2.0)

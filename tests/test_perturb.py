@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.optimize import linear_sum_assignment
 
-from helpers import central_difference_slope
+from helpers import branch_overlaps, central_difference_slope
 
 from grushin.core import (
     ExactScalar,
@@ -13,6 +18,7 @@ from grushin.core import (
     parse_potential,
 )
 from grushin.perturb import (
+    _match,
     check_continuity_bound,
     check_gap_avoidance,
     hellmann_feynman,
@@ -74,12 +80,48 @@ def test_hf_matches_central_difference(pot, k, n):
 
 # --- branch tracking --------------------------------------------------------
 
+# rotation angles: near zero (a clear match), near arccos(0.9) ~ 0.45 (the
+# halving threshold), near pi/4 (two equal overlaps), or anywhere
+ANGLES = st.one_of(st.floats(-0.2, 0.2), st.floats(0.40, 0.50),
+                   st.floats(math.pi / 4 - 0.01, math.pi / 4 + 0.01),
+                   st.floats(-math.pi, math.pi))
+
+
+@st.composite
+def overlap_matrices(draw):
+    """|<u_i, v_j>| for 1-4 orthonormal rows u and up to 7 orthonormal
+    columns v: the rows turned by Givens rotations, then permuted."""
+    dim = 8
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(rows, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    turned = basis.copy()
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = draw(st.lists(st.integers(0, dim - 1), min_size=2, max_size=2, unique=True))
+        angle = draw(ANGLES)
+        c, s = math.cos(angle), math.sin(angle)
+        turned[:, [i, j]] = turned[:, [i, j]] @ np.array([[c, s], [-s, c]])
+    perm = draw(st.permutations(range(dim)))
+    return np.abs(basis[:, :rows].T @ turned[:, list(perm[:cols])])
+
+
+@given(overlap_matrices())
+def test_match_agrees_with_optimal_assignment(overlap):
+    rows, oracle = linear_sum_assignment(-overlap)
+    assert list(rows) == list(range(overlap.shape[0]))
+    if np.min(np.max(overlap, axis=1)) >= 0.9:
+        assert list(_match(overlap)) == list(oracle)
+    else:
+        assert np.min(overlap[rows, oracle]) < 0.9
+
+
 def test_track_branches_zero_perturbation_constant():
     branches = track_branches(HARMONIC, BUMP.scaled(0.0), 1, [0, 1], 0.1, steps=4)
     for br in branches:
         spread = np.max(br.lambdas) - np.min(br.lambdas)
         assert spread <= 20.0 * np.max(br.err_ests) + 1e-12
-        assert np.all(br.overlaps() >= 0.999)
+        assert np.all(branch_overlaps(br) >= 0.999)
 
 
 def test_track_branches_slopes_and_lipschitz():
@@ -88,7 +130,7 @@ def test_track_branches_slopes_and_lipschitz():
     rate = 1 * 1 * w.sup_weighted(HARMONIC)
     for br in branches:
         assert br.t_grid[0] == 0.0
-        assert np.all(br.overlaps() >= 0.9)
+        assert np.all(branch_overlaps(br) >= 0.9)
         # accepted steps obey the slope bound with 1% slack
         dl = np.abs(np.diff(br.lambdas))
         dt = np.diff(br.t_grid)
