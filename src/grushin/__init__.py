@@ -12,9 +12,8 @@ from .core import (
     eval_potential,
     mollified_indicator,
     parse_potential,
-    render_potential,
 )
-from .schrod1d import EigenPair, Grid, hermite_eigenfunction, solve_eigen
+from .schrod1d import EigenPair, Grid, solve_eigen
 from .exact_family import (
     ExactEigenvalue,
     SpectrumLine,
@@ -25,14 +24,7 @@ from .exact_family import (
     weyl_residual,
 )
 from .assembler import AssembledSpectrum, assemble, check_property_p, k_cutoff
-from .concentration import (
-    ModeCoefficients,
-    Strip,
-    concentration_certificate,
-    kappa_coefficients,
-    min_ratio,
-    ratio_closed_form,
-)
+from .concentration import Strip, concentration_certificate, min_ratio
 from .perturb import (
     Branch,
     check_continuity_bound,
@@ -51,10 +43,8 @@ __all__ = [
     "eval_potential",
     "mollified_indicator",
     "parse_potential",
-    "render_potential",
     "EigenPair",
     "Grid",
-    "hermite_eigenfunction",
     "solve_eigen",
     "ExactEigenvalue",
     "SpectrumLine",
@@ -67,12 +57,9 @@ __all__ = [
     "assemble",
     "check_property_p",
     "k_cutoff",
-    "ModeCoefficients",
     "Strip",
     "concentration_certificate",
-    "kappa_coefficients",
     "min_ratio",
-    "ratio_closed_form",
     "Branch",
     "check_continuity_bound",
     "check_gap_avoidance",

@@ -23,6 +23,7 @@ from .core import (
     PreconditionError,
     StructuredProfile,
     Tolerances,
+    _check_cap,
 )
 from .exact_family import (
     ExactEigenvalue,
@@ -54,12 +55,7 @@ class AssembledSpectrum:
     lines: tuple[SpectrumLine, ...]
     k_cut: int
     mode: str
-    tolerances: Tolerances | None = None
     warnings: tuple[str, ...] = ()
-
-    @property
-    def total_count(self) -> int:
-        return sum(line.multiplicity for line in self.lines)
 
 
 @cache
@@ -81,8 +77,7 @@ def k_cutoff(potential: Potential, e_max: float) -> int:
     c_gamma * (K+1)^(2/(gamma+1)) > e_max. On the torus the ground energy is
     nondecreasing in |k| and is scanned directly.
     """
-    if not (e_max > 0):
-        raise PreconditionError("e_max must be positive")
+    _check_cap(e_max)
     if potential.geometry == "cylinder":
         # lower-bias the constant by 10x its tolerance so an uncertain c can
         # only enlarge the scan, never drop a contributing mode
@@ -131,7 +126,7 @@ def _assemble_exact(potential: Potential, e_max: float) -> AssembledSpectrum:
     lines.sort(key=lambda ln: (ln.value, ln.contributors))
     k_cut = max((k for k, _, _ in pairs), default=0)
     return AssembledSpectrum(e_max=float(e_max), lines=tuple(lines), k_cut=k_cut,
-                             mode="exact", tolerances=None)
+                             mode="exact")
 
 
 def _cluster(entries: list[tuple[float, float, int, int]], cluster_abs: float
@@ -176,7 +171,7 @@ def _assemble_numeric(potential: Potential, e_max: float, tol: Tolerances) -> As
             entries.append((p.lam, p.err_est, -p.k, p.n))
     lines, warnings = _cluster(entries, tol.cluster_abs)
     return AssembledSpectrum(e_max=float(e_max), lines=tuple(lines), k_cut=k_cut,
-                             mode="numeric", tolerances=tol, warnings=tuple(warnings))
+                             mode="numeric", warnings=tuple(warnings))
 
 
 def assemble(potential: Potential, e_max: float, tol: Tolerances = Tolerances(),
@@ -187,8 +182,7 @@ def assemble(potential: Potential, e_max: float, tol: Tolerances = Tolerances(),
     arithmetic; "numeric" solves each mode with the 1D solver and clusters;
     "auto" picks exact when available.
     """
-    if not (e_max > 0):
-        raise PreconditionError("e_max must be positive")
+    _check_cap(e_max)
     is_exact = isinstance(potential.profile, ExactFamilyProfile)
     if mode == "auto":
         mode = "exact" if is_exact else "numeric"

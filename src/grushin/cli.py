@@ -98,6 +98,15 @@ def parse_levels(text: str) -> list[int]:
         raise _UsageError(f"bad level list {text!r}") from None
 
 
+def parse_value(text: str) -> Fraction:
+    """An exact eigenvalue as an integer, decimal or fraction: '6', '7/2', '2.5'."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise _UsageError(
+            f"bad value {text!r}; expected a finite rational such as 6, 7/2 or 2.5") from None
+
+
 _DEFAULTS = {
     "format": "json",
     "eig_rel": 1e-7,
@@ -296,8 +305,7 @@ def _cmd_multiplicity(conf: dict) -> int:
     s2 = parse_exact_scalar(str(conf["s2"]))
     if s2.is_rational:
         _require(conf, "value")
-        target = Fraction(str(conf["value"]))
-        line = multiplicity_enumeration(target, s2)
+        line = multiplicity_enumeration(parse_value(conf["value"]), s2)
     else:
         _require(conf, "lin", "quad")
         line = multiplicity_enumeration((conf["lin"], conf["quad"]), s2)
@@ -418,7 +426,7 @@ def _cmd_perturb(conf: dict) -> int:
         _require(conf, "s2", "value", "t", "bump")
         s2 = parse_exact_scalar(str(conf["s2"]))
         bump = parse_bump(conf["bump"])
-        report = splitting_experiment(s2, Fraction(str(conf["value"])), bump,
+        report = splitting_experiment(s2, parse_value(conf["value"]), bump,
                                       conf["t"], tol)
         gap = min((p.gap for p in report.pairs), default=None)
         payload = _perturb_payload(

@@ -33,14 +33,12 @@ __all__ = [
     "Perturbation",
     "Tolerances",
     "parse_potential",
-    "render_potential",
     "parse_exact_scalar",
     "render_exact_scalar",
     "eval_potential",
     "base_factor",
     "mollified_indicator",
     "sup_on_interval",
-    "validate_potential",
 ]
 
 
@@ -72,6 +70,15 @@ class ConvergenceError(GrushinError):
 
 class PreconditionError(GrushinError):
     """A documented precondition of an operation does not hold."""
+
+
+def _check_cap(e_max) -> None:
+    """PreconditionError unless the eigenvalue cap e_max is positive and finite."""
+    e = float(e_max)
+    if not (e > 0):
+        raise PreconditionError("e_max must be positive")
+    if e == math.inf:
+        raise PreconditionError("e_max must be finite")
 
 
 class IntegerOverflowError(GrushinError):
@@ -107,10 +114,6 @@ class ExactScalar:
     def from_rational(cls, p: int, q: int = 1) -> "ExactScalar":
         frac = Fraction(p, q)  # reduces and normalizes the sign of q
         return cls(rational=frac, label=None, approx=float(frac))
-
-    @classmethod
-    def from_fraction(cls, frac: Fraction) -> "ExactScalar":
-        return cls(rational=Fraction(frac), label=None, approx=float(frac))
 
     @classmethod
     def irrational(cls, label: str) -> "ExactScalar":
@@ -151,10 +154,8 @@ def render_exact_scalar(s2: ExactScalar) -> str:
 
 @dataclass(frozen=True)
 class StructuredProfile:
-    """V = base(x) * w_tilde(x) with w_tilde >= 1 bounded continuous.
-    ``w_tilde is None`` means the constant function 1 (the parseable case)."""
-
-    w_tilde: Callable[[np.ndarray], np.ndarray] | None = None
+    """V = base(x): the pure power |x|^(2*gamma) on the cylinder, the pure
+    sine (4 sin^2(x/2))^gamma on the torus."""
 
 
 @dataclass(frozen=True)
@@ -193,8 +194,8 @@ class SampledProfile:
 
 @dataclass(frozen=True)
 class CallableProfile:
-    """Direct tabulation-free evaluation, used internally for perturbed
-    potentials. Not representable in the potential grammar."""
+    """V given as a function of x: the perturbed potentials, and any custom V.
+    Not representable in the potential grammar."""
 
     fn: Callable[[np.ndarray], np.ndarray]
 
@@ -240,8 +241,6 @@ def eval_potential(potential: Potential, x) -> np.ndarray | float:
     prof = potential.profile
     if isinstance(prof, StructuredProfile):
         v = base_factor(potential, x)
-        if prof.w_tilde is not None:
-            v = v * np.asarray(prof.w_tilde(x), dtype=float)
     elif isinstance(prof, ExactFamilyProfile):
         v = x * x + prof.s2.approx
     elif isinstance(prof, SampledProfile):
@@ -370,42 +369,6 @@ def parse_potential(spec: str) -> Potential:
         except InvariantViolation as exc:
             raise PotentialSyntaxError(str(exc), offset) from None
     raise PotentialSyntaxError(f"unknown potential kind {kind!r}", 0)
-
-
-def render_potential(potential: Potential) -> str:
-    """Canonical text for a parseable Potential; parse_potential(render(p)) == p."""
-    prof = potential.profile
-    if isinstance(prof, StructuredProfile):
-        if prof.w_tilde is not None:
-            raise InvariantViolation("structured potential with a custom w_tilde has no text form")
-        kind = "power" if potential.geometry == "cylinder" else "torus"
-        return f"{kind}:gamma={potential.gamma!r}"
-    if isinstance(prof, ExactFamilyProfile):
-        return f"shifted:s2={render_exact_scalar(prof.s2)}"
-    if isinstance(prof, SampledProfile):
-        if prof.source is None:
-            raise InvariantViolation("sampled potential without a source path has no text form")
-        out = f"table:{prof.source},ext={prof.extrapolation_exponent!r}"
-        if potential.gamma != 1.0:
-            out += f",gamma={potential.gamma!r}"
-        return out
-    raise InvariantViolation("callable potentials have no text form")
-
-
-def validate_potential(potential: Potential, n_samples: int = 257, x_max: float = 20.0) -> None:
-    """Sample-based check of the class invariants (w_tilde >= 1 on the
-    structured class; sampled-node invariants re-run). Raises
-    InvariantViolation with the offending x."""
-    if isinstance(potential.profile, StructuredProfile) and potential.profile.w_tilde is not None:
-        lim = np.pi if potential.geometry == "torus" else x_max
-        xs = np.linspace(-lim, lim, n_samples)
-        w = np.asarray(potential.profile.w_tilde(xs), dtype=float)
-        bad = np.nonzero(w < 1.0)[0]
-        if bad.size:
-            raise InvariantViolation(f"w_tilde < 1 at x={xs[bad[0]]!r} (value {w[bad[0]]!r})")
-    if isinstance(potential.profile, SampledProfile):
-        SampledProfile(potential.profile.nodes, potential.profile.extrapolation_exponent,
-                       potential.profile.source)
 
 
 # ---------------------------------------------------------------------------

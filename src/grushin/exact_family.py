@@ -29,6 +29,7 @@ from .core import (
     IntegerOverflowError,
     InvariantViolation,
     PreconditionError,
+    _check_cap,
 )
 
 __all__ = [
@@ -264,8 +265,7 @@ def counting_function(e_max, s2: ExactScalar) -> int:
     Integer arithmetic when s2 is rational; the tagged-irrational case
     evaluates the cap through the numeric approximation.
     """
-    if not (float(e_max) > 0):
-        raise PreconditionError("e_max must be positive")
+    _check_cap(e_max)
     # summed as Python ints: the total can pass 2^63 when no term does
     return 2 * sum(sum(_level_counts(r, d).tolist()) for _, r, d in _modes(s2, e_max))
 
@@ -286,6 +286,8 @@ def weyl_residual(e_samples, s2: ExactScalar) -> list[WeylSample]:
     samples = list(e_samples)
     if any(not (float(e) > 0) for e in samples):
         raise PreconditionError("samples must be positive")
+    if any(float(e) == math.inf for e in samples):
+        raise PreconditionError("samples must be finite")
     if any(b <= a for a, b in zip(samples, samples[1:])):
         raise PreconditionError("samples must be increasing")
     zero = s2.is_rational and s2.rational == 0
@@ -300,8 +302,7 @@ def weyl_residual(e_samples, s2: ExactScalar) -> list[WeylSample]:
 
 def enumerate_exact_pairs(s2: ExactScalar, e_max) -> list[tuple[int, int, ExactEigenvalue]]:
     """Every (k > 0, n, pair) with eigenvalue <= e_max, in (k, n) order."""
-    if not (float(e_max) > 0):
-        raise PreconditionError("e_max must be positive")
+    _check_cap(e_max)
     out = []
     for k, r, d in _modes(s2, e_max):
         for kk, count in zip(k.tolist(), _level_counts(r, d).tolist()):

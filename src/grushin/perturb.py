@@ -110,8 +110,6 @@ class Branch:
     err_ests: np.ndarray
     vectors: list[np.ndarray]
     grid: Grid
-    potential: Potential
-    perturbation: Perturbation
 
 
 def _match(overlap: np.ndarray) -> np.ndarray:
@@ -170,8 +168,7 @@ def track_branches(potential: Potential, w: Perturbation, k: int, levels,
     branches = [Branch(k=k, level=n, t_grid=np.array([0.0]),
                        lambdas=np.array([base[n].lam]),
                        err_ests=np.array([base[n].err_est]),
-                       vectors=[vec], grid=grid,
-                       potential=potential, perturbation=w)
+                       vectors=[vec], grid=grid)
                 for n, vec in zip(levels, current)]
 
     def solve_at(t: float):
@@ -190,7 +187,7 @@ def track_branches(potential: Potential, w: Perturbation, k: int, levels,
                 raise ConvergenceError(
                     f"branch overlap stayed below 0.9 at t={t_to!r} after "
                     "repeated step halving")
-            t_prev = branches[0].t_grid[-1]
+            t_prev = float(branches[0].t_grid[-1])
             advance(0.5 * (t_prev + t_to), depth + 1)
             advance(t_to, depth + 1)
             return
@@ -239,10 +236,15 @@ def check_continuity_bound(potential: Potential, w_seq, k: int, m: int,
         lam_m(V)  - lam_m(V_n) <= lam_m(V_n) * ||W_n||.
 
     Margins are reported; a record fails only when a margin drops below the
-    combined solver error slack.
+    combined solver error slack. An empty sequence is a PreconditionError,
+    since a verdict over no bumps would rest on no estimate.
     """
     if m < 0:
         raise PreconditionError("m must be >= 0")
+    w_seq = list(w_seq)
+    if not w_seq:
+        raise PreconditionError(
+            "empty bump sequence; a continuity verdict needs at least one bump")
     base = solve_eigen(potential, k, m + 1, tol)[m]
     records = []
     for w_n in w_seq:

@@ -46,6 +46,7 @@ from .core import (
     Potential,
     PreconditionError,
     Tolerances,
+    _check_cap,
     eval_potential,
 )
 
@@ -56,7 +57,6 @@ __all__ = [
     "solve_on_grid",
     "solve_eigen",
     "solve_levels_below",
-    "hermite_eigenfunction",
 ]
 
 _EPS = float(np.finfo(float).eps)
@@ -151,8 +151,7 @@ def truncation_length(potential: Potential, k: int, e_max: float) -> float:
     """
     if potential.geometry == "torus":
         raise PreconditionError("circle problems need no truncation")
-    if not (e_max > 0):
-        raise PreconditionError("e_max must be positive")
+    _check_cap(e_max)
     threshold = TRUNCATION_MARGIN * e_max / (k * k)
     floor = eval_potential(potential, 0.0)
     # far points may overflow to inf (or inf * 0 = nan), which is harmless here
@@ -333,8 +332,7 @@ def solve_levels_below(potential: Potential, k: int, e_max: float,
                        tol: Tolerances = Tolerances()) -> list[EigenPair]:
     """All levels with lambda <= e_max (up to solver resolution at the
     boundary: levels within 10 * err_est of e_max are kept)."""
-    if not (e_max > 0):
-        raise PreconditionError("e_max must be positive")
+    _check_cap(e_max)
     m = max(1, int(e_max / (2.0 * abs(k))) + 2)
     while True:
         pairs = solve_eigen(potential, k, m, tol)
@@ -345,30 +343,3 @@ def solve_levels_below(potential: Potential, k: int, e_max: float,
         m *= 2
     return [p for p in pairs if p.lam <= e_max + 10.0 * p.err_est]
 
-
-def hermite_eigenfunction(k: int, n: int, x) -> np.ndarray | float:
-    """The normalized n-th oscillator eigenfunction of -u'' + k^2 x^2 u:
-
-        c_n |k|^(1/4) H_n(x sqrt|k|) exp(-x^2 |k| / 2),
-        c_n = (2^n n! sqrt(pi))^(-1/2),
-
-    with H_n the physicists' Hermite polynomial (H_{n+1} = 2zH_n - 2nH_{n-1}).
-    Evaluated through the equivalent orthonormal recurrence, which is stable
-    for large n. The L2 norm over the line is 1.
-    """
-    if k == 0:
-        raise PreconditionError("k must be nonzero")
-    if n < 0:
-        raise PreconditionError("n must be >= 0")
-    scalar = np.isscalar(x)
-    z = np.asarray(x, dtype=float) * math.sqrt(abs(k))
-    psi_prev = np.pi ** (-0.25) * np.exp(-0.5 * z * z)
-    if n == 0:
-        out = abs(k) ** 0.25 * psi_prev
-        return float(out) if scalar else out
-    psi = math.sqrt(2.0) * z * psi_prev
-    for j in range(1, n):
-        psi, psi_prev = (math.sqrt(2.0 / (j + 1.0)) * z * psi
-                         - math.sqrt(j / (j + 1.0)) * psi_prev), psi
-    out = abs(k) ** 0.25 * psi
-    return float(out) if scalar else out

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import cmath
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -12,17 +14,140 @@ from scipy.optimize import brentq, minimize
 from scipy.special import mathieu_a, mathieu_b
 
 from grushin.assembler import PropertyPPair
-from grushin.concentration import ModeCoefficients, Strip, kappa_coefficients, ratio_closed_form
+from grushin.concentration import Strip, min_ratio
 from grushin.core import (
+    CallableProfile,
     ConvergenceError,
+    ExactFamilyProfile,
     ExactScalar,
     GrushinError,
+    InvariantViolation,
     Perturbation,
     Potential,
     PreconditionError,
+    SampledProfile,
+    StructuredProfile,
     eval_potential,
+    render_exact_scalar,
 )
 from grushin.schrod1d import EigenPair, Grid, solve_on_grid
+
+
+@dataclass(frozen=True)
+class ModeCoefficients:
+    """Real and imaginary parts of (alpha, beta) in
+    u(x) (alpha e^{iky} + beta e^{-iky})."""
+
+    alpha0: float
+    alpha1: float
+    beta0: float
+    beta1: float
+
+    def __post_init__(self):
+        if self.alpha0 == self.alpha1 == self.beta0 == self.beta1 == 0.0:
+            raise InvariantViolation("coefficients must not all vanish")
+
+
+def kappa_coefficients(c: ModeCoefficients) -> tuple[float, float, float]:
+    """The quadratic coefficient forms of the y-density
+    k1 cos^2(ky) + k2 sin^2(ky) + 2 k3 cos(ky) sin(ky):
+
+        kappa1 = (a0+b0)^2 + (a1+b1)^2
+        kappa2 = (a0-b0)^2 + (a1-b1)^2
+        kappa3 = 2 (a0 b1 - a1 b0)
+    """
+    k1 = (c.alpha0 + c.beta0) ** 2 + (c.alpha1 + c.beta1) ** 2
+    k2 = (c.alpha0 - c.beta0) ** 2 + (c.alpha1 - c.beta1) ** 2
+    k3 = 2.0 * (c.alpha0 * c.beta1 - c.alpha1 * c.beta0)
+    return k1, k2, k3
+
+
+def ratio_closed_form(c: ModeCoefficients, k: int, w: Strip) -> float:
+    """Strip-to-total mass ratio of u(x)(alpha e^{iky} + beta e^{-iky}):
+
+        (k1-k2)/(k1+k2) * f(k)/(4 pi k) + (b-a)/(2 pi)
+            + k3/(k1+k2) * g(k)/(pi k),
+
+    with f(k) = sin(2bk) - sin(2ak) and g(k) = cos^2(ak) - cos^2(bk), from
+    integrating k1 cos^2(ky) + k2 sin^2(ky) + 2 k3 cos(ky) sin(ky) over the
+    strip against the full-circle mass pi (k1 + k2). Always lies in [0, 1]
+    and is invariant under scaling (alpha, beta) -> (t alpha, t beta).
+    """
+    if k == 0:
+        raise InvariantViolation("k must be nonzero")
+    k1, k2, k3 = kappa_coefficients(c)
+    f = math.sin(2.0 * w.b * k) - math.sin(2.0 * w.a * k)
+    g = math.cos(w.a * k) ** 2 - math.cos(w.b * k) ** 2
+    total = k1 + k2
+    return ((k1 - k2) / total * f / (4.0 * math.pi * k)
+            + w.width / (2.0 * math.pi)
+            + k3 / total * g / (math.pi * k))
+
+
+def min_ratio_witness(k: int, w: Strip) -> tuple[float, ModeCoefficients]:
+    """min_ratio(k, w) with a minimizer: alpha = 1, beta = -conj(c)/|c| where
+    c is the off-diagonal Gram entry (any unit beta when the off-diagonal
+    vanishes)."""
+    value = min_ratio(k, w)
+    off = (cmath.exp(2j * k * w.b) - cmath.exp(2j * k * w.a)) / (2j * k)
+    if abs(off) < 1e-15 * w.width:
+        coeffs = ModeCoefficients(1.0, 0.0, 0.0, 0.0)
+    else:
+        beta = -off / abs(off)
+        coeffs = ModeCoefficients(1.0, 0.0, beta.real, beta.imag)
+    return value, coeffs
+
+
+def hermite_eigenfunction(k: int, n: int, x) -> np.ndarray | float:
+    """The normalized n-th oscillator eigenfunction of -u'' + k^2 x^2 u:
+
+        c_n |k|^(1/4) H_n(x sqrt|k|) exp(-x^2 |k| / 2),
+        c_n = (2^n n! sqrt(pi))^(-1/2),
+
+    with H_n the physicists' Hermite polynomial (H_{n+1} = 2zH_n - 2nH_{n-1}).
+    Evaluated through the equivalent orthonormal recurrence, which is stable
+    for large n. The L2 norm over the line is 1.
+    """
+    if k == 0:
+        raise PreconditionError("k must be nonzero")
+    if n < 0:
+        raise PreconditionError("n must be >= 0")
+    scalar = np.isscalar(x)
+    z = np.asarray(x, dtype=float) * math.sqrt(abs(k))
+    psi_prev = np.pi ** (-0.25) * np.exp(-0.5 * z * z)
+    if n == 0:
+        out = abs(k) ** 0.25 * psi_prev
+        return float(out) if scalar else out
+    psi = math.sqrt(2.0) * z * psi_prev
+    for j in range(1, n):
+        psi, psi_prev = (math.sqrt(2.0 / (j + 1.0)) * z * psi
+                         - math.sqrt(j / (j + 1.0)) * psi_prev), psi
+    out = abs(k) ** 0.25 * psi
+    return float(out) if scalar else out
+
+
+def render_potential(potential: Potential) -> str:
+    """Canonical text for a parseable Potential; parse_potential(render(p)) == p."""
+    prof = potential.profile
+    if isinstance(prof, StructuredProfile):
+        kind = "power" if potential.geometry == "cylinder" else "torus"
+        return f"{kind}:gamma={potential.gamma!r}"
+    if isinstance(prof, ExactFamilyProfile):
+        return f"shifted:s2={render_exact_scalar(prof.s2)}"
+    if isinstance(prof, SampledProfile):
+        if prof.source is None:
+            raise InvariantViolation("sampled potential without a source path has no text form")
+        out = f"table:{prof.source},ext={prof.extrapolation_exponent!r}"
+        if potential.gamma != 1.0:
+            out += f",gamma={potential.gamma!r}"
+        return out
+    raise InvariantViolation("callable potentials have no text form")
+
+
+def weighted_power(gamma: float, w_tilde) -> Potential:
+    """V = |x|^(2 gamma) * w_tilde(x) on the cylinder, as a callable profile."""
+    return Potential("cylinder", gamma, CallableProfile(
+        fn=lambda x: np.abs(x) ** (2.0 * gamma) * np.asarray(w_tilde(x), dtype=float)))
 
 
 def enumeration_multiplicities(limit: int) -> np.ndarray:

@@ -12,6 +12,7 @@ from helpers import (
     brute_force_min_ratio,
     central_difference_slope,
     enumeration_multiplicities,
+    weighted_power,
 )
 
 from grushin.assembler import assemble
@@ -19,8 +20,6 @@ from grushin.cli import run
 from grushin.concentration import Strip, min_ratio
 from grushin.core import (
     ExactScalar,
-    Potential,
-    StructuredProfile,
     Tolerances,
     mollified_indicator,
     parse_potential,
@@ -187,8 +186,7 @@ def test_c11_gap_avoidance_randomized():
     pots = [
         parse_potential("power:gamma=1"),
         parse_potential("power:gamma=2"),
-        Potential("cylinder", 1.0,
-                  StructuredProfile(w_tilde=lambda x: 1.0 + 0.3 * bump_mid(x))),
+        weighted_power(1.0, lambda x: 1.0 + 0.3 * bump_mid(x)),
     ]
     checked = 0
     for case in range(10):

@@ -1,0 +1,48 @@
+"""The public surface: what ``__all__`` exports resolves, and the names that
+moved to the test oracles or were deleted stay out of the package."""
+
+import dataclasses
+import importlib
+
+import pytest
+
+MODULES = ["core", "schrod1d", "exact_family", "assembler", "concentration", "perturb", "cli"]
+
+# module -> names that left it (the oracles now live in tests/helpers.py)
+GONE_FROM_MODULES = {
+    "grushin": ["ModeCoefficients", "kappa_coefficients", "ratio_closed_form",
+                "hermite_eigenfunction", "render_potential"],
+    "grushin.concentration": ["ModeCoefficients", "kappa_coefficients",
+                              "ratio_closed_form", "min_ratio_witness", "cmath"],
+    "grushin.schrod1d": ["hermite_eigenfunction"],
+    "grushin.core": ["render_potential", "validate_potential"],
+}
+
+# (module, class) -> attributes and fields that were deleted
+GONE_FROM_CLASSES = {
+    ("core", "ExactScalar"): ["from_fraction"],
+    ("core", "StructuredProfile"): ["w_tilde"],
+    ("concentration", "Certificate"): ["witness_value"],
+    ("assembler", "AssembledSpectrum"): ["tolerances", "total_count"],
+    ("perturb", "Branch"): ["potential", "perturbation"],
+}
+
+
+@pytest.mark.parametrize("module", ["grushin"] + [f"grushin.{m}" for m in MODULES])
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    assert len(set(mod.__all__)) == len(mod.__all__)
+    for name in mod.__all__:
+        assert hasattr(mod, name), f"{module}.__all__ names missing {name!r}"
+
+
+def test_moved_and_deleted_names_are_gone():
+    for module, names in GONE_FROM_MODULES.items():
+        mod = importlib.import_module(module)
+        for name in names:
+            assert not hasattr(mod, name), f"{module}.{name} still exists"
+    for (module, cls_name), names in GONE_FROM_CLASSES.items():
+        cls = getattr(importlib.import_module(f"grushin.{module}"), cls_name)
+        members = set(dir(cls)) | {f.name for f in dataclasses.fields(cls)}
+        for name in names:
+            assert name not in members, f"{cls_name}.{name} still exists"

@@ -1,18 +1,17 @@
 import pytest
-from helpers import brute_property_p
+from helpers import brute_property_p, weighted_power
 
 from grushin.assembler import assemble, check_property_p, k_cutoff
 from grushin.core import (
     ExactScalar,
     InvariantViolation,
-    Potential,
     PreconditionError,
-    StructuredProfile,
     Tolerances,
     mollified_indicator,
     parse_potential,
 )
-from grushin.schrod1d import solve_eigen
+from grushin.exact_family import counting_function, enumerate_exact_pairs, weyl_residual
+from grushin.schrod1d import solve_eigen, solve_levels_below, truncation_length
 
 POWER1 = parse_potential("power:gamma=1")
 POWER2 = parse_potential("power:gamma=2")
@@ -73,9 +72,8 @@ def test_assemble_numeric_matches_exact():
 def test_assemble_multiplicities_even_and_counts():
     spec = assemble(SHIFT1, 20.0, mode="exact")
     assert all(line.multiplicity % 2 == 0 for line in spec.lines)
-    from grushin.exact_family import counting_function
-
-    assert spec.total_count == counting_function(20, ExactScalar.from_rational(1))
+    total = sum(line.multiplicity for line in spec.lines)
+    assert total == counting_function(20, ExactScalar.from_rational(1))
 
 
 def test_assemble_validation():
@@ -85,6 +83,24 @@ def test_assemble_validation():
         assemble(POWER1, -1.0)
     with pytest.raises(PreconditionError):
         assemble(POWER1, 5.0, mode="nonsense")
+
+
+def test_infinite_cap_rejected():
+    inf = float("inf")
+    calls = [
+        lambda: assemble(SHIFT0, inf, mode="exact"),
+        lambda: assemble(POWER1, inf),
+        lambda: k_cutoff(POWER1, inf),
+        lambda: counting_function(inf, ExactScalar.from_rational(0)),
+        lambda: counting_function(inf, ExactScalar.irrational("sqrt2")),
+        lambda: enumerate_exact_pairs(ExactScalar.from_rational(1), inf),
+        lambda: weyl_residual([10.0, inf], ExactScalar.from_rational(0)),
+        lambda: solve_levels_below(POWER1, 1, inf),
+        lambda: truncation_length(POWER1, 1, inf),
+    ]
+    for call in calls:
+        with pytest.raises(PreconditionError, match="must be finite"):
+            call()
 
 
 def test_cluster_width_guard():
@@ -110,8 +126,7 @@ def test_property_p_irrational_passes():
 
 def test_property_p_numeric_report():
     bump = mollified_indicator(-1.0, 1.0, 0.3)
-    pot = Potential("cylinder", 1.0,
-                    StructuredProfile(w_tilde=lambda x: 1.0 + 0.05 * bump(x)))
+    pot = weighted_power(1.0, lambda x: 1.0 + 0.05 * bump(x))
     report = check_property_p(pot, 2, 3)
     assert report.mode == "numeric"
     assert report.verdict in ("PASS", "UNDECIDED")

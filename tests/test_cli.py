@@ -128,6 +128,45 @@ def test_potential_syntax_error_exit_code(capsys):
     assert err.startswith("error: code=PotentialSyntaxError")
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--potential", "shifted:s2=0", "--emax", "inf", "--mode", "exact"],
+    ["spectrum", "--potential", "power:gamma=1", "--emax", "inf"],
+    ["concentration", "--s2", "0", "--emax", "inf", "--a", "0", "--b", "1"],
+    ["weyl", "--s2", "0", "--emax", "inf", "--samples", "1"],
+])
+def test_infinite_cap_is_single_line_exit_1(capsys, argv):
+    code, out, err = run_capture(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: code=PreconditionError msg=")
+    assert "must be finite" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["multiplicity", "--s2", "0", "--value", "abc"],
+    ["multiplicity", "--s2", "0", "--value", "1/0"],
+    ["multiplicity", "--s2", "0", "--value", "inf"],
+    ["perturb", "split", "--s2", "0", "--value", "x", "--t", "0.1", "--bump", "0,1,0.2"],
+])
+def test_bad_value_is_usage_error(capsys, argv):
+    code, out, err = run_capture(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith('error: code=usage msg="bad value')
+    assert err.count("\n") == 1
+
+
+def test_perturb_continuity_without_bumps_is_an_error(capsys):
+    code, out, err = run_capture(capsys, [
+        "perturb", "continuity", "--potential", "power:gamma=1", "--k", "1",
+        "--m", "0", "--count", "0", "--bump=-2,2,0.5"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith('error: code=PreconditionError msg="empty bump sequence')
+    assert err.count("\n") == 1
+
+
 def test_undecided_exit_3(capsys):
     # V = x^2 numerically: collision at 3 between modes 1 and 3 cannot be
     # certified either way

@@ -3,18 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from helpers import brute_force_min_ratio, ratio_quadrature
-
-from grushin.assembler import assemble
-from grushin.concentration import (
+from helpers import (
     ModeCoefficients,
-    Strip,
-    concentration_certificate,
+    brute_force_min_ratio,
     kappa_coefficients,
-    min_ratio,
     min_ratio_witness,
     ratio_closed_form,
+    ratio_quadrature,
 )
+
+from grushin.assembler import assemble
+from grushin.concentration import Strip, concentration_certificate, min_ratio
 from grushin.core import InvariantViolation, MultiplicityError, parse_potential
 from grushin.schrod1d import solve_eigen
 

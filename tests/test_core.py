@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import render_potential
 from scipy.integrate import quad
 
 from grushin.core import (
@@ -12,15 +13,12 @@ from grushin.core import (
     PotentialSyntaxError,
     PreconditionError,
     SampledProfile,
-    StructuredProfile,
     Tolerances,
     eval_potential,
     mollified_indicator,
     parse_exact_scalar,
     parse_potential,
-    render_potential,
     sup_on_interval,
-    validate_potential,
 )
 
 
@@ -139,26 +137,6 @@ def test_exact_scalar_reduction_and_tags():
     assert tag.approx == pytest.approx(math.sqrt(2.0))
     with pytest.raises(InvariantViolation):
         ExactScalar.irrational("sqrt7")
-
-
-def test_structured_dominates_pure_power():
-    # V = |x|^(2 gamma) * w_tilde with w_tilde >= 1 stays above the pure power
-    rng = np.random.default_rng(7)
-
-    def w_tilde(x):
-        return 1.0 + np.exp(-((x - 0.7) ** 2))
-
-    pot = Potential("cylinder", 1.5, StructuredProfile(w_tilde=w_tilde))
-    xs = rng.uniform(-8, 8, size=300)
-    assert np.all(eval_potential(pot, xs) >= np.abs(xs) ** 3.0 - 1e-12)
-    validate_potential(pot)
-
-
-def test_validate_potential_reports_offender():
-    pot = Potential("cylinder", 1.0,
-                    StructuredProfile(w_tilde=lambda x: 1.0 - 0.5 * np.exp(-x * x)))
-    with pytest.raises(InvariantViolation, match="w_tilde < 1"):
-        validate_potential(pot)
 
 
 # --- mollified indicator ---------------------------------------------------

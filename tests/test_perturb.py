@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,8 +10,11 @@ from scipy.optimize import linear_sum_assignment
 
 from helpers import branch_overlaps, central_difference_slope
 
+from grushin import perturb
 from grushin.core import (
+    ConvergenceError,
     ExactScalar,
+    Perturbation,
     PreconditionError,
     Tolerances,
     eval_potential,
@@ -148,6 +152,39 @@ def test_track_branches_precondition():
         track_branches(HARMONIC, w, 1, [0], 1.0, steps=4)
 
 
+def test_track_branches_halves_steps_that_rotate_the_levels(monkeypatch):
+    # with the slope bound read as 0 the precondition admits a bump that moves
+    # the vectors too far in one step, so the step must be halved
+    monkeypatch.setattr(Perturbation, "sup_weighted", lambda self, potential: 0.0)
+    w = mollified_indicator(0.2, 1.5, 0.3).scaled(20.0)
+    branches = track_branches(HARMONIC, w, 1, [0, 1], 1.0, steps=1)
+    ref = solve_eigen(perturbed_potential(HARMONIC, w, 1.0), 1, 2)
+    for br in branches:
+        assert br.t_grid[0] == 0.0 and br.t_grid[-1] == 1.0
+        assert np.min(np.diff(br.t_grid)) < 1.0
+        assert np.all(branch_overlaps(br) >= 0.9)
+        assert abs(br.lambdas[-1] - ref[br.level].lam) <= br.err_ests[-1] + ref[br.level].err_est
+
+
+def test_track_branches_gives_up_after_ten_halvings(monkeypatch):
+    # every solve at t > 0 returns the two tracked vectors rotated by pi/4, so
+    # no step is ever accepted: overlaps stay at 1/sqrt(2)
+    solve = perturb.solve_on_grid
+
+    def rotated(potential, k, m, grid, *, vectors=True):
+        lams, vecs = solve(potential, k, m, grid, vectors=vectors)
+        if vectors and potential is not HARMONIC:
+            a, b = vecs[:, 0].copy(), vecs[:, 1].copy()
+            vecs[:, 0] = (a + b) / math.sqrt(2.0)
+            vecs[:, 1] = (b - a) / math.sqrt(2.0)
+        return lams, vecs
+
+    monkeypatch.setattr(perturb, "solve_on_grid", rotated)
+    t_max = 0.01
+    with pytest.raises(ConvergenceError, match=re.escape(f"t={t_max / 2 ** 10!r} ")):
+        track_branches(HARMONIC, BUMP, 1, [0, 1], t_max, steps=1)
+
+
 # --- continuity -------------------------------------------------------------
 
 def test_continuity_bounds_plateau_sequence():
@@ -170,6 +207,11 @@ def test_continuity_zero_perturbation_equality():
     assert rec.sup_w == 0.0
     assert abs(rec.lam_pert - rec.lam_base) <= rec.err_slack
     assert report.verdict == "PASS"
+
+
+def test_continuity_rejects_empty_sequence():
+    with pytest.raises(PreconditionError, match="empty bump sequence"):
+        check_continuity_bound(HARMONIC, [], 1, 0)
 
 
 def test_continuity_random_mode_and_level():

@@ -5,6 +5,7 @@ import pytest
 from helpers import (
     RankDeficientBasis,
     eigenvector,
+    hermite_eigenfunction,
     mathieu_levels,
     rayleigh_max,
     scalar_truncation_length,
@@ -27,7 +28,6 @@ from grushin.perturb import perturbed_potential
 from grushin.schrod1d import (
     Grid,
     _extrapolate,
-    hermite_eigenfunction,
     solve_eigen,
     solve_levels_below,
     solve_on_grid,
