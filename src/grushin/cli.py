@@ -29,7 +29,6 @@ from .core import (
     Perturbation,
     Potential,
     Tolerances,
-    mollified_indicator,
     parse_exact_scalar,
     parse_potential,
     render_exact_scalar,
@@ -85,10 +84,7 @@ def parse_bump(text: str) -> Perturbation:
         nums = [float(p) for p in parts]
     except ValueError:
         raise _UsageError(f"bad number in bump {text!r}") from None
-    bump = mollified_indicator(nums[0], nums[1], nums[2])
-    if len(nums) == 4:
-        bump = bump.scaled(nums[3])
-    return bump
+    return Perturbation(*nums)
 
 
 def parse_levels(text: str) -> list[int]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable
 
@@ -375,13 +375,17 @@ def parse_potential(spec: str) -> Potential:
 # Suprema by dense sampling plus interval refinement
 # ---------------------------------------------------------------------------
 
-def sup_on_interval(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-                    rel: float = 1e-10, dense: int = 4097) -> float:
-    """sup of fn over [lo, hi] to relative accuracy ``rel``: dense sampling to
+# relative accuracy of the suprema, and the samples that locate their candidates
+SUP_REL = 1e-10
+SUP_SAMPLES = 4097
+
+
+def sup_on_interval(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> float:
+    """sup of fn over [lo, hi] to relative accuracy SUP_REL: dense sampling to
     locate candidate maxima, golden-section refinement around each."""
     if hi <= lo:
         raise PreconditionError("empty interval")
-    xs = np.linspace(lo, hi, dense)
+    xs = np.linspace(lo, hi, SUP_SAMPLES)
     vals = np.asarray(fn(xs), dtype=float)
     best = float(np.max(vals))
     if best == 0.0:
@@ -399,12 +403,12 @@ def sup_on_interval(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     for i in candidates:
         a = xs[max(i - 1, 0)]
-        b = xs[min(i + 1, dense - 1)]
+        b = xs[min(i + 1, SUP_SAMPLES - 1)]
         c = b - invphi * (b - a)
         d = a + invphi * (b - a)
         fc = float(fn(np.array([c]))[0])
         fd = float(fn(np.array([d]))[0])
-        while (b - a) > rel * max(abs(a), abs(b), 1e-30) and (b - a) > 1e-300:
+        while (b - a) > SUP_REL * max(abs(a), abs(b), 1e-30) and (b - a) > 1e-300:
             if fc > fd:
                 b, d, fd = d, c, fc
                 c = b - invphi * (b - a)
@@ -421,49 +425,54 @@ def sup_on_interval(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float
 # Perturbations
 # ---------------------------------------------------------------------------
 
-# relative accuracy of the perturbation suprema
-SUP_REL = 1e-10
-
-
 @dataclass(frozen=True)
 class Perturbation:
-    """A smooth non-negative function vanishing outside ``support``.
+    """W = scale * (mollified indicator of [a, b] at smoothing width eps):
+    smooth, with values in [0, scale], equal to scale on [a + eps, b - eps]
+    and vanishing outside ``support`` = [a - eps, b + eps]. It is evaluated
+    through the bump antiderivative F as
 
-    The weighted norm used by gap estimates depends on the potential it
-    perturbs (|x|^(2*gamma) on the cylinder, the sine base on the torus), so
-    it is computed on demand by ``sup_weighted``; ``sup_plain`` is the plain
-    sup of w itself. Both are accurate to SUP_REL relative.
+        W(x) = scale * (F((x - a)/eps) - F((x - b)/eps)).
+
+    The plain sup of W is ``scale``. The weighted sup used by gap estimates
+    depends on the potential it perturbs (|x|^(2*gamma) on the cylinder, the
+    sine base on the torus) and has no closed form, so ``sup_weighted``
+    computes it on demand.
     """
 
-    w: Callable[[np.ndarray], np.ndarray]
-    support: tuple[float, float]
+    a: float
+    b: float
+    eps: float
+    scale: float = 1.0
+
+    def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.a, self.b, self.eps, self.scale)):
+            raise PreconditionError("bump numbers must be finite")
+        if not (self.a < self.b):
+            raise PreconditionError(f"need a < b, got a={self.a}, b={self.b}")
+        if not (0 < self.eps <= (self.b - self.a) / 2):
+            raise PreconditionError(f"need 0 < eps <= (b-a)/2, got eps={self.eps}")
+        if self.scale < 0:
+            raise PreconditionError("perturbations stay non-negative; use signed t at the operator level")
+
+    @property
+    def support(self) -> tuple[float, float]:
+        return (self.a - self.eps, self.b + self.eps)
 
     def __call__(self, x) -> np.ndarray | float:
-        scalar = np.isscalar(x)
-        x = np.asarray(x, dtype=float)
-        lo, hi = self.support
-        inside = (x >= lo) & (x <= hi)
-        out = np.zeros_like(x)
-        if np.any(inside):
-            out[inside] = np.asarray(self.w(x[inside]), dtype=float)
-        return float(out) if scalar else out
+        return self._w(x if np.isscalar(x) else np.asarray(x, dtype=float))
+
+    def _w(self, x):
+        # the formula holds everywhere: off the support both F terms are 0 or both 1
+        return self.scale * (standard_mollifier_cdf((x - self.a) / self.eps)
+                             - standard_mollifier_cdf((x - self.b) / self.eps))
 
     def scaled(self, factor: float) -> "Perturbation":
-        if factor < 0:
-            raise PreconditionError("perturbations stay non-negative; use signed t at the operator level")
-        inner = self.w
-        return Perturbation(w=lambda x, _f=factor, _w=inner: _f * np.asarray(_w(x), dtype=float),
-                            support=self.support)
-
-    def sup_plain(self) -> float:
-        lo, hi = self.support
-        return sup_on_interval(lambda x: np.asarray(self.w(x), dtype=float), lo, hi, rel=SUP_REL)
+        return replace(self, scale=self.scale * factor)
 
     def sup_weighted(self, potential: Potential) -> float:
         lo, hi = self.support
-        return sup_on_interval(
-            lambda x: base_factor(potential, x) * np.asarray(self.w(x), dtype=float),
-            lo, hi, rel=SUP_REL)
+        return sup_on_interval(lambda x: base_factor(potential, x) * self._w(x), lo, hi)
 
 
 # Antiderivative of the standard bump, precomputed nodes for Gauss-Legendre.
@@ -505,24 +514,9 @@ def standard_mollifier_cdf(z) -> np.ndarray | float:
 
 
 def mollified_indicator(a: float, b: float, eps: float) -> Perturbation:
-    """The mollified indicator of [a, b]: the convolution of the standard
-    mollifier at scale eps with the indicator function.
-
-    The result is smooth, takes values in [0, 1], equals 1 on
-    [a + eps, b - eps], and is supported in [a - eps, b + eps]; it is
-    evaluated through the bump antiderivative, W(x) = F((x-a)/eps) -
-    F((x-b)/eps).
-    """
-    if not (a < b):
-        raise PreconditionError(f"need a < b, got a={a}, b={b}")
-    if not (0 < eps <= (b - a) / 2):
-        raise PreconditionError(f"need 0 < eps <= (b-a)/2, got eps={eps}")
-
-    def w(x, _a=a, _b=b, _e=eps):
-        x = np.asarray(x, dtype=float)
-        return standard_mollifier_cdf((x - _a) / _e) - standard_mollifier_cdf((x - _b) / _e)
-
-    return Perturbation(w=w, support=(a - eps, b + eps))
+    """The mollified indicator of [a, b] at smoothing width eps: the unit-scale
+    Perturbation."""
+    return Perturbation(a, b, eps)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from .core import (
     eval_potential,
 )
 from .exact_family import multiplicity_enumeration
-from .schrod1d import Grid, solve_eigen, solve_on_grid
+from .schrod1d import Grid, _err_floor, _extrapolate, solve_eigen, solve_on_grid
 
 __all__ = [
     "perturbed_potential",
@@ -61,7 +61,7 @@ def perturbed_potential(potential: Potential, w: Perturbation, t: float) -> Pote
     """
     if t == 0.0:
         return potential
-    if t < 0.0 and abs(t) * w.sup_plain() >= 0.9:
+    if t < 0.0 and abs(t) * w.scale >= 0.9:
         raise PreconditionError(
             f"t={t} would push the bounded part of the potential near zero")
 
@@ -96,19 +96,20 @@ def hellmann_feynman(potential: Potential, w: Perturbation, k: int, n: int,
     return k * k * (4.0 * i_fine - i_coarse) / 3.0
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Branch:
     """One eigenbranch t -> lambda(t) continued from level ``level`` of the
     undeformed operator, with its eigenvectors on the fixed tracking grid.
     ``lambdas`` are Richardson extrapolants across the tracking grid and its
-    coarsening, like ``EigenPair.lam``."""
+    coarsening, like ``EigenPair.lam``, and ``err_ests`` their error
+    estimates."""
 
     k: int
     level: int
     t_grid: np.ndarray
     lambdas: np.ndarray
     err_ests: np.ndarray
-    vectors: list[np.ndarray]
+    vectors: tuple[np.ndarray, ...]
     grid: Grid
 
 
@@ -163,48 +164,48 @@ def track_branches(potential: Potential, w: Perturbation, k: int, levels,
     grid_coarse = grid.coarsened()
     h = grid.h
     _, vecs0 = solve_on_grid(potential, k, m_solve, grid)
-    current = [vecs0[:, n].copy() for n in levels]
-
-    branches = [Branch(k=k, level=n, t_grid=np.array([0.0]),
-                       lambdas=np.array([base[n].lam]),
-                       err_ests=np.array([base[n].err_est]),
-                       vectors=[vec], grid=grid)
-                for n, vec in zip(levels, current)]
+    # the accepted t values, and per branch its eigenvalues, error estimates
+    # and eigenvectors at those t
+    ts = [0.0]
+    lams = [[base[n].lam] for n in levels]
+    errs = [[base[n].err_est] for n in levels]
+    vectors = [[vecs0[:, n].copy()] for n in levels]
 
     def solve_at(t: float):
         # the extrapolant of the two tracking grids, as base[n].lam is at t = 0
         pert = perturbed_potential(potential, w, t)
         lams_f, vecs_f = solve_on_grid(pert, k, m_solve, grid)
         lams_c, _ = solve_on_grid(pert, k, m_solve, grid_coarse, vectors=False)
-        err = np.abs(lams_f - lams_c) / 3.0 + 1e-14 * np.abs(lams_f)
-        return (4.0 * lams_f - lams_c) / 3.0, vecs_f, err
+        extrap, raw = _extrapolate(None, lams_c, lams_f)
+        err = np.maximum(raw, _err_floor(grid, float(np.max(np.abs(extrap)))))
+        return extrap, vecs_f, err
 
     def advance(t_to: float, depth: int):
         lams_f, vecs_f, err = solve_at(t_to)
-        overlap = np.abs(h * (np.column_stack(current).T @ vecs_f))
+        current = np.column_stack([vecs[-1] for vecs in vectors])
+        overlap = np.abs(h * (current.T @ vecs_f))
         if np.min(np.max(overlap, axis=1)) < 0.9:
             if depth >= 10:
                 raise ConvergenceError(
                     f"branch overlap stayed below 0.9 at t={t_to!r} after "
                     "repeated step halving")
-            t_prev = float(branches[0].t_grid[-1])
-            advance(0.5 * (t_prev + t_to), depth + 1)
+            advance(0.5 * (ts[-1] + t_to), depth + 1)
             advance(t_to, depth + 1)
             return
+        ts.append(t_to)
         for row, col in enumerate(_match(overlap)):
             vec = vecs_f[:, col]
-            if h * float(np.dot(current[row], vec)) < 0:
+            if h * float(np.dot(vectors[row][-1], vec)) < 0:
                 vec = -vec
-            current[row] = vec
-            br = branches[row]
-            br.t_grid = np.append(br.t_grid, t_to)
-            br.lambdas = np.append(br.lambdas, lams_f[col])
-            br.err_ests = np.append(br.err_ests, err[col])
-            br.vectors.append(vec)
+            lams[row].append(lams_f[col])
+            errs[row].append(err[col])
+            vectors[row].append(vec)
 
     for t in np.linspace(0.0, t_max, steps + 1)[1:]:
         advance(float(t), 0)
-    return branches
+    return [Branch(k=k, level=n, t_grid=np.array(ts), lambdas=np.array(lams[row]),
+                   err_ests=np.array(errs[row]), vectors=tuple(vectors[row]), grid=grid)
+            for row, n in enumerate(levels)]
 
 
 @dataclass(frozen=True)
@@ -229,8 +230,8 @@ class ContinuityReport:
 def check_continuity_bound(potential: Potential, w_seq, k: int, m: int,
                            tol: Tolerances = Tolerances()) -> ContinuityReport:
     """Verify both one-sided multiplicative continuity bounds for each bump in
-    the sequence: with V_n = V + base * W_n and ||W_n|| the plain sup of the
-    bounded-part increment,
+    the sequence: with V_n = V + base * W_n and ||W_n|| = W_n.scale the plain
+    sup of the bounded-part increment,
 
         lam_m(V_n) - lam_m(V) <= lam_m(V)  * ||W_n||
         lam_m(V)  - lam_m(V_n) <= lam_m(V_n) * ||W_n||.
@@ -249,7 +250,7 @@ def check_continuity_bound(potential: Potential, w_seq, k: int, m: int,
     records = []
     for w_n in w_seq:
         pert = solve_eigen(perturbed_potential(potential, w_n, 1.0), k, m + 1, tol)[m]
-        sup_w = w_n.sup_plain()
+        sup_w = w_n.scale
         upper = base.lam * sup_w - (pert.lam - base.lam)
         lower = pert.lam * sup_w - (base.lam - pert.lam)
         slack = 10.0 * (base.err_est + pert.err_est)

@@ -6,6 +6,9 @@ import importlib
 
 import pytest
 
+from grushin.core import mollified_indicator, parse_potential
+from grushin.perturb import track_branches
+
 MODULES = ["core", "schrod1d", "exact_family", "assembler", "concentration", "perturb", "cli"]
 
 # module -> names that left it (the oracles now live in tests/helpers.py)
@@ -25,6 +28,7 @@ GONE_FROM_CLASSES = {
     ("concentration", "Certificate"): ["witness_value"],
     ("assembler", "AssembledSpectrum"): ["tolerances", "total_count"],
     ("perturb", "Branch"): ["potential", "perturbation"],
+    ("core", "Perturbation"): ["w", "sup_plain"],
 }
 
 
@@ -46,3 +50,11 @@ def test_moved_and_deleted_names_are_gone():
         members = set(dir(cls)) | {f.name for f in dataclasses.fields(cls)}
         for name in names:
             assert name not in members, f"{cls_name}.{name} still exists"
+
+
+def test_branch_is_frozen():
+    (branch,) = track_branches(parse_potential("power:gamma=1"),
+                               mollified_indicator(-1.0, 1.0, 0.2), 1, [0], 0.01, steps=1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        branch.t_grid = branch.t_grid[:1]
+    assert isinstance(branch.vectors, tuple)

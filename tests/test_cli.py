@@ -157,6 +157,23 @@ def test_bad_value_is_usage_error(capsys, argv):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["perturb", "hf", "--potential", "power:gamma=1", "--k", "1", "--n", "0",
+     "--bump=-1,1,0.2,nan"],
+    ["perturb", "continuity", "--potential", "power:gamma=1", "--k", "1", "--m", "0",
+     "--bump=-1,inf,0.2"],
+    ["perturb", "gap", "--potential", "power:gamma=1", "--k", "1", "--m", "1",
+     "--bump=-1,1,0.2,nan"],
+    ["perturb", "gap", "--potential", "power:gamma=1", "--k", "1", "--m", "1",
+     "--bump=-1,inf,0.2"],
+])
+def test_non_finite_bump_is_single_line_exit_1(capsys, argv):
+    code, out, err = run_capture(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err == 'error: code=PreconditionError msg="bump numbers must be finite"\n'
+
+
 def test_perturb_continuity_without_bumps_is_an_error(capsys):
     code, out, err = run_capture(capsys, [
         "perturb", "continuity", "--potential", "power:gamma=1", "--k", "1",

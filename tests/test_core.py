@@ -1,8 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from helpers import render_potential
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from grushin.core import (
@@ -185,7 +188,7 @@ def test_mollifier_preconditions():
 
 def test_perturbation_sup_norms():
     w = mollified_indicator(-1.0, 1.0, 0.2)
-    assert w.sup_plain() == pytest.approx(1.0, rel=1e-10)
+    assert w.scale == pytest.approx(1.0, rel=1e-10)
     pot = parse_potential("power:gamma=1")
     weighted = w.sup_weighted(pot)
     # independent dense scan of x^2 w(x)
@@ -198,9 +201,52 @@ def test_perturbation_sup_norms():
 def test_perturbation_scaling():
     w = mollified_indicator(0.0, 2.0, 0.5).scaled(0.25)
     assert w(1.0) == pytest.approx(0.25)
-    assert w.sup_plain() == pytest.approx(0.25, rel=1e-10)
+    assert w.scale == pytest.approx(0.25, rel=1e-10)
     with pytest.raises(PreconditionError):
         w.scaled(-1.0)
+    with pytest.raises(PreconditionError, match="bump numbers must be finite"):
+        w.scaled(math.inf)
+
+
+def test_perturbation_is_a_value():
+    assert [f.name for f in dataclasses.fields(Perturbation)] == ["a", "b", "eps", "scale"]
+    w = mollified_indicator(-1, 1, 0.2).scaled(0.5)
+    assert w == Perturbation(-1.0, 1.0, 0.2, 0.5)
+    assert hash(w) == hash(Perturbation(-1.0, 1.0, 0.2, 0.5))
+    assert w != Perturbation(-1.0, 1.0, 0.2, 0.25)
+
+
+@pytest.mark.parametrize("numbers", [
+    (-1.0, 1.0, 0.2, math.nan),
+    (-1.0, math.inf, 0.2, 1.0),
+    (-math.inf, 1.0, 0.2, 1.0),
+    (-1.0, 1.0, math.nan, 1.0),
+    (math.nan, 1.0, 0.2, 1.0),
+])
+def test_perturbation_rejects_non_finite_numbers(numbers):
+    with pytest.raises(PreconditionError, match="bump numbers must be finite"):
+        Perturbation(*numbers)
+
+
+FINITE = {"allow_nan": False, "allow_infinity": False}
+
+
+@given(st.floats(-10.0, 10.0, **FINITE), st.floats(1e-3, 20.0, **FINITE),
+       st.floats(1e-3, 1.0, **FINITE), st.floats(0.0, 10.0, **FINITE))
+def test_perturbation_plateau_is_its_scale(a, length, frac, scale):
+    b = a + length
+    eps = frac * (b - a) / 2
+    assume(a < b and 0 < eps <= (b - a) / 2)
+    w = Perturbation(a, b, eps, scale)
+    plateau = np.linspace(a + eps, b - eps, 257)
+    vals = w(plateau)
+    # exactly scale wherever both ramps have saturated in floating point;
+    # within roundoff where (x - a)/eps lands one ulp short of 1 at the ends
+    saturated = ((plateau - a) / eps >= 1.0) & ((plateau - b) / eps <= -1.0)
+    assert np.all(vals[saturated] == scale)
+    assert np.all(np.abs(vals - scale) <= 1e-15 * scale)
+    lo, hi = w.support
+    assert np.all(w(np.linspace(lo, hi, 1025)) <= scale * (1 + 1e-15))
 
 
 def test_sup_on_interval_accuracy():

@@ -209,6 +209,14 @@ def test_continuity_zero_perturbation_equality():
     assert report.verdict == "PASS"
 
 
+def test_continuity_sup_w_is_the_bump_scale():
+    bump = mollified_indicator(-2.0, 2.0, 0.5)
+    seq = [bump.scaled(1.0 / n) for n in range(1, 4)]
+    report = check_continuity_bound(HARMONIC, seq, 1, 0)
+    for n, rec in enumerate(report.records, start=1):
+        assert rec.sup_w == 1.0 / n
+
+
 def test_continuity_rejects_empty_sequence():
     with pytest.raises(PreconditionError, match="empty bump sequence"):
         check_continuity_bound(HARMONIC, [], 1, 0)
