@@ -120,50 +120,56 @@ _EXECUTION_KEYS = {"output", "config"}
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="grushin", description=__doc__)
-    common = _Parser(add_help=False)
-    common.add_argument("--config", help="JSON file with the same keys as the flags")
-    common.add_argument("--output", help="output path ('-' or omitted: stdout)")
-    common.add_argument("--format", choices=["json", "csv"])
-    common.add_argument("--eig-rel", dest="eig_rel", type=float)
-    common.add_argument("--cluster-abs", dest="cluster_abs", type=float)
-
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("spectrum", parents=[common], help="assemble the 2D spectrum below a cap")
+    def command(name: str, summary: str, *shared: str) -> _Parser:
+        # --config, --output, and of the shared flags only those it reads
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--config", help="JSON file with the same keys as the flags")
+        p.add_argument("--output", help="output path ('-' or omitted: stdout)")
+        if "format" in shared:
+            p.add_argument("--format", choices=["json", "csv"])
+        if "eig_rel" in shared:
+            p.add_argument("--eig-rel", dest="eig_rel", type=float)
+        if "cluster_abs" in shared:
+            p.add_argument("--cluster-abs", dest="cluster_abs", type=float)
+        return p
+
+    p = command("spectrum", "assemble the 2D spectrum below a cap",
+                "format", "eig_rel", "cluster_abs")
     p.add_argument("--potential")
     p.add_argument("--emax", type=float)
     p.add_argument("--mode", choices=["auto", "exact", "numeric"])
 
-    p = sub.add_parser("weyl", parents=[common], help="counting-function residuals")
+    p = command("weyl", "counting-function residuals", "format")
     p.add_argument("--s2")
     p.add_argument("--emax", type=float)
     p.add_argument("--samples", type=int)
 
-    p = sub.add_parser("multiplicity", parents=[common], help="multiplicity of one eigenvalue")
+    p = command("multiplicity", "multiplicity of one eigenvalue", "format")
     p.add_argument("--s2")
     p.add_argument("--value")
     p.add_argument("--lin", type=int)
     p.add_argument("--quad", type=int)
 
-    p = sub.add_parser("concentration", parents=[common],
-                       help="concentration certificate over a strip")
+    p = command("concentration", "concentration certificate over a strip")
     p.add_argument("--s2")
     p.add_argument("--emax", type=float)
     p.add_argument("--a")
     p.add_argument("--b")
 
-    p = sub.add_parser("solve1d", parents=[common], help="lowest levels of one 1D mode")
+    p = command("solve1d", "lowest levels of one 1D mode", "format", "eig_rel")
     p.add_argument("--potential")
     p.add_argument("--k", type=int)
     p.add_argument("--m", type=int)
 
-    p = sub.add_parser("check", parents=[common], help="spectral condition checks")
+    p = command("check", "spectral condition checks", "eig_rel", "cluster_abs")
     p.add_argument("target", choices=["property-p"])
     p.add_argument("--potential")
     p.add_argument("--n", type=int)
     p.add_argument("--krange", type=int)
 
-    p = sub.add_parser("perturb", parents=[common], help="perturbation experiments")
+    p = command("perturb", "perturbation experiments", "eig_rel")
     p.add_argument("experiment", choices=["hf", "branch", "split", "gap", "continuity"])
     p.add_argument("--potential")
     p.add_argument("--s2")
@@ -219,7 +225,7 @@ def _require(conf: dict, *keys: str):
 
 
 def _tolerances(conf: dict) -> Tolerances:
-    return Tolerances(eig_rel=conf["eig_rel"], cluster_abs=conf["cluster_abs"])
+    return Tolerances(**{key: conf[key] for key in ("eig_rel", "cluster_abs") if key in conf})
 
 
 def _embedded_config(conf: dict) -> dict:
@@ -323,11 +329,9 @@ def _cmd_multiplicity(conf: dict) -> int:
 
 def _cmd_concentration(conf: dict) -> int:
     _require(conf, "s2", "emax", "a", "b")
-    if conf["format"] == "csv":
-        raise _UsageError("concentration reports are JSON only")
     s2 = parse_exact_scalar(str(conf["s2"]))
     potential = Potential(geometry="cylinder", gamma=1.0, profile=ExactFamilyProfile(s2=s2))
-    spectrum = assemble(potential, conf["emax"], _tolerances(conf), mode="exact")
+    spectrum = assemble(potential, conf["emax"], mode="exact")
     strip = Strip(parse_angle(str(conf["a"])), parse_angle(str(conf["b"])))
     cert = concentration_certificate(spectrum, strip)
     _emit_json({
@@ -358,8 +362,6 @@ def _cmd_solve1d(conf: dict) -> int:
 
 def _cmd_check(conf: dict) -> int:
     _require(conf, "potential", "n", "krange")
-    if conf["format"] == "csv":
-        raise _UsageError("check reports are JSON only")
     potential = parse_potential(conf["potential"])
     report = check_property_p(potential, conf["n"], conf["krange"], _tolerances(conf))
     _emit_json({
@@ -384,8 +386,6 @@ def _perturb_payload(experiment: str, inputs: dict, t_grid: list, lambdas,
 
 
 def _cmd_perturb(conf: dict) -> int:
-    if conf["format"] == "csv":
-        raise _UsageError("perturb reports are JSON only")
     experiment = conf["experiment"]
     tol = _tolerances(conf)
     code = 0

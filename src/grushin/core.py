@@ -372,53 +372,34 @@ def parse_potential(spec: str) -> Potential:
 
 
 # ---------------------------------------------------------------------------
-# Suprema by dense sampling plus interval refinement
+# Suprema of unimodal functions by golden-section search
 # ---------------------------------------------------------------------------
 
-# relative accuracy of the suprema, and the samples that locate their candidates
+# relative accuracy of the suprema
 SUP_REL = 1e-10
-SUP_SAMPLES = 4097
 
 
 def sup_on_interval(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> float:
-    """sup of fn over [lo, hi] to relative accuracy SUP_REL: dense sampling to
-    locate candidate maxima, golden-section refinement around each."""
+    """sup of fn over [lo, hi] to relative accuracy SUP_REL, for fn unimodal
+    on [lo, hi]: one golden-section search over the whole interval."""
     if hi <= lo:
         raise PreconditionError("empty interval")
-    xs = np.linspace(lo, hi, SUP_SAMPLES)
-    vals = np.asarray(fn(xs), dtype=float)
-    best = float(np.max(vals))
-    if best == 0.0:
-        return 0.0
-    # refine the highest-valued local maxima (plateaus produce thousands of
-    # equal-value candidates; a handful of representatives is enough to pin
-    # the sup, since the dense best already equals a plateau value)
-    left = np.concatenate([[-np.inf], vals[:-1]])
-    right = np.concatenate([vals[1:], [-np.inf]])
-    is_peak = (vals >= left) & (vals >= right) & (vals >= best * (1 - 5e-3))
-    candidates = np.nonzero(is_peak)[0]
-    if candidates.size > 32:
-        order = np.argsort(vals[candidates])[::-1]
-        candidates = candidates[order[:32]]
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    for i in candidates:
-        a = xs[max(i - 1, 0)]
-        b = xs[min(i + 1, SUP_SAMPLES - 1)]
-        c = b - invphi * (b - a)
-        d = a + invphi * (b - a)
-        fc = float(fn(np.array([c]))[0])
-        fd = float(fn(np.array([d]))[0])
-        while (b - a) > SUP_REL * max(abs(a), abs(b), 1e-30) and (b - a) > 1e-300:
-            if fc > fd:
-                b, d, fd = d, c, fc
-                c = b - invphi * (b - a)
-                fc = float(fn(np.array([c]))[0])
-            else:
-                a, c, fc = c, d, fd
-                d = a + invphi * (b - a)
-                fd = float(fn(np.array([d]))[0])
-        best = max(best, fc, fd)
-    return best
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc = float(fn(np.array([c]))[0])
+    fd = float(fn(np.array([d]))[0])
+    while (b - a) > SUP_REL * max(abs(a), abs(b), 1e-30):
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = float(fn(np.array([c]))[0])
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = float(fn(np.array([d]))[0])
+    return max(fc, fd)
 
 
 # ---------------------------------------------------------------------------
@@ -434,10 +415,14 @@ class Perturbation:
 
         W(x) = scale * (F((x - a)/eps) - F((x - b)/eps)).
 
-    The plain sup of W is ``scale``. The weighted sup used by gap estimates
-    depends on the potential it perturbs (|x|^(2*gamma) on the cylinder, the
-    sine base on the torus) and has no closed form, so ``sup_weighted``
-    computes it on demand.
+    The plain sup of W is ``scale``. The weighted sup of base * W has no
+    closed form but has a shape: W is the indicator of [a, b] convolved with
+    the log-concave standard bump, so W is log-concave (Prekopa, Acta Sci.
+    Math. 34 (1973) 335), and log base, 2*gamma*log|x| on the cylinder and
+    2*gamma*log|2 sin(x/2)| on the torus, is concave on each side of x = 0.
+    So base * W is unimodal on each side of 0, and ``sup_weighted`` runs one
+    golden-section search per side. W is not wrapped, so a torus bump must
+    lie in [-pi, pi], where 0 is the only zero of base.
     """
 
     a: float
@@ -470,9 +455,19 @@ class Perturbation:
     def scaled(self, factor: float) -> "Perturbation":
         return replace(self, scale=self.scale * factor)
 
-    def sup_weighted(self, potential: Potential) -> float:
+    def check_fits(self, potential: Potential) -> None:
+        """PreconditionError unless a torus bump lies in [-pi, pi]."""
         lo, hi = self.support
-        return sup_on_interval(lambda x: base_factor(potential, x) * self._w(x), lo, hi)
+        if potential.geometry == "torus" and not (-math.pi <= lo and hi <= math.pi):
+            raise PreconditionError(
+                f"torus bump support [{lo!r}, {hi!r}] must lie in [-pi, pi]")
+
+    def sup_weighted(self, potential: Potential) -> float:
+        self.check_fits(potential)
+        lo, hi = self.support
+        pieces = [(lo, 0.0), (0.0, hi)] if lo < 0.0 < hi else [(lo, hi)]
+        return max(sup_on_interval(lambda x: base_factor(potential, x) * self._w(x), p, q)
+                   for p, q in pieces)
 
 
 # Antiderivative of the standard bump, precomputed nodes for Gauss-Legendre.

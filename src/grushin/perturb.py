@@ -59,6 +59,7 @@ def perturbed_potential(potential: Potential, w: Perturbation, t: float) -> Pote
     is allowed for finite differencing as long as |t| * sup(W) stays well
     below 1, which keeps the bounded part above zero.
     """
+    w.check_fits(potential)
     if t == 0.0:
         return potential
     if t < 0.0 and abs(t) * w.scale >= 0.9:
@@ -90,6 +91,7 @@ def hellmann_feynman(potential: Potential, w: Perturbation, k: int, n: int,
     the solver's final grid and its 2h coarsening and Richardson
     extrapolated, so the result is accurate beyond the O(h^2) vector error.
     """
+    w.check_fits(potential)
     grid = solve_eigen(potential, k, n + 1, tol)[n].grid
     i_fine = _weighted_density(potential, w, k, n, grid)
     i_coarse = _weighted_density(potential, w, k, n, grid.coarsened())

@@ -18,7 +18,7 @@ GONE_FROM_MODULES = {
     "grushin.concentration": ["ModeCoefficients", "kappa_coefficients",
                               "ratio_closed_form", "min_ratio_witness", "cmath"],
     "grushin.schrod1d": ["hermite_eigenfunction"],
-    "grushin.core": ["render_potential", "validate_potential"],
+    "grushin.core": ["render_potential", "validate_potential", "SUP_SAMPLES"],
 }
 
 # (module, class) -> attributes and fields that were deleted

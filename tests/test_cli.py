@@ -166,12 +166,17 @@ def test_bad_value_is_usage_error(capsys, argv):
      "--bump=-1,1,0.2,nan"],
     ["perturb", "gap", "--potential", "power:gamma=1", "--k", "1", "--m", "1",
      "--bump=-1,inf,0.2"],
+    # W is not wrapped, so a torus bump past pi is refused, not cut off
+    ["perturb", "hf", "--potential", "torus:gamma=1", "--k", "1", "--n", "0",
+     "--bump=4,5,0.2"],
 ])
 def test_non_finite_bump_is_single_line_exit_1(capsys, argv):
     code, out, err = run_capture(capsys, argv)
     assert code == 1
     assert out == ""
-    assert err == 'error: code=PreconditionError msg="bump numbers must be finite"\n'
+    message = ("torus bump support [3.8, 5.2] must lie in [-pi, pi]"
+               if "torus:gamma=1" in argv else "bump numbers must be finite")
+    assert err == f'error: code=PreconditionError msg="{message}"\n'
 
 
 def test_perturb_continuity_without_bumps_is_an_error(capsys):
@@ -329,11 +334,45 @@ def test_removed_flags_are_usage_errors(capsys, flag):
 
 
 def test_csv_rejected_for_report_commands(capsys):
-    code, _, err = run_capture(capsys, [
+    # JSON-only commands have no --format flag
+    code, out, err = run_capture(capsys, [
         "concentration", "--s2", "irr:sqrt2", "--emax", "10",
         "--a", "0", "--b", "pi", "--format", "csv"])
     assert code == 2
-    assert "JSON only" in err
+    assert out == ""
+    assert "unrecognized arguments: --format csv" in err
+
+
+@pytest.mark.parametrize("command, flag", [
+    (["weyl", "--s2", "0", "--emax", "10"], ["--eig-rel", "1e-9"]),
+    (["weyl", "--s2", "0", "--emax", "10"], ["--cluster-abs", "1e-2"]),
+    (["multiplicity", "--s2", "0", "--value", "45"], ["--eig-rel", "1e-9"]),
+    (["multiplicity", "--s2", "0", "--value", "45"], ["--cluster-abs", "1e-2"]),
+    (["concentration", "--s2", "0", "--emax", "10", "--a", "0", "--b", "1"],
+     ["--eig-rel", "1e-9"]),
+    (["concentration", "--s2", "0", "--emax", "10", "--a", "0", "--b", "1"],
+     ["--cluster-abs", "1e-2"]),
+    (_SOLVE1D, ["--cluster-abs", "1e-2"]),
+    (["check", "property-p", "--potential", "shifted:s2=0", "--n", "3", "--krange", "3"],
+     ["--format", "json"]),
+    (["perturb", "hf", "--potential", "power:gamma=1", "--k", "1", "--n", "0",
+      "--bump=-1,1,0.2"], ["--format", "json"]),
+    (["perturb", "hf", "--potential", "power:gamma=1", "--k", "1", "--n", "0",
+      "--bump=-1,1,0.2"], ["--cluster-abs", "1e-2"]),
+])
+def test_unread_shared_flags_are_usage_errors(tmp_path, capsys, command, flag):
+    # a subcommand takes only the shared flags it reads, by flag or config key
+    code, out, err = run_capture(capsys, command + flag)
+    assert code == 2
+    assert out == ""
+    assert err.startswith('error: code=usage msg="unrecognized arguments')
+    conf = tmp_path / "run.json"
+    key = flag[0][2:].replace("-", "_")
+    conf.write_text(json.dumps({key: flag[1]}), encoding="utf-8")
+    code, out, err = run_capture(capsys, command + ["--config", str(conf)])
+    assert code == 2
+    assert out == ""
+    assert f"config key {key!r} matches no flag" in err
 
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")

@@ -17,6 +17,7 @@ from grushin.core import (
     PreconditionError,
     SampledProfile,
     Tolerances,
+    base_factor,
     eval_potential,
     mollified_indicator,
     parse_exact_scalar,
@@ -186,16 +187,46 @@ def test_mollifier_preconditions():
         mollified_indicator(0.0, 1.0, 0.6)
 
 
+# bumps that straddle 0, sit on one side of it, have a narrow ramp (eps
+# 0.01), or put a plateau far from 0; all lie in [-pi, pi], as a torus bump must
+_SUP_BUMPS = [
+    Perturbation(-1.0, 1.0, 0.2),
+    Perturbation(-0.3, 2.5, 0.4, 1.7),
+    Perturbation(0.5, 2.0, 0.3),
+    Perturbation(-2.5, -0.4, 0.2, 0.6),
+    Perturbation(-0.3, 0.8, 0.01),
+    Perturbation(2.0, 3.0, 0.1),
+]
+_FAR_PLATEAU = Perturbation(5.0, 9.0, 0.5)
+
+
 def test_perturbation_sup_norms():
-    w = mollified_indicator(-1.0, 1.0, 0.2)
-    assert w.scale == pytest.approx(1.0, rel=1e-10)
-    pot = parse_potential("power:gamma=1")
-    weighted = w.sup_weighted(pot)
-    # independent dense scan of x^2 w(x)
-    xs = np.linspace(-1.2, 1.2, 200001)
-    dense = float(np.max(xs * xs * w(xs)))
-    assert weighted >= dense - 1e-12
-    assert weighted == pytest.approx(dense, rel=1e-6)
+    assert mollified_indicator(-1.0, 1.0, 0.2).scale == pytest.approx(1.0, rel=1e-10)
+    cylinders = [parse_potential(f"power:gamma={g}") for g in (0.5, 1, 2)]
+    tori = [parse_potential(f"torus:gamma={g}") for g in (0.5, 1, 2)]
+    for w, pots in [(w, cylinders + tori) for w in _SUP_BUMPS] + [(_FAR_PLATEAU, cylinders)]:
+        # independent dense scan of base * w, w evaluated in chunks to bound memory
+        xs = np.linspace(*w.support, 200001)
+        ws = np.concatenate([w(x) for x in np.array_split(xs, 20)])
+        for pot in pots:
+            weighted = w.sup_weighted(pot)
+            dense = float(np.max(base_factor(pot, xs) * ws))
+            assert weighted >= dense * (1 - 1e-13), (pot, w)
+            assert weighted == pytest.approx(dense, rel=1e-6), (pot, w)
+
+
+def test_sup_weighted_evaluates_few_points(monkeypatch):
+    # one golden-section search per side of 0, not a dense scan
+    points = []
+    w_of = Perturbation._w
+
+    def counted(self, x):
+        points.append(np.size(x))
+        return w_of(self, x)
+
+    monkeypatch.setattr(Perturbation, "_w", counted)
+    Perturbation(-1.0, 1.0, 0.2).sup_weighted(parse_potential("power:gamma=1"))
+    assert 0 < sum(points) <= 250
 
 
 def test_perturbation_scaling():

@@ -249,6 +249,23 @@ def test_gap_avoidance_precondition_violation():
         check_gap_avoidance(HARMONIC, BUMP.scaled(10.0), 1, 1)
 
 
+# W is not wrapped: the torus operator sees only [-pi, pi), so a bump past pi
+# would be cut off or, like this 2 pi-translate of [4 - 2 pi, 5 - 2 pi], lost
+_TORUS = parse_potential("torus:gamma=1")
+_OFF_PERIOD = mollified_indicator(4.0, 5.0, 0.2)
+
+
+@pytest.mark.parametrize("experiment", [
+    lambda: hellmann_feynman(_TORUS, _OFF_PERIOD, 1, 0),
+    lambda: track_branches(_TORUS, _OFF_PERIOD, 1, [0], 0.01, steps=1),
+    lambda: check_gap_avoidance(_TORUS, _OFF_PERIOD.scaled(0.01), 1, 1),
+    lambda: check_continuity_bound(_TORUS, [_OFF_PERIOD], 1, 0),
+], ids=["hf", "branch", "gap", "continuity"])
+def test_torus_experiments_reject_bumps_past_pi(experiment):
+    with pytest.raises(PreconditionError, match=r"torus bump support \[3.8, 5.2\]"):
+        experiment()
+
+
 # --- splitting --------------------------------------------------------------
 
 def test_splitting_ground_collision_s0():
