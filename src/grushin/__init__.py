@@ -15,10 +15,8 @@ from .core import (
 )
 from .schrod1d import EigenPair, Grid, solve_eigen
 from .exact_family import (
-    ExactEigenvalue,
     SpectrumLine,
     counting_function,
-    exact_eigenvalue,
     multiplicity_enumeration,
     multiplicity_factorization,
     weyl_residual,
@@ -46,10 +44,8 @@ __all__ = [
     "EigenPair",
     "Grid",
     "solve_eigen",
-    "ExactEigenvalue",
     "SpectrumLine",
     "counting_function",
-    "exact_eigenvalue",
     "multiplicity_enumeration",
     "multiplicity_factorization",
     "weyl_residual",

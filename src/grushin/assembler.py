@@ -3,9 +3,11 @@ spectra: the full spectrum is the union over nonzero Fourier modes k of the
 spectra of -u'' + k^2 V, each taken twice (k and -k).
 
 Numeric assembly clusters nearby 1D eigenvalues into SpectrumLines within an
-absolute width tied to the solver error estimate; exact assembly (shifted
-parabolas) merges by exact arithmetic. A rigorous mode cutoff bounds the |k|
-that can contribute below the cap.
+absolute width tied to the solver error estimate. Exact assembly (shifted
+parabolas) groups levels by the key of ``exact_family.level_key``, an integer
+for rational s2 and a (lin, quad) pair for a tagged irrational, and the exact
+property-P check compares those same keys. A rigorous mode cutoff bounds the
+|k| that can contribute below the cap.
 """
 
 from __future__ import annotations
@@ -25,13 +27,7 @@ from .core import (
     Tolerances,
     _check_cap,
 )
-from .exact_family import (
-    ExactEigenvalue,
-    SpectrumLine,
-    _sorted_contributors,
-    enumerate_exact_pairs,
-    exact_eigenvalue,
-)
+from .exact_family import SpectrumLine, _sorted_contributors, enumerate_exact_pairs, level_key
 from .schrod1d import solve_eigen, solve_levels_below
 
 __all__ = [
@@ -96,24 +92,11 @@ def k_cutoff(potential: Potential, e_max: float) -> int:
     raise PreconditionError("mode cutoff exceeds 4096; e_max too large for the torus scan")
 
 
-def _exact_level(pair: ExactEigenvalue, s2: ExactScalar) -> tuple[float, int | tuple[int, int]]:
-    """A shifted-parabola level as (value, key): the key decides equality in
-    exact arithmetic and the value is its float. For rational s2 = p/q the
-    key is the integer q * level = q lin + p quad; otherwise it is the
-    (lin, quad) pair."""
-    if s2.is_rational:
-        q = s2.rational.denominator
-        key = q * pair.lin + s2.rational.numerator * pair.quad
-        return key / q, key
-    return pair.value(s2), (pair.lin, pair.quad)
-
-
 def _assemble_exact(potential: Potential, e_max: float) -> AssembledSpectrum:
     s2 = potential.profile.s2
     pairs = enumerate_exact_pairs(s2, e_max)
     groups: dict = {}
-    for k, n, pair in pairs:
-        value, key = _exact_level(pair, s2)
+    for k, n, value, key in pairs:
         _, members = groups.setdefault(key, (value, []))
         members.extend([(k, n), (-k, n)])
     lines = []
@@ -124,7 +107,7 @@ def _assemble_exact(potential: Potential, e_max: float) -> AssembledSpectrum:
         lines.append(SpectrumLine(value=value, contributors=contributors,
                                   multiplicity=len(contributors), **exact))
     lines.sort(key=lambda ln: (ln.value, ln.contributors))
-    k_cut = max((k for k, _, _ in pairs), default=0)
+    k_cut = max((k for k, *_ in pairs), default=0)
     return AssembledSpectrum(e_max=float(e_max), lines=tuple(lines), k_cut=k_cut,
                              mode="exact")
 
@@ -245,7 +228,7 @@ def check_property_p(potential: Potential, n: int, k_range: int,
         s2 = potential.profile.s2
         if s2.is_rational:
             q = s2.rational.denominator
-        levels = [[(i, *_exact_level(exact_eigenvalue(k, i, s2), s2), 0.0) for i in range(n)]
+        levels = [[(i, *level_key(k, i, s2), 0.0) for i in range(n)]
                   for k in range(1, k_range + 1)]
     else:
         mode = "numeric"

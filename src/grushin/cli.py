@@ -13,6 +13,7 @@ certification comes back UNDECIDED.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -118,13 +119,28 @@ _DEFAULTS = {
 _EXECUTION_KEYS = {"output", "config"}
 
 
+# perturb experiment -> summary and the flags it reads, besides --config,
+# --output and --eig-rel
+_EXPERIMENTS = {
+    "hf": ("first-order eigenvalue derivative", ("potential", "k", "n", "bump")),
+    "branch": ("eigenbranch continuation",
+               ("potential", "k", "levels", "tmax", "steps", "bump")),
+    "split": ("splitting of an exact collision", ("s2", "value", "t", "bump")),
+    "gap": ("resolvent gap avoidance", ("potential", "k", "m", "bump")),
+    "continuity": ("spectral continuity bound", ("potential", "k", "m", "bump", "count")),
+}
+_FLAG_TYPES = {"k": int, "n": int, "m": int, "steps": int, "count": int,
+               "tmax": float, "t": float}
+
+
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="grushin", description=__doc__)
     sub = parser.add_subparsers(dest="command")
 
-    def command(name: str, summary: str, *shared: str) -> _Parser:
+    def command(name: str, summary: str, *shared: str, within=sub) -> _Parser:
         # --config, --output, and of the shared flags only those it reads
-        p = sub.add_parser(name, help=summary)
+        p = within.add_parser(name, help=summary)
         p.add_argument("--config", help="JSON file with the same keys as the flags")
         p.add_argument("--output", help="output path ('-' or omitted: stdout)")
         if "format" in shared:
@@ -169,20 +185,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=int)
     p.add_argument("--krange", type=int)
 
-    p = command("perturb", "perturbation experiments", "eig_rel")
-    p.add_argument("experiment", choices=["hf", "branch", "split", "gap", "continuity"])
-    p.add_argument("--potential")
-    p.add_argument("--s2")
-    p.add_argument("--k", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--levels")
-    p.add_argument("--tmax", type=float)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--t", type=float)
-    p.add_argument("--value")
-    p.add_argument("--bump")
-    p.add_argument("--count", type=int)
+    experiments = sub.add_parser("perturb", help="perturbation experiments").add_subparsers(
+        dest="experiment", required=True)
+    for name, (summary, flags) in _EXPERIMENTS.items():
+        p = command(name, summary, "eig_rel", within=experiments)
+        for flag in flags:
+            p.add_argument(f"--{flag}", type=_FLAG_TYPES.get(flag))
 
     return parser
 
@@ -199,16 +207,20 @@ def _resolve(parser: _Parser, argv: list[str], args: argparse.Namespace) -> dict
             raise _UsageError(f"cannot read config {config_path!r}: {exc}") from None
         if not isinstance(file_conf, dict):
             raise _UsageError("config file must hold a JSON object")
+        # the flags go after the subcommand (and perturb's experiment): the
+        # parsers above them take no options
+        head = 2 if args.command == "perturb" else 1
         flags = []
         for key, value in file_conf.items():
             key = key.replace("-", "_")
             if key not in vars(args) or key == "config":
-                raise _UsageError(f"config key {key!r} matches no flag of {args.command}")
+                raise _UsageError(
+                    f"config key {key!r} matches no flag of {' '.join(argv[:head])}")
             if value is not None:
                 text = value if isinstance(value, str) else json.dumps(value)
                 flags.append(f"--{key.replace('_', '-')}={text}")
-        try:  # argv[0] is the subcommand: the top-level parser has no options
-            args = parser.parse_args(argv[:1] + flags + argv[1:])
+        try:
+            args = parser.parse_args(argv[:head] + flags + argv[head:])
         except _UsageError as exc:
             raise _UsageError(f"config {config_path!r}: {exc}") from None
     merged = {k: v for k, v in vars(args).items() if k != "config"}

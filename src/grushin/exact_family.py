@@ -3,17 +3,21 @@ V = x^2 + s2 on the cylinder.
 
 The fibered operator -u'' + k^2 (x^2 + s2) u is a scaled harmonic oscillator,
 so its levels are (2n+1)|k| + k^2 s2. That makes every spectral question below
-a question about integers: eigenvalues are integer pairs (lin, quad) denoting
-lin + quad * s2 with lin = (2n+1)|k| and quad = k^2, multiplicities count
-lattice points, and the eigenvalue counting function is an exact divisor-style
-sum.
+a question about integers: multiplicities count lattice points, and the
+eigenvalue counting function is an exact divisor-style sum.
+
+``level_key`` is the one definition of an exact level: it maps (k, n) to its
+float value and the key that decides equality. For rational s2 = p/q the key
+is the integer q * level = q (2n+1)|k| + p k^2; for a tagged irrational it is
+the pair (lin, quad) = ((2n+1)|k|, k^2), so no float comparison ever decides
+equality.
 
 One per-mode table, ``_modes``, decides which levels lie below a cap for
-counting, enumeration and multiplicities. For rational s2 = p/q every level is
-a multiple of 1/q, so the cap E floors to the integer c = floor(qE), and level
+counting, enumeration and multiplicities. For rational s2 every level is a
+multiple of 1/q, so the cap E floors to the integer c = floor(qE), and level
 n of mode k lies below it exactly when (2n+1) qk <= c - pk^2: 64-bit-guarded
-integers, no Fractions. Tagged irrationals compare by (lin, quad) pair
-equality; only their cap test goes through the float approximation.
+integers, no Fractions. Only the cap test of a tagged irrational goes through
+its float approximation.
 """
 
 from __future__ import annotations
@@ -33,9 +37,8 @@ from .core import (
 )
 
 __all__ = [
-    "ExactEigenvalue",
     "SpectrumLine",
-    "exact_eigenvalue",
+    "level_key",
     "multiplicity_factorization",
     "multiplicity_enumeration",
     "counting_function",
@@ -54,43 +57,6 @@ def _check64(value: int, what: str) -> int:
     if abs(value) > _INT64_MAX:
         raise IntegerOverflowError(f"{what} = {value} exceeds the 64-bit guard")
     return value
-
-
-@dataclass(frozen=True)
-class ExactEigenvalue:
-    """Integer pair (lin, quad) denoting the eigenvalue lin + quad * s2,
-    with lin = (2n+1)|k| and quad = k^2 for some valid (k, n)."""
-
-    lin: int
-    quad: int
-
-    def __post_init__(self):
-        _check64(self.lin, "lin")
-        _check64(self.quad, "quad")
-        if self.lin < 1 or self.quad < 1:
-            raise InvariantViolation("lin and quad must be positive")
-        k = math.isqrt(self.quad)
-        if k * k != self.quad:
-            raise InvariantViolation(f"quad={self.quad} is not a perfect square")
-        if self.lin % k != 0 or (self.lin // k) % 2 != 1:
-            raise InvariantViolation(
-                f"(lin={self.lin}, quad={self.quad}) has no (k, n) preimage")
-
-    @property
-    def abs_k(self) -> int:
-        return math.isqrt(self.quad)
-
-    @property
-    def level(self) -> int:
-        return ((self.lin // self.abs_k) - 1) // 2
-
-    def value(self, s2: ExactScalar) -> float:
-        return float(self.lin + self.quad * s2.approx)
-
-    def exact_value(self, s2: ExactScalar) -> Fraction:
-        if not s2.is_rational:
-            raise PreconditionError("exact numeric value needs rational s2")
-        return Fraction(self.lin) + self.quad * s2.rational
 
 
 @dataclass(frozen=True)
@@ -118,19 +84,19 @@ def _sorted_contributors(pairs) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(pairs, key=lambda kn: (abs(kn[0]), kn[0], kn[1])))
 
 
-def exact_eigenvalue(k: int, n: int, s2: ExactScalar) -> ExactEigenvalue:
-    """The eigenvalue pair for Fourier mode k and oscillator level n:
-    lin = (2n+1)|k|, quad = k^2. The pair itself is s2-independent; s2 only
-    fixes the numeric value lin + quad * s2."""
-    if k == 0:
-        raise PreconditionError("k must be nonzero")
-    if n < 0:
-        raise PreconditionError("n must be >= 0")
-    _check64(k, "k")
-    _check64(n, "n")
+def level_key(k: int, n: int, s2: ExactScalar) -> tuple[float, int | tuple[int, int]]:
+    """Level n of Fourier mode k as (value, key). The key decides equality in
+    exact arithmetic: the integer q * level = q (2n+1)|k| + p k^2 for rational
+    s2 = p/q, otherwise the pair ((2n+1)|k|, k^2). The value is its float."""
+    if k == 0 or n < 0:
+        raise PreconditionError("a level needs k != 0 and n >= 0")
     lin = _check64((2 * n + 1) * abs(k), "(2n+1)|k|")
     quad = _check64(k * k, "k^2")
-    return ExactEigenvalue(lin=lin, quad=quad)
+    if s2.is_rational:
+        q = s2.rational.denominator
+        key = q * lin + s2.rational.numerator * quad
+        return key / q, key
+    return float(lin + quad * s2.approx), (lin, quad)
 
 
 def factorize(value: int) -> dict[int, int]:
@@ -183,11 +149,12 @@ def multiplicity_enumeration(target, s2: ExactScalar) -> SpectrumLine:
     Rational s2 = p/q: the target is an exact rational (int, Fraction, or
     float taken at face value); only targets on the 1/q lattice have
     contributors, and equality is tested in integers on the ``_modes`` table.
-    Irrational s2: the target is a pair (lin, quad) or an ExactEigenvalue and
-    equality is pair equality; no float comparison ever happens.
+    Irrational s2: the target is a pair (lin, quad), the key of ``level_key``,
+    and equality is pair equality; no float comparison ever happens. A pair
+    with no (k, n) preimage has no contributors.
     """
     if s2.is_rational:
-        t = target.exact_value(s2) if isinstance(target, ExactEigenvalue) else Fraction(target)
+        t = Fraction(target)
         if t <= 0:
             raise PreconditionError("eigenvalues are positive")
         contributors = []
@@ -205,10 +172,7 @@ def multiplicity_enumeration(target, s2: ExactScalar) -> SpectrumLine:
             exact_value=t,
         )
 
-    if isinstance(target, ExactEigenvalue):
-        lin, quad = target.lin, target.quad
-    else:
-        lin, quad = target
+    lin, quad = target
     k = math.isqrt(max(quad, 0))
     valid = quad >= 1 and k * k == quad and lin >= k and lin % k == 0 and (lin // k) % 2 == 1
     contributors: list[tuple[int, int]] = []
@@ -300,11 +264,13 @@ def weyl_residual(e_samples, s2: ExactScalar) -> list[WeylSample]:
     return out
 
 
-def enumerate_exact_pairs(s2: ExactScalar, e_max) -> list[tuple[int, int, ExactEigenvalue]]:
-    """Every (k > 0, n, pair) with eigenvalue <= e_max, in (k, n) order."""
+def enumerate_exact_pairs(s2: ExactScalar, e_max
+                          ) -> list[tuple[int, int, float, int | tuple[int, int]]]:
+    """Every (k > 0, n, value, key) of ``level_key`` with eigenvalue <= e_max,
+    in (k, n) order."""
     _check_cap(e_max)
     out = []
     for k, r, d in _modes(s2, e_max):
         for kk, count in zip(k.tolist(), _level_counts(r, d).tolist()):
-            out.extend((kk, n, exact_eigenvalue(kk, n, s2)) for n in range(count))
+            out.extend((kk, n, *level_key(kk, n, s2)) for n in range(count))
     return out

@@ -173,6 +173,42 @@ def brute_count(e_max: int | Fraction, s2_num: int = 0, s2_den: int = 1) -> int:
     return 2 * total
 
 
+def brute_exact_lines(s2: ExactScalar, e_max) -> list[tuple]:
+    """The shifted-parabola spectrum below e_max by direct grouping of every
+    (+-k, n): by Fraction equality of (2n+1)k + k^2 s2 for rational s2 >= 0,
+    by equality of the pair ((2n+1)k, k^2) for a tagged irrational, whose cap
+    test uses its float value. Lines are (value, contributors, multiplicity,
+    exact_value, exact_pair) in (value, contributors) order."""
+    groups: dict = {}
+    k = 1
+    while True:
+        n = 0
+        while True:
+            lin, k2 = (2 * n + 1) * k, k * k
+            if s2.is_rational:
+                key = lin + k2 * s2.rational
+                below = key <= Fraction(e_max)
+            else:
+                key = (lin, k2)
+                below = lin + k2 * s2.approx <= float(e_max)
+            if not below:
+                break
+            groups.setdefault(key, []).extend([(k, n), (-k, n)])
+            n += 1
+        if n == 0:  # s2 >= 0: no higher mode has a level below the cap either
+            break
+        k += 1
+    lines = []
+    for key, members in groups.items():
+        contributors = tuple(sorted(members, key=lambda kn: (abs(kn[0]), kn[0], kn[1])))
+        if s2.is_rational:
+            lines.append((float(key), contributors, len(contributors), key, None))
+        else:
+            value = float(key[0] + key[1] * s2.approx)
+            lines.append((value, contributors, len(contributors), None, key))
+    return sorted(lines, key=lambda line: line[:2])
+
+
 def brute_force_min_ratio(k: int, w: Strip) -> float:
     """Projectively reduced brute-force minimizer of the concentration ratio:
     (alpha, beta) = (cos u, sin u e^{iv}) sweeps representatives of every

@@ -14,7 +14,10 @@ MODULES = ["core", "schrod1d", "exact_family", "assembler", "concentration", "pe
 # module -> names that left it (the oracles now live in tests/helpers.py)
 GONE_FROM_MODULES = {
     "grushin": ["ModeCoefficients", "kappa_coefficients", "ratio_closed_form",
-                "hermite_eigenfunction", "render_potential"],
+                "hermite_eigenfunction", "render_potential", "ExactEigenvalue",
+                "exact_eigenvalue"],
+    "grushin.exact_family": ["ExactEigenvalue", "exact_eigenvalue"],
+    "grushin.assembler": ["ExactEigenvalue", "exact_eigenvalue", "_exact_level"],
     "grushin.concentration": ["ModeCoefficients", "kappa_coefficients",
                               "ratio_closed_form", "min_ratio_witness", "cmath"],
     "grushin.schrod1d": ["hermite_eigenfunction"],

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -7,7 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from grushin.cli import parse_angle, parse_bump, run
+from grushin.cli import _build_parser, parse_angle, parse_bump, run
+
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run_capture(capsys, argv):
@@ -343,6 +347,17 @@ def test_csv_rejected_for_report_commands(capsys):
     assert "unrecognized arguments: --format csv" in err
 
 
+_HF = ["perturb", "hf", "--potential", "power:gamma=1", "--k", "1", "--n", "0",
+       "--bump=-1,1,0.2"]
+_BRANCH = ["perturb", "branch", "--potential", "power:gamma=1", "--k", "1", "--levels", "0",
+           "--tmax", "0.01", "--steps", "2", "--bump=-1,1,0.2"]
+_SPLIT = ["perturb", "split", "--s2", "1", "--value", "6", "--t", "0.05", "--bump=-1,1,0.2"]
+_GAP = ["perturb", "gap", "--potential", "power:gamma=1", "--k", "1", "--m", "1",
+        "--bump=-1,1,0.2,0.2"]
+_CONTINUITY = ["perturb", "continuity", "--potential", "power:gamma=1", "--k", "1",
+               "--m", "0", "--count", "2", "--bump=-2,2,0.5"]
+
+
 @pytest.mark.parametrize("command, flag", [
     (["weyl", "--s2", "0", "--emax", "10"], ["--eig-rel", "1e-9"]),
     (["weyl", "--s2", "0", "--emax", "10"], ["--cluster-abs", "1e-2"]),
@@ -359,9 +374,21 @@ def test_csv_rejected_for_report_commands(capsys):
       "--bump=-1,1,0.2"], ["--format", "json"]),
     (["perturb", "hf", "--potential", "power:gamma=1", "--k", "1", "--n", "0",
       "--bump=-1,1,0.2"], ["--cluster-abs", "1e-2"]),
+    (_HF, ["--steps", "8"]),
+    (_HF, ["--s2", "1"]),
+    (_HF, ["--m", "1"]),
+    (_BRANCH, ["--n", "0"]),
+    (_BRANCH, ["--count", "3"]),
+    (_SPLIT, ["--potential", "power:gamma=1"]),
+    (_SPLIT, ["--k", "1"]),
+    (_GAP, ["--n", "0"]),
+    (_GAP, ["--count", "3"]),
+    (_CONTINUITY, ["--t", "0.1"]),
+    (_CONTINUITY, ["--levels", "0,1"]),
 ])
 def test_unread_shared_flags_are_usage_errors(tmp_path, capsys, command, flag):
-    # a subcommand takes only the shared flags it reads, by flag or config key
+    # a subcommand, and each perturb experiment, takes only the flags it
+    # reads, by flag or config key
     code, out, err = run_capture(capsys, command + flag)
     assert code == 2
     assert out == ""
@@ -375,7 +402,63 @@ def test_unread_shared_flags_are_usage_errors(tmp_path, capsys, command, flag):
     assert f"config key {key!r} matches no flag" in err
 
 
-_SRC = str(Path(__file__).resolve().parent.parent / "src")
+@pytest.mark.parametrize("command, embedded", [
+    (_HF, set()), (_BRANCH, {"steps"}), (_SPLIT, set()), (_GAP, set()),
+    (_CONTINUITY, {"count"}),
+])
+def test_perturb_reports_embed_only_read_keys(capsys, command, embedded):
+    code, out, _ = run_capture(capsys, command)
+    assert code == 0
+    assert {"steps", "count"} & set(json.loads(out)["config"]) == embedded
+
+
+def test_perturb_config_file_reaches_the_experiment(tmp_path, capsys):
+    # config entries are parsed as flags of the experiment, not of perturb
+    conf = tmp_path / "run.json"
+    conf.write_text(json.dumps({"potential": "power:gamma=1", "k": 1, "n": 0,
+                                "bump": "-1,1,0.2", "eig-rel": 1e-8}), encoding="utf-8")
+    code, by_file, _ = run_capture(capsys, ["perturb", "hf", "--config", str(conf)])
+    assert code == 0
+    code, by_flag, _ = run_capture(capsys, _HF + ["--eig-rel", "1e-8"])
+    assert code == 0
+    assert by_file == by_flag
+
+
+def test_parser_is_built_once():
+    # on the first run, not at import
+    assert _build_parser() is _build_parser()
+    probe = "import grushin.cli\nprint(grushin.cli._build_parser.cache_info().currsize)"
+    done = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=_SRC),
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "0"
+
+
+# sha256 of stdout: a change to the exact arithmetic must not move these reports
+# by a byte
+_PINNED_EXACT_REPORTS = [
+    (["spectrum", "--potential", "shifted:s2=0", "--emax", "1000", "--mode", "exact",
+      "--format", "csv"], "176ccf270850d7b732826fa9c2c866522ef8e9649c71973bf38afd6b7da6f85d"),
+    (["spectrum", "--potential", "shifted:s2=irr:sqrt2", "--emax", "700", "--mode", "exact",
+      "--format", "csv"], "6cbf4d2dc59dda024b6cbb0e76c3d188ba19043a49636cc4a6fe47724a11ff64"),
+    (["spectrum", "--potential", "shifted:s2=5/4", "--emax", "300", "--mode", "exact"],
+     "6493cbaabf65b734a3a515aaffcb8754d37701dd7edd8e67bea004744e04913f"),
+    (["check", "property-p", "--potential", "shifted:s2=3/2", "--n", "8", "--krange", "8"],
+     "ec87dfc12a4bdcbc3b94741f17587cbcc1dd021cc6597bcfcaf15f719f48d81f"),
+    (["check", "property-p", "--potential", "shifted:s2=irr:golden", "--n", "12",
+      "--krange", "12"], "8994dbd93b6cb7429d94f248c2c5e5ddbc662e6ce50554d2f63bc1f1ab876fd3"),
+    (["multiplicity", "--s2", "0", "--value", "1155"],
+     "1a9f2c1097c4a6484b22078e80d520045a625a561ecb43c72b40d53add18a048"),
+    (["concentration", "--s2", "irr:golden", "--emax", "1000", "--a", "0", "--b", "pi/3"],
+     "d63246a46fb6fcb8f1c3ec26c86c5f4f745db18bbbbf7695d8559845c3750f18"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", _PINNED_EXACT_REPORTS)
+def test_exact_reports_are_byte_stable(capsys, argv, digest):
+    code, out, err = run_capture(capsys, argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 
 @pytest.mark.parametrize("code, loaded", [

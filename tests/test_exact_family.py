@@ -8,11 +8,10 @@ from helpers import brute_count, enumeration_multiplicities
 
 from grushin.core import ExactScalar, IntegerOverflowError, InvariantViolation, PreconditionError
 from grushin.exact_family import (
-    ExactEigenvalue,
     SpectrumLine,
     counting_function,
     enumerate_exact_pairs,
-    exact_eigenvalue,
+    level_key,
     multiplicity_enumeration,
     multiplicity_factorization,
     weyl_residual,
@@ -24,28 +23,33 @@ SQRT2 = ExactScalar.irrational("sqrt2")
 
 
 def test_exact_eigenvalue_examples():
-    assert exact_eigenvalue(1, 0, S0).value(S0) == 1.0
-    assert exact_eigenvalue(-2, 3, S0).value(S0) == 14.0
-    e = exact_eigenvalue(2, 0, S1)
-    assert e.lin == 2 and e.quad == 4
-    assert e.value(S1) == 6.0
-    assert e.exact_value(S1) == Fraction(6)
+    # level n of mode k is (2n+1)|k| + k^2 s2, keyed by q * level for s2 = p/q
+    assert level_key(1, 0, S0) == (1.0, 1)
+    assert level_key(-2, 3, S0) == (14.0, 14)
+    assert level_key(2, 0, S1) == (6.0, 6)
+    value, key = level_key(1, 1, ExactScalar.from_rational(1, 2))
+    assert (value, key) == (3.5, 7)
+    assert level_key(-3, 2, SQRT2) == (15.0 + 9.0 * math.sqrt(2.0), (15, 9))
 
 
 def test_exact_eigenvalue_guards():
     with pytest.raises(PreconditionError):
-        exact_eigenvalue(0, 1, S0)
+        level_key(0, 1, S0)
+    with pytest.raises(PreconditionError):
+        level_key(1, -1, S0)
     with pytest.raises(IntegerOverflowError):
-        exact_eigenvalue(2**40, 2**40, S0)
+        level_key(2**40, 2**40, S0)
+    with pytest.raises(IntegerOverflowError):
+        level_key(2**32, 0, SQRT2)  # k^2 passes 64 bits while (2n+1)|k| does not
 
 
 def test_exact_eigenvalue_pair_invariants():
-    with pytest.raises(InvariantViolation):
-        ExactEigenvalue(lin=1, quad=2)   # 2 is not a perfect square
-    with pytest.raises(InvariantViolation):
-        ExactEigenvalue(lin=4, quad=4)   # 4/2 = 2 is even, no preimage
-    ok = ExactEigenvalue(lin=15, quad=9)
-    assert ok.abs_k == 3 and ok.level == 2
+    # a (lin, quad) pair is a level only with a (k, n) preimage
+    assert multiplicity_enumeration((1, 2), SQRT2).multiplicity == 0  # 2 is not a square
+    assert multiplicity_enumeration((4, 4), SQRT2).multiplicity == 0  # 4/2 = 2 is even
+    line = multiplicity_enumeration((15, 9), SQRT2)
+    assert line.contributors == ((-3, 2), (3, 2))
+    assert line.exact_pair == (15, 9)
 
 
 def test_spectrum_line_invariants():
@@ -105,9 +109,10 @@ def test_unbounded_multiplicity_witness():
 
 
 def test_irrational_rigidity_small_range():
-    for _, _, pair in enumerate_exact_pairs(SQRT2, 60.0):
-        line = multiplicity_enumeration(pair, SQRT2)
+    for k, n, value, key in enumerate_exact_pairs(SQRT2, 60.0):
+        line = multiplicity_enumeration(key, SQRT2)
         assert line.multiplicity == 2
+        assert line.contributors == ((-k, n), (k, n)) and line.value == value
 
 
 def test_evenness_property():
@@ -201,6 +206,5 @@ def test_weyl_residual_validation():
 
 def test_enumerate_exact_pairs_bounds():
     pairs = enumerate_exact_pairs(S1, 6)
-    values = sorted(p.value(S1) for _, _, p in pairs)
-    assert values == [2.0, 4.0, 6.0, 6.0]
-    assert all(p.value(S1) <= 6.0 for _, _, p in pairs)
+    assert pairs == [(1, 0, 2.0, 2), (1, 1, 4.0, 4), (1, 2, 6.0, 6), (2, 0, 6.0, 6)]
+    assert all(value <= 6.0 for _, _, value, _ in pairs)

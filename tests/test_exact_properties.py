@@ -1,5 +1,6 @@
-"""Property tests of exact counting, enumeration and multiplicities for
-rational s2 = p/q against a brute-force lattice counter."""
+"""Property tests of exact counting, enumeration, multiplicities and
+assembly for rational s2 = p/q and tagged irrationals against brute-force
+lattice oracles."""
 
 from fractions import Fraction
 
@@ -7,9 +8,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import brute_count
+from helpers import brute_count, brute_exact_lines
 
-from grushin.core import ExactScalar, IntegerOverflowError
+from grushin.assembler import assemble
+from grushin.core import ExactFamilyProfile, ExactScalar, IntegerOverflowError, Potential
 from grushin.exact_family import counting_function, enumerate_exact_pairs, multiplicity_enumeration
 
 shifts = st.tuples(st.integers(0, 60), st.integers(1, 50))
@@ -31,7 +33,7 @@ def test_counting_matches_brute_lattice_count(pq, e):
 @given(shifts, caps)
 def test_enumeration_is_half_the_count_in_k_n_order(pq, e):
     s2 = ExactScalar.from_rational(*pq)
-    pairs = [(k, n) for k, n, _ in enumerate_exact_pairs(s2, e)]
+    pairs = [(k, n) for k, n, *_ in enumerate_exact_pairs(s2, e)]
     assert 2 * len(pairs) == counting_function(e, s2)
     assert pairs == sorted(set(pairs))
 
@@ -63,3 +65,19 @@ def test_counting_beyond_64_bits_raises(p, q, extra):
     s2 = ExactScalar.from_rational(p, q)
     with pytest.raises(IntegerOverflowError):
         counting_function(s2.rational + extra, s2)
+
+
+@given(st.one_of(shifts.map(lambda pq: ExactScalar.from_rational(*pq)),
+                 st.sampled_from(["sqrt2", "sqrt3", "sqrt5", "golden", "pi"])
+                 .map(ExactScalar.irrational)),
+       st.one_of(st.integers(1, 150), st.fractions(Fraction(1, 12), 150, max_denominator=12)))
+def test_exact_assembly_matches_brute_grouping(s2, e):
+    # no level of a tagged irrational lies within rounding of these caps, so
+    # the oracle's float cap test agrees with the library's
+    spectrum = assemble(Potential(geometry="cylinder", gamma=1.0,
+                                  profile=ExactFamilyProfile(s2=s2)), e, mode="exact")
+    got = [(ln.value, ln.contributors, ln.multiplicity, ln.exact_value, ln.exact_pair)
+           for ln in spectrum.lines]
+    want = brute_exact_lines(s2, e)
+    assert got == want
+    assert spectrum.k_cut == max((abs(k) for _, kn, *_ in want for k, _ in kn), default=0)
