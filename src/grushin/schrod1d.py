@@ -4,9 +4,13 @@
 
 Discretization is second-order central differences. On the line the matrix is
 symmetric tridiagonal and the lowest m eigenvalues come from Sturm-sequence
-bisection with inverse-iteration eigenvectors (LAPACK stebz/stein); on the
-circle the periodic corner entries break tridiagonality and a dense symmetric
-solver is used at N <= 4096.
+bisection with inverse-iteration eigenvectors (LAPACK stebz/stein). On the
+circle the periodic corner entries break tridiagonality, but the grid is
+closed under x -> -x, so for an even potential (every StructuredProfile) the
+periodic matrix splits exactly into two tridiagonal problems on [0, pi], one
+for even and one for odd eigenvectors, each solved like the line. A circle
+potential not known to be even (CallableProfile, SampledProfile) is solved by
+a dense symmetric solver at N <= 4096.
 
 The grid is halved until the requested levels are accurate. Each grid after
 the first yields the Richardson extrapolant
@@ -45,6 +49,7 @@ from .core import (
     InvariantViolation,
     Potential,
     PreconditionError,
+    StructuredProfile,
     Tolerances,
     _check_cap,
     eval_potential,
@@ -96,6 +101,9 @@ class Grid:
             raise InvariantViolation("need at least 16 grid nodes")
         if self.kind == "line" and not (self.length > 0):
             raise InvariantViolation("line grid needs L > 0")
+        if self.kind == "circle" and self.npoints % 2:
+            # the parity split pairs node j with node N - j, and x = 0 is node N/2
+            raise InvariantViolation("circle grid needs an even node count")
 
     @property
     def h(self) -> float:
@@ -176,6 +184,54 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     return vecs
 
 
+def _dense_circle(potential: Potential, grid: Grid) -> bool:
+    # only a StructuredProfile is known to be even; any other circle potential
+    # needs the dense periodic solve and its node cap
+    return grid.kind == "circle" and not isinstance(potential.profile, StructuredProfile)
+
+
+def _tridiagonal(diag: np.ndarray, off: np.ndarray, m: int, vectors: bool):
+    return scipy.linalg.eigh_tridiagonal(
+        diag, off, eigvals_only=not vectors, select="i", select_range=(0, m - 1),
+        lapack_driver="stebz")
+
+
+def _solve_even_circle(potential: Potential, k: int, m: int, grid: Grid, vectors: bool):
+    """The circle problem for an even V as two tridiagonal problems on the
+    half-grid x_i = i h, i = 0..N/2 (node i is circle node N/2 + i, and its
+    mirror is node N/2 - i, or node 0 for i = N/2).
+
+    Even vectors: all N/2 + 1 half-grid nodes, where u_{-1} = u_1 at x = 0 and
+    u_{N/2+1} = u_{N/2-1} at x = pi. In the unknowns w_i = sqrt(2) u_i (interior)
+    and w_i = u_i (ends) the matrix is symmetric, with the first and last
+    off-diagonals scaled by sqrt(2). Odd vectors vanish at x = 0 and x = pi and
+    solve the Dirichlet problem on nodes 1..N/2-1. Both unfold to circle
+    vectors of unit 2-norm."""
+    n = grid.npoints
+    half = n // 2
+    h = grid.h
+    pot = np.asarray(eval_potential(potential, h * np.arange(half + 1)), dtype=float)
+    diag = 2.0 / (h * h) + (k * k) * pot
+    off = np.full(half, -1.0 / (h * h))
+    off_even = off.copy()
+    off_even[[0, -1]] *= math.sqrt(2.0)
+    even = _tridiagonal(diag, off_even, min(m, half + 1), vectors)
+    odd = _tridiagonal(diag[1:-1], off[1:-1], min(m, half - 1), vectors)
+    if not vectors:
+        return np.sort(np.concatenate([even, odd]))[:m], None
+    (lam_e, u_e), (lam_o, w_o) = even, odd
+    u_e[1:-1] /= math.sqrt(2.0)
+    u_o = np.zeros((half + 1, lam_o.size))
+    u_o[1:-1] = w_o / math.sqrt(2.0)
+    # circle node j sits at |x| = fold[j] h, on the negative side for j < N/2
+    fold = np.abs(np.arange(n) - half)
+    sign = np.where(np.arange(n) < half, -1.0, 1.0)[:, None]
+    lams = np.concatenate([lam_e, lam_o])
+    order = np.argsort(lams, kind="stable")[:m]
+    vecs = np.concatenate([u_e[fold], sign * u_o[fold]], axis=1)[:, order]
+    return lams[order], _fix_signs(vecs / math.sqrt(h))
+
+
 def solve_on_grid(potential: Potential, k: int, m: int, grid: Grid, *,
                   vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """The m lowest eigenpairs of the discretized operator on a fixed grid.
@@ -183,7 +239,10 @@ def solve_on_grid(potential: Potential, k: int, m: int, grid: Grid, *,
     Returns (lams, vecs) with vecs of shape (npoints, m), L2-normalized in the
     discrete inner product h * <u, v>, each with its first significant
     component positive; with ``vectors=False`` only the eigenvalues are
-    computed and vecs is None.
+    computed and vecs is None. A circle with a StructuredProfile (an even V)
+    is solved as its even and odd half-grid problems, whose vectors are
+    exactly even or odd under node j -> N - j; any other circle potential
+    takes the dense solve, capped at CIRCLE_MAX_NODES nodes.
     """
     if k == 0:
         raise PreconditionError("k must be nonzero")
@@ -191,15 +250,14 @@ def solve_on_grid(potential: Potential, k: int, m: int, grid: Grid, *,
         raise PreconditionError("m must be >= 1")
     if m > grid.npoints // 2:
         raise PreconditionError(f"grid with {grid.npoints} nodes cannot resolve {m} levels")
+    if grid.kind == "circle" and not _dense_circle(potential, grid):
+        return _solve_even_circle(potential, k, m, grid, vectors)
     x = grid.points()
     h = grid.h
     pot = np.asarray(eval_potential(potential, x), dtype=float)
     diag = 2.0 / (h * h) + (k * k) * pot
     if grid.kind == "line":
-        off = np.full(grid.npoints - 1, -1.0 / (h * h))
-        out = scipy.linalg.eigh_tridiagonal(
-            diag, off, eigvals_only=not vectors, select="i", select_range=(0, m - 1),
-            lapack_driver="stebz")
+        out = _tridiagonal(diag, np.full(grid.npoints - 1, -1.0 / (h * h)), m, vectors)
     else:
         if grid.npoints > CIRCLE_MAX_NODES:
             raise PreconditionError(f"circle grids are capped at {CIRCLE_MAX_NODES} nodes")
@@ -253,7 +311,7 @@ def _refine(potential: Potential, k: int, m: int, grid: Grid, tol: Tolerances,
     Stops with ConvergenceError (best estimates attached) when the node budget
     runs out, or when the roundoff floor of the discrete problem already
     exceeds the target so further refinement cannot help."""
-    max_nodes = LINE_MAX_NODES if grid.kind == "line" else CIRCLE_MAX_NODES
+    max_nodes = CIRCLE_MAX_NODES if _dense_circle(potential, grid) else LINE_MAX_NODES
     if lams is None:
         lams, _ = solve_on_grid(potential, k, m, grid, vectors=False)
     visited = [grid.npoints]
@@ -302,7 +360,9 @@ def solve_eigen(potential: Potential, k: int, m: int,
     Line problems are truncated to [-L, L] with a confinement margin of 2 in
     energy and one extra doubling of L for safety; the domain is enlarged
     until the computed top level is certified below the barrier. Circle
-    problems use the full period.
+    problems use the full period; an even potential (StructuredProfile) is
+    solved by the parity split with the line's node budget, any other by the
+    dense solve with its cap of CIRCLE_MAX_NODES nodes.
     """
     if k == 0:
         raise PreconditionError("k must be nonzero")

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from grushin.core import (
+    IRRATIONAL_TAGS,
+    ExactFamilyProfile,
     ExactScalar,
     InvariantViolation,
     Perturbation,
@@ -16,6 +18,7 @@ from grushin.core import (
     PotentialSyntaxError,
     PreconditionError,
     SampledProfile,
+    StructuredProfile,
     Tolerances,
     base_factor,
     eval_potential,
@@ -74,6 +77,38 @@ def test_parse_render_round_trip_table(tmp_path):
     path = tmp_path / "pot.csv"
     path.write_text("x,v\n-2,4\n0,0\n2,4\n", encoding="utf-8")
     pot = parse_potential(f"table:{path},ext=2,gamma=1.5")
+    assert parse_potential(render_potential(pot)) == pot
+
+
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_RATIONAL = st.builds(ExactScalar.from_rational, st.integers(0, 10**30), st.integers(1, 10**30))
+_TAGGED = st.sampled_from(sorted(IRRATIONAL_TAGS)).map(ExactScalar.irrational)
+_GRAMMAR = st.one_of(
+    st.builds(Potential, st.sampled_from(["cylinder", "torus"]), _POSITIVE,
+              st.just(StructuredProfile())),
+    st.builds(Potential, st.just("cylinder"), st.just(1.0),
+              st.builds(ExactFamilyProfile, st.one_of(_RATIONAL, _TAGGED))),
+)
+_TABLE = st.tuples(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=8,
+             unique=True).map(sorted),
+    st.lists(st.floats(min_value=0.0, allow_infinity=False), min_size=8, max_size=8),
+    _POSITIVE, st.one_of(st.just(1.0), _POSITIVE))
+
+
+@given(_GRAMMAR)
+def test_parse_render_round_trip_property(pot):
+    assert parse_potential(render_potential(pot)) == pot
+
+
+@given(_TABLE)
+def test_parse_render_round_trip_table_property(tmp_path_factory, table):
+    xs, vs, ext, gamma = table
+    path = tmp_path_factory.mktemp("table") / "pot.csv"
+    path.write_text("x,v\n" + "".join(f"{x!r},{v!r}\n" for x, v in zip(xs, vs)),
+                    encoding="utf-8")
+    pot = Potential("cylinder", gamma, SampledProfile(
+        nodes=tuple(zip(xs, vs)), extrapolation_exponent=ext, source=str(path)))
     assert parse_potential(render_potential(pot)) == pot
 
 

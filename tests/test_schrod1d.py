@@ -15,12 +15,15 @@ from numpy.testing import assert_allclose
 
 from grushin import schrod1d
 from grushin.assembler import assemble
+from grushin.cli import run
 from grushin.core import (
     CallableProfile,
     ConvergenceError,
+    InvariantViolation,
     Potential,
     PreconditionError,
     Tolerances,
+    eval_potential,
     mollified_indicator,
     parse_potential,
 )
@@ -204,10 +207,34 @@ def test_effectivity_against_shooting(gamma):
     _assert_effective(pairs, refs)
 
 
-@pytest.mark.parametrize("k", [1, 2, 4])
-def test_effectivity_torus_default_tolerance(k):
-    pairs = solve_eigen(parse_potential("torus:gamma=1"), k, 5)
-    _assert_effective(pairs, mathieu_levels(k, 5))
+_TORUS_CASES = [(k, m) for m in (5, 9) for k in (1, 2, 4, 8, 16)]
+
+
+@pytest.mark.parametrize("k,m", _TORUS_CASES,
+                         ids=[f"{k}" if m == 5 else f"{k}-m{m}" for k, m in _TORUS_CASES])
+def test_effectivity_torus_default_tolerance(k, m):
+    pairs = solve_eigen(parse_potential("torus:gamma=1"), k, m)
+    _assert_effective(pairs, mathieu_levels(k, m))
+
+
+def test_even_circle_takes_the_line_budget():
+    # 40 levels at the default tolerance need 5,120 nodes, past the dense cap
+    pairs = solve_eigen(parse_potential("torus:gamma=1"), 1, 40)
+    assert pairs[0].grid.npoints > schrod1d.CIRCLE_MAX_NODES
+    _assert_effective(pairs, mathieu_levels(1, 40))
+
+
+def test_perturbed_torus_keeps_the_dense_cap():
+    # a bump off x = 0 breaks evenness, so the circle takes the dense solve
+    pot = perturbed_potential(parse_potential("torus:gamma=1"),
+                              mollified_indicator(0.5, 1.5, 0.2), 0.1)
+    with pytest.raises(ConvergenceError, match="budget of 4096 nodes exhausted") as info:
+        solve_eigen(pot, 1, 40)
+    assert "grids visited: 80, 160, 320, 640, 1280, 2560 nodes" in str(info.value)
+    assert "best relative error reached" in str(info.value)
+    best = info.value.best
+    assert [p.n for p in best] == list(range(40))
+    assert all(p.grid.npoints == 2560 for p in best)
 
 
 @pytest.mark.parametrize("gamma,engages", [("0.5", True), ("0.75", True),
@@ -393,9 +420,70 @@ def test_circle_sine_base_potential():
 def test_grid_invariants():
     with pytest.raises(Exception):
         Grid("line", 8, 1.0)
+    with pytest.raises(InvariantViolation, match="even node count"):
+        Grid("circle", 65)
     grid = Grid("line", 255, 5.0)
     assert grid.h == pytest.approx(10.0 / 256)
     assert grid.refined().h == pytest.approx(grid.h / 2)
     circle = Grid("circle", 64)
     assert circle.h == pytest.approx(2 * math.pi / 64)
     assert len(circle.points()) == 64
+
+
+# --- the parity split of even circles --------------------------------------
+# A torus:gamma=g potential is even, so its circle problem is solved as an
+# even and an odd tridiagonal problem on [0, pi]. The same potential wrapped in
+# a CallableProfile takes the dense periodic solve, which serves as reference.
+
+_EPS = float(np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("n", [64, 256, 1024, 4096])
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_parity_split_matches_dense_solve(k, n, gamma):
+    pot = parse_potential(f"torus:gamma={gamma}")
+    dense = Potential("torus", gamma, CallableProfile(lambda x: eval_potential(pot, x)))
+    grid = Grid("circle", n)
+    h = grid.h
+    m = 8
+    # one level more, so that every checked level has both neighbours
+    lams, vecs = solve_on_grid(pot, k, m + 1, grid)
+    ref, ref_vecs = solve_on_grid(dense, k, m + 1, grid)
+    # both solvers resolve an eigenvalue to about eps * ||A||; at 4,096 nodes
+    # that exceeds 1e-10 of the k = 1 ground level
+    norm = 4.0 / (h * h) + k * k * 4.0 ** gamma
+    assert np.all(np.abs(lams - ref) <= np.maximum(1e-10 * ref, 2.0 * _EPS * norm))
+    assert_allclose(h * vecs.T @ vecs, np.eye(m + 1), rtol=0, atol=1e-12)
+    mirror = vecs[-np.arange(n) % n]  # node j -> node N - j, i.e. x -> -x
+    for u, v in zip(vecs.T, mirror.T):
+        assert np.array_equal(u, v) or np.array_equal(u, -v)
+    for j in range(m):
+        gap = min(abs(ref[j] - ref[i]) for i in range(m + 1) if i != j)
+        if gap > 1e-6 * ref[j]:
+            # an eigenvector is determined to about eps * ||A|| / gap
+            dist = min(math.sqrt(h * np.sum((vecs[:, j] - s * ref_vecs[:, j]) ** 2))
+                       for s in (1.0, -1.0))
+            assert dist <= 4.0 * _EPS * norm / gap, (j, dist, gap)
+
+
+def test_grammar_torus_never_calls_dense_eigh(monkeypatch, capsys):
+    import scipy.linalg
+
+    calls = []
+    original = scipy.linalg.eigh
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", spy)
+    torus = parse_potential("torus:gamma=1")
+    solve_eigen(torus, 2, 5)
+    solve_eigen(torus, 1, 3, Tolerances(eig_rel=1e-5))
+    assert run(["spectrum", "--potential", "torus:gamma=1", "--emax", "8"]) == 0
+    assert calls == []
+    # the spy sees the dense solve that a perturbed torus still takes
+    pot = perturbed_potential(torus, mollified_indicator(0.5, 1.5, 0.2), 0.1)
+    solve_on_grid(pot, 1, 2, Grid("circle", 64))
+    assert calls == [(64, 64)]
