@@ -21,7 +21,7 @@ from .exact_family import (
     multiplicity_factorization,
     weyl_residual,
 )
-from .assembler import AssembledSpectrum, assemble, check_property_p, k_cutoff
+from .assembler import AssembledSpectrum, assemble, check_property_p
 from .concentration import Strip, concentration_certificate, min_ratio
 from .perturb import (
     Branch,
@@ -52,7 +52,6 @@ __all__ = [
     "AssembledSpectrum",
     "assemble",
     "check_property_p",
-    "k_cutoff",
     "Strip",
     "concentration_certificate",
     "min_ratio",

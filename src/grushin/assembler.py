@@ -6,8 +6,13 @@ Numeric assembly clusters nearby 1D eigenvalues into SpectrumLines within an
 absolute width tied to the solver error estimate. Exact assembly (shifted
 parabolas) groups levels by the key of ``exact_family.level_key``, an integer
 for rational s2 and a (lin, quad) pair for a tagged irrational, and the exact
-property-P check compares those same keys. A rigorous mode cutoff bounds the
-|k| that can contribute below the cap.
+property-P check compares those same keys.
+
+Numeric assembly solves modes k = 1, 2, ... upward and stops at the first
+mode with no level below the cap: with V >= 0 every level of -u'' + k^2 V u
+is nondecreasing in |k| (min-max), so no later mode contributes. Pure-power
+and shifted-parabola cylinders satisfy V >= |x|^(2 gamma) and also stop
+before solving the mode that a scaling bound already rules out.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ from .schrod1d import solve_eigen, solve_levels_below
 
 __all__ = [
     "AssembledSpectrum",
-    "k_cutoff",
     "assemble",
     "check_property_p",
     "PropertyPReport",
@@ -42,10 +46,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AssembledSpectrum:
-    """Spectrum below e_max: sorted lines, the largest |k| scanned, and the
-    assembly mode ("exact" or "numeric"). Numeric line values sit within
-    solver resolution of the true eigenvalues, so the e_max boundary is
-    enforced up to that resolution."""
+    """Spectrum below e_max: sorted lines, the largest |k| that contributes
+    a line (0 if none), and the assembly mode ("exact" or "numeric").
+    Numeric line values sit within solver resolution of the true
+    eigenvalues, so the e_max boundary is enforced up to that resolution."""
 
     e_max: float
     lines: tuple[SpectrumLine, ...]
@@ -55,41 +59,12 @@ class AssembledSpectrum:
 
 
 @cache
-def _ground_constant(geometry: str, gamma: float) -> float:
-    """Lowest eigenvalue of -u'' + base(x) u for the pure-power (cylinder) or
-    pure-sine (torus) potential; 1 exactly for the cylinder with gamma=1."""
-    if geometry == "cylinder" and gamma == 1.0:
+def _ground_constant(gamma: float) -> float:
+    """Lowest eigenvalue of -u'' + |x|^(2 gamma) u; 1 exactly for gamma=1."""
+    if gamma == 1.0:
         return 1.0
-    pot = Potential(geometry=geometry, gamma=gamma, profile=StructuredProfile())
+    pot = Potential(geometry="cylinder", gamma=gamma, profile=StructuredProfile())
     return solve_eigen(pot, 1, 1, Tolerances(eig_rel=1e-7))[0].lam
-
-
-def k_cutoff(potential: Potential, e_max: float) -> int:
-    """Largest |k| that can contribute an eigenvalue <= e_max.
-
-    On the cylinder, V >= |x|^(2 gamma) gives the mode lower bound
-    lambda_1(k) >= c_gamma * k^(2/(gamma+1)) by scaling, with c_gamma the
-    pure-power ground energy; the cutoff is the smallest K with
-    c_gamma * (K+1)^(2/(gamma+1)) > e_max. On the torus the ground energy is
-    nondecreasing in |k| and is scanned directly.
-    """
-    _check_cap(e_max)
-    if potential.geometry == "cylinder":
-        # lower-bias the constant by 10x its tolerance so an uncertain c can
-        # only enlarge the scan, never drop a contributing mode
-        c = _ground_constant("cylinder", potential.gamma) * (1.0 - 1e-6)
-        p = 2.0 / (potential.gamma + 1.0)
-        cut = max(1, int((e_max / c) ** (1.0 / p)) - 2)
-        while c * float(cut + 1) ** p <= e_max:
-            cut += 1
-        return cut
-    cut = 1
-    while cut < 4096:
-        lam = solve_eigen(potential, cut + 1, 1, Tolerances(eig_rel=1e-6))[0]
-        if lam.lam - 10.0 * lam.err_est > e_max:
-            return cut
-        cut += 1
-    raise PreconditionError("mode cutoff exceeds 4096; e_max too large for the torus scan")
 
 
 def _assemble_exact(potential: Potential, e_max: float) -> AssembledSpectrum:
@@ -145,15 +120,27 @@ def _cluster(entries: list[tuple[float, float, int, int]], cluster_abs: float
 
 
 def _assemble_numeric(potential: Potential, e_max: float, tol: Tolerances) -> AssembledSpectrum:
-    k_cut = k_cutoff(potential, e_max)
-    per_mode = [solve_levels_below(potential, k, e_max, tol) for k in range(1, k_cut + 1)]
+    # V >= |x|^(2 gamma) bounds lambda_1(k) >= c_gamma * k^(2/(gamma+1)) by
+    # scaling, which rules out a mode without solving it
+    scaling = potential.geometry == "cylinder" and isinstance(
+        potential.profile, (StructuredProfile, ExactFamilyProfile))
+    if scaling:
+        # lower-bias the constant by 10x its tolerance so an uncertain c can
+        # only lengthen the scan, never drop a contributing mode
+        c = _ground_constant(potential.gamma) * (1.0 - 1e-6)
+        p = 2.0 / (potential.gamma + 1.0)
     entries: list[tuple[float, float, int, int]] = []
-    for pairs in per_mode:
-        for p in pairs:
-            entries.append((p.lam, p.err_est, p.k, p.n))
-            entries.append((p.lam, p.err_est, -p.k, p.n))
+    k = 1
+    while not (scaling and c * float(k) ** p > e_max):
+        pairs = solve_levels_below(potential, k, e_max, tol)
+        if not pairs:
+            break
+        for pr in pairs:
+            entries.append((pr.lam, pr.err_est, pr.k, pr.n))
+            entries.append((pr.lam, pr.err_est, -pr.k, pr.n))
+        k += 1
     lines, warnings = _cluster(entries, tol.cluster_abs)
-    return AssembledSpectrum(e_max=float(e_max), lines=tuple(lines), k_cut=k_cut,
+    return AssembledSpectrum(e_max=float(e_max), lines=tuple(lines), k_cut=k - 1,
                              mode="numeric", warnings=tuple(warnings))
 
 

@@ -11,7 +11,6 @@ import numpy as np
 import scipy.linalg
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq, minimize
-from scipy.special import mathieu_a, mathieu_b
 
 from grushin.assembler import PropertyPPair
 from grushin.concentration import Strip, min_ratio
@@ -282,14 +281,16 @@ def shooting_level(gamma: float, k: int, n: int, bracket: tuple[float, float]) -
 
 def mathieu_levels(k: int, m: int) -> list[float]:
     """The m lowest eigenvalues of -u'' + k^2 (4 sin^2(x/2)) u on the circle.
-    With x = 2z this is Mathieu's equation at q = 4k^2 (the sign of q does
-    not matter for even orders), and 2pi-periodic solutions in x are the
-    even-order ones: lambda = 2k^2 + a/4 over a_0 < b_2 < a_2 < b_4 < ..."""
-    q = 4.0 * k * k
-    chars = [float(mathieu_a(0, q))]
-    for r in range(2, 2 * m + 2, 2):
-        chars += [float(mathieu_a(r, q)), float(mathieu_b(r, q))]
-    return [2.0 * k * k + a / 4.0 for a in sorted(chars)[:m]]
+    Since 4 sin^2(x/2) = 2 - 2 cos x, the operator in the basis e^{inx},
+    |n| <= M, is the symmetric tridiagonal matrix with diagonal n^2 + 2k^2
+    and off-diagonals -k^2. A level's coefficients shrink by about k^2/n^2
+    per step once n^2 passes it, and the m lowest levels stay below
+    4k^2 + m^2, so M = 4k + 4m + 64 truncates nothing above roundoff."""
+    big = 4 * k + 4 * m + 64
+    n = np.arange(-big, big + 1, dtype=float)
+    off = np.full(n.size - 1, -float(k * k))
+    matrix = np.diag(n * n + 2.0 * k * k) + np.diag(off, 1) + np.diag(off, -1)
+    return [float(v) for v in np.linalg.eigvalsh(matrix)[:m]]
 
 
 def scalar_truncation_length(potential: Potential, k: int, e_max: float) -> float:

@@ -15,9 +15,9 @@ MODULES = ["core", "schrod1d", "exact_family", "assembler", "concentration", "pe
 GONE_FROM_MODULES = {
     "grushin": ["ModeCoefficients", "kappa_coefficients", "ratio_closed_form",
                 "hermite_eigenfunction", "render_potential", "ExactEigenvalue",
-                "exact_eigenvalue"],
+                "exact_eigenvalue", "k_cutoff"],
     "grushin.exact_family": ["ExactEigenvalue", "exact_eigenvalue"],
-    "grushin.assembler": ["ExactEigenvalue", "exact_eigenvalue", "_exact_level"],
+    "grushin.assembler": ["ExactEigenvalue", "exact_eigenvalue", "_exact_level", "k_cutoff"],
     "grushin.concentration": ["ModeCoefficients", "kappa_coefficients",
                               "ratio_closed_form", "min_ratio_witness", "cmath"],
     "grushin.schrod1d": ["hermite_eigenfunction"],

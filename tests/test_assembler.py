@@ -1,11 +1,14 @@
 import pytest
 from helpers import brute_property_p, weighted_power
 
-from grushin.assembler import assemble, check_property_p, k_cutoff
+from grushin import assembler, schrod1d
+from grushin.assembler import assemble, check_property_p
 from grushin.core import (
     ExactScalar,
     InvariantViolation,
+    Potential,
     PreconditionError,
+    SampledProfile,
     Tolerances,
     mollified_indicator,
     parse_potential,
@@ -18,25 +21,84 @@ POWER2 = parse_potential("power:gamma=2")
 SHIFT0 = parse_potential("shifted:s2=0")
 SHIFT1 = parse_potential("shifted:s2=1")
 SQRT2 = parse_potential("shifted:s2=irr:sqrt2")
+TORUS1 = parse_potential("torus:gamma=1")
+
+
+def _table(xs):
+    """V = 0.01 x^2 sampled at xs, with the quadratic tail beyond them; it
+    lies below |x|^2, so the cylinder's scaling bound does not hold."""
+    nodes = tuple((x, 0.01 * x * x) for x in xs)
+    return Potential(geometry="cylinder", gamma=1.0,
+                     profile=SampledProfile(nodes=nodes, extrapolation_exponent=2.0))
+
+
+# on integer nodes the chords make V linear near x = 0; on a fine grid it is
+# the harmonic oscillator of frequency 0.1 to within the clustering width
+TABLE_COARSE = _table(range(-4, 5))
+TABLE_FINE = _table([i / 100 for i in range(-400, 401)])
+
+
+def _contributing_modes(spectrum):
+    return {abs(k) for line in spectrum.lines for k, _ in line.contributors}
 
 
 def test_k_cutoff_examples():
-    assert k_cutoff(POWER1, 10.0) == 10
-    assert k_cutoff(POWER1, 1.0) == 1
-    cut2 = k_cutoff(POWER2, 10.0)
-    # c2 = quartic ground energy ~ 1.06; smallest K with c2 (K+1)^(2/3) > 10
+    assert assemble(POWER1, 10.0).k_cut == 10
+    assert assemble(POWER1, 1.0).k_cut == 1
+    cut2 = assemble(POWER2, 10.0).k_cut
+    # c2 = quartic ground energy ~ 1.06; mode K contributes while c2 K^(2/3) <= 10
     c2 = solve_eigen(POWER2, 1, 1, Tolerances(eig_rel=1e-7))[0].lam
     assert c2 * (cut2 + 1) ** (2.0 / 3.0) > 10.0
-    assert c2 * float(cut2) ** (2.0 / 3.0) <= 10.0 or cut2 == 1
+    assert c2 * float(cut2) ** (2.0 / 3.0) <= 10.0
 
 
 def test_cutoff_safety_nothing_beyond():
     # modes just past the cutoff contribute nothing below the cap
-    for pot, e_max in ((POWER1, 6.0), (POWER2, 8.0)):
-        cut = k_cutoff(pot, e_max)
+    for pot, e_max in ((POWER1, 6.0), (POWER2, 8.0), (TORUS1, 6.0), (TABLE_COARSE, 1.0)):
+        cut = assemble(pot, e_max).k_cut
         for extra in (1, 2):
             lam = solve_eigen(pot, cut + extra, 1)[0]
             assert lam.lam - 10 * lam.err_est > e_max
+
+
+def test_table_below_the_scaling_bound_keeps_every_mode():
+    # the level 0.1 k (2n+1) reaches 3 at k = 30, which the solver resolves
+    # just above the cap
+    spec = assemble(TABLE_FINE, 3.0)
+    assert spec.k_cut == 29
+    assert _contributing_modes(spec) == set(range(1, 30))
+    assert len(spec.lines) == 30
+
+
+def test_torus_assembly_solves_each_mode_once(monkeypatch):
+    calls = []
+    real = schrod1d.solve_eigen
+
+    def spy(potential, k, m, tol=Tolerances()):
+        calls.append((k, tol.eig_rel))
+        return real(potential, k, m, tol)
+
+    for module in (assembler, schrod1d):
+        monkeypatch.setattr(module, "solve_eigen", spy)
+    spec = assemble(TORUS1, 16.0)
+    assert [k for k, _ in calls] == list(range(1, spec.k_cut + 2))
+    assert all(eig_rel == Tolerances().eig_rel for _, eig_rel in calls)
+
+
+@pytest.mark.parametrize("pot, e_max, k_cut", [
+    (POWER1, 6.5, 6),
+    (POWER1, 0.5, 0),
+    (TORUS1, 8.0, 8),
+    (TORUS1, 0.5, 0),
+    (TABLE_COARSE, 1.0, 8),
+    (SHIFT1, 30.0, 5),
+    (SQRT2, 20.0, 3),
+], ids=["power-6.5", "power-0.5", "torus-8", "torus-0.5", "table-1", "s2_1-30", "sqrt2-20"])
+def test_numeric_k_cut_is_the_largest_contributing_mode(pot, e_max, k_cut):
+    spec = assemble(pot, e_max, mode="numeric")
+    assert spec.k_cut == k_cut
+    assert spec.k_cut == max(_contributing_modes(spec), default=0)
+    assert _contributing_modes(spec) == set(range(1, k_cut + 1))
 
 
 def test_assemble_exact_small_spectrum():
@@ -90,7 +152,6 @@ def test_infinite_cap_rejected():
     calls = [
         lambda: assemble(SHIFT0, inf, mode="exact"),
         lambda: assemble(POWER1, inf),
-        lambda: k_cutoff(POWER1, inf),
         lambda: counting_function(inf, ExactScalar.from_rational(0)),
         lambda: counting_function(inf, ExactScalar.irrational("sqrt2")),
         lambda: enumerate_exact_pairs(ExactScalar.from_rational(1), inf),

@@ -207,7 +207,23 @@ def test_effectivity_against_shooting(gamma):
     _assert_effective(pairs, refs)
 
 
-_TORUS_CASES = [(k, m) for m in (5, 9) for k in (1, 2, 4, 8, 16)]
+def test_mathieu_oracle_matches_scipy():
+    # 2pi-periodic solutions in x = 2z are Mathieu's even orders at q = 4k^2:
+    # lambda = 2k^2 + a/4 over a_0 < b_2 < a_2 < b_4 < ...; scipy's values
+    # go wrong at larger q (mathieu_a(4, 4096) returns mathieu_a(2, 4096))
+    from scipy.special import mathieu_a, mathieu_b
+
+    m = 9
+    for k in (1, 2, 4, 8, 16):
+        q = 4.0 * k * k
+        chars = [float(mathieu_a(0, q))]
+        for r in range(2, 2 * m + 2, 2):
+            chars += [float(mathieu_a(r, q)), float(mathieu_b(r, q))]
+        scipy_levels = [2.0 * k * k + a / 4.0 for a in sorted(chars)[:m]]
+        assert_allclose(mathieu_levels(k, m), scipy_levels, rtol=1e-11, atol=0.0)
+
+
+_TORUS_CASES = [(k, m) for m in (5, 9) for k in (1, 2, 4, 8, 16, 32)]
 
 
 @pytest.mark.parametrize("k,m", _TORUS_CASES,
