@@ -2,11 +2,12 @@
 spectra: the full spectrum is the union over nonzero Fourier modes k of the
 spectra of -u'' + k^2 V, each taken twice (k and -k).
 
-Numeric assembly clusters nearby 1D eigenvalues into SpectrumLines within an
-absolute width tied to the solver error estimate. Exact assembly (shifted
-parabolas) groups levels by the key of ``exact_family.level_key``, an integer
-for rational s2 and a (lin, quad) pair for a tagged irrational, and the exact
-property-P check compares those same keys.
+Numeric assembly chains sorted 1D eigenvalues into SpectrumLines until a gap
+is certified (core.SEPARATION), the rule the numeric property-P check uses.
+Exact assembly (shifted parabolas) groups levels by the key of
+``exact_family.level_key``, an integer for rational s2 and a (lin, quad)
+pair for a tagged irrational, and the exact property-P check compares those
+same keys.
 
 Numeric assembly solves modes k = 1, 2, ... upward and stops at the first
 mode with no level below the cap: with V >= 0 every level of -u'' + k^2 V u
@@ -20,14 +21,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import combinations, groupby
+from math import inf, pi
 
 from .core import (
+    SEPARATION,
     ExactFamilyProfile,
     ExactScalar,
     InvariantViolation,
     Potential,
     PreconditionError,
+    SampledProfile,
     StructuredProfile,
     Tolerances,
     _check_cap,
@@ -87,36 +91,47 @@ def _assemble_exact(potential: Potential, e_max: float) -> AssembledSpectrum:
                              mode="exact")
 
 
-def _cluster(entries: list[tuple[float, float, int, int]], cluster_abs: float
+def _distinct(a: tuple, b: tuple) -> bool:
+    """Whether two entries (lam, err, k, n) are certified distinct levels."""
+    return abs(a[0] - b[0]) > SEPARATION * (a[1] + b[1])
+
+
+def _cluster(entries: list[tuple[float, float, int, int]]
              ) -> tuple[list[SpectrumLine], list[str]]:
-    """Chain-link entries (lam, err, k, n) whose consecutive gaps stay within
-    cluster_abs; warn about cluster pairs closer than 3 * cluster_abs."""
-    max_err = max((err for _, err, _, _ in entries), default=0.0)
-    if 10.0 * max_err > cluster_abs:
-        raise InvariantViolation(
-            f"cluster_abs={cluster_abs!r} is below 10x the achieved error "
-            f"estimate {max_err!r}; tighten eig_rel or widen cluster_abs")
+    """Chain-link entries (lam, err, k, n) in value order until an entry is
+    certified distinct from the previous one. Warn about each line whose
+    chain joins two members certified distinct."""
     entries = sorted(entries, key=lambda e: (e[0], abs(e[2]), e[2], e[3]))
     clusters: list[list[tuple[float, float, int, int]]] = []
     for entry in entries:
-        if clusters and entry[0] - clusters[-1][-1][0] <= cluster_abs:
+        if clusters and not _distinct(clusters[-1][-1], entry):
             clusters[-1].append(entry)
         else:
             clusters.append([entry])
-    warnings = []
-    for prev, cur in zip(clusters, clusters[1:]):
-        gap = cur[0][0] - prev[-1][0]
-        if gap < 3.0 * cluster_abs:
-            warnings.append(
-                f"clusters at {prev[-1][0]!r} and {cur[0][0]!r} are separated by "
-                f"{gap!r} < 3*cluster_abs; multiplicity attribution is ambiguous")
-    lines = []
+    lines, warnings = [], []
     for members in clusters:
         value = sum(lam for lam, _, _, _ in members) / len(members)
         contributors = _sorted_contributors((k, n) for _, _, k, n in members)
         lines.append(SpectrumLine(value=value, contributors=contributors,
                                   multiplicity=len(contributors)))
+        pair = next((ab for ab in combinations(members, 2) if _distinct(*ab)), None)
+        if pair:
+            warnings.append(f"line at {value!r} joins levels (k, n) = {pair[0][2:]} and "
+                            f"{pair[1][2:]}, which are certified distinct")
     return lines, warnings
+
+
+def _check_zero_interval(nodes: tuple[tuple[float, float], ...], e_max: float) -> None:
+    """A table that vanishes on [a, b] has in every mode a level at or below
+    (pi/(b-a))^2, the Dirichlet ground level of [a, b] (min-max), so a cap at
+    or above it holds infinitely many levels."""
+    for zero, run in groupby(nodes, key=lambda node: node[1] == 0):
+        xs = [x for x, _ in run]
+        bound = (pi / (xs[-1] - xs[0])) ** 2 if zero and len(xs) > 1 else inf
+        if e_max >= bound:
+            raise PreconditionError(
+                f"V vanishes on [{xs[0]!r}, {xs[-1]!r}], so every mode has a level at "
+                f"or below (pi/{xs[-1] - xs[0]!r})^2 = {bound!r} <= e_max = {e_max!r}")
 
 
 def _assemble_numeric(potential: Potential, e_max: float, tol: Tolerances) -> AssembledSpectrum:
@@ -129,17 +144,17 @@ def _assemble_numeric(potential: Potential, e_max: float, tol: Tolerances) -> As
         # only lengthen the scan, never drop a contributing mode
         c = _ground_constant(potential.gamma) * (1.0 - 1e-6)
         p = 2.0 / (potential.gamma + 1.0)
+    if isinstance(potential.profile, SampledProfile):
+        _check_zero_interval(potential.profile.nodes, e_max)
     entries: list[tuple[float, float, int, int]] = []
     k = 1
     while not (scaling and c * float(k) ** p > e_max):
         pairs = solve_levels_below(potential, k, e_max, tol)
         if not pairs:
             break
-        for pr in pairs:
-            entries.append((pr.lam, pr.err_est, pr.k, pr.n))
-            entries.append((pr.lam, pr.err_est, -pr.k, pr.n))
+        entries += [(pr.lam, pr.err_est, sign * pr.k, pr.n) for pr in pairs for sign in (1, -1)]
         k += 1
-    lines, warnings = _cluster(entries, tol.cluster_abs)
+    lines, warnings = _cluster(entries)
     return AssembledSpectrum(e_max=float(e_max), lines=tuple(lines), k_cut=k - 1,
                              mode="numeric", warnings=tuple(warnings))
 
@@ -195,15 +210,18 @@ class PropertyPReport:
 
 
 def check_property_p(potential: Potential, n: int, k_range: int,
-                     tol: Tolerances = Tolerances()) -> PropertyPReport:
-    """Report every near-collision |lam_i(P^k) - lam_j(P^l)| <= cluster_abs
-    among the first n levels for 1 <= k < l <= k_range.
+                     tol: Tolerances = Tolerances(), *, cluster_abs: float = 1e-3
+                     ) -> PropertyPReport:
+    """Report every near-collision |lam_i(P^k) - lam_j(P^l)| <=
+    max(cluster_abs, err_bound) among the first n levels for 1 <= k < l <= k_range.
 
     Exact-family potentials are compared in exact arithmetic (collisions are
-    definitive FAILs); numeric potentials certify distinctness only when the
-    gap clears 10x the summed error estimates, and report UNDECIDED pairs
-    otherwise.
+    definitive FAILs, err_bound is 0); numeric pairs are certified distinct
+    only when the gap clears err_bound = SEPARATION * (err_i + err_j), and are
+    UNDECIDED otherwise. The window cluster_abs only adds PASS records.
     """
+    if not (cluster_abs > 0):
+        raise InvariantViolation("cluster_abs must be strictly positive")
     if n < 1:
         raise PreconditionError("n must be >= 1")
     if k_range < 2:
@@ -229,16 +247,12 @@ def check_property_p(potential: Potential, n: int, k_range: int,
                     records.append(PropertyPPair(k, l, i, j, vi, vj, 0.0, 0.0, "FAIL"))
                     continue
                 gap = abs(key_i - key_j) / q if q else abs(vi - vj)
-                if gap <= tol.cluster_abs:
+                err_bound = SEPARATION * (ei + ej)
+                if gap <= max(cluster_abs, err_bound):
                     # distinct exact keys certify the gap on their own
-                    err_bound = 10.0 * (ei + ej)
                     status = "PASS" if key_i is not None or gap > err_bound else "UNDECIDED"
                     records.append(PropertyPPair(k, l, i, j, vi, vj, gap, err_bound, status))
-    if any(r.status == "FAIL" for r in records):
-        verdict = "FAIL"
-    elif any(r.status == "UNDECIDED" for r in records):
-        verdict = "UNDECIDED"
-    else:
-        verdict = "PASS"
+    statuses = {r.status for r in records}
+    verdict = next((v for v in ("FAIL", "UNDECIDED") if v in statuses), "PASS")
     return PropertyPReport(n=n, k_range=k_range, mode=mode,
                            collisions=tuple(records), verdict=verdict)

@@ -151,8 +151,7 @@ def _build_parser() -> _Parser:
             p.add_argument("--cluster-abs", dest="cluster_abs", type=float)
         return p
 
-    p = command("spectrum", "assemble the 2D spectrum below a cap",
-                "format", "eig_rel", "cluster_abs")
+    p = command("spectrum", "assemble the 2D spectrum below a cap", "format", "eig_rel")
     p.add_argument("--potential")
     p.add_argument("--emax", type=float)
     p.add_argument("--mode", choices=["auto", "exact", "numeric"])
@@ -236,19 +235,6 @@ def _require(conf: dict, *keys: str):
             raise _UsageError(f"missing required --{key.replace('_', '-')}")
 
 
-def _tolerances(conf: dict) -> Tolerances:
-    return Tolerances(**{key: conf[key] for key in ("eig_rel", "cluster_abs") if key in conf})
-
-
-def _embedded_config(conf: dict) -> dict:
-    out = {}
-    for key, value in conf.items():
-        if key in _EXECUTION_KEYS or value is None:
-            continue
-        out[key] = value
-    return out
-
-
 def _write(text: str, output: str | None) -> None:
     if output in (None, "-"):
         sys.stdout.write(text)
@@ -257,9 +243,9 @@ def _write(text: str, output: str | None) -> None:
 
 
 def _emit_json(payload: dict, conf: dict) -> None:
-    payload = dict(payload)
-    payload["config"] = _embedded_config(conf)
-    payload["version"] = __version__
+    config = {key: value for key, value in conf.items()
+              if key not in _EXECUTION_KEYS and value is not None}
+    payload = dict(payload, config=config, version=__version__)
     _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", conf.get("output"))
 
 
@@ -279,7 +265,7 @@ def _line_json(line) -> dict:
 def _cmd_spectrum(conf: dict) -> int:
     _require(conf, "potential", "emax")
     potential = parse_potential(conf["potential"])
-    spectrum = assemble(potential, conf["emax"], _tolerances(conf), mode=conf["mode"])
+    spectrum = assemble(potential, conf["emax"], Tolerances(conf["eig_rel"]), mode=conf["mode"])
     if conf["format"] == "csv":
         rows = [f"{line.value!r},{line.multiplicity},{_contributors_field(line)}"
                 for line in spectrum.lines]
@@ -359,7 +345,7 @@ def _cmd_concentration(conf: dict) -> int:
 def _cmd_solve1d(conf: dict) -> int:
     _require(conf, "potential", "k", "m")
     potential = parse_potential(conf["potential"])
-    pairs = solve_eigen(potential, conf["k"], conf["m"], _tolerances(conf))
+    pairs = solve_eigen(potential, conf["k"], conf["m"], Tolerances(conf["eig_rel"]))
     if conf["format"] == "csv":
         rows = [f"{p.k},{p.n},{p.lam!r},{p.err_est!r}" for p in pairs]
         _emit_csv("k,n,lambda,err_est", rows, conf)
@@ -375,7 +361,8 @@ def _cmd_solve1d(conf: dict) -> int:
 def _cmd_check(conf: dict) -> int:
     _require(conf, "potential", "n", "krange")
     potential = parse_potential(conf["potential"])
-    report = check_property_p(potential, conf["n"], conf["krange"], _tolerances(conf))
+    report = check_property_p(potential, conf["n"], conf["krange"], Tolerances(conf["eig_rel"]),
+                              cluster_abs=conf["cluster_abs"])
     _emit_json({
         "potential": conf["potential"],
         "n": report.n,
@@ -399,7 +386,7 @@ def _perturb_payload(experiment: str, inputs: dict, t_grid: list, lambdas,
 
 def _cmd_perturb(conf: dict) -> int:
     experiment = conf["experiment"]
-    tol = _tolerances(conf)
+    tol = Tolerances(conf["eig_rel"])
     code = 0
 
     if experiment == "hf":

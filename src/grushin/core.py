@@ -514,19 +514,21 @@ def mollified_indicator(a: float, b: float, eps: float) -> Perturbation:
     return Perturbation(a, b, eps)
 
 
+# A numeric level is certified distinct from another, or above a cap, when the
+# gap exceeds SEPARATION times the summed error estimates: closing it takes true
+# errors ten times their estimates, and measured effectivity stays below 1.
+SEPARATION = 10.0
+
+
 @dataclass(frozen=True)
 class Tolerances:
-    """Accuracy targets shared across the solvers.
-
-    eig_rel      relative eigenvalue accuracy the refinement loop must reach
-    cluster_abs  absolute width used to merge numeric eigenvalues into lines;
-                 must stay >= 10x the achieved error estimate
-    """
+    """Accuracy target shared across the solvers: eig_rel is the relative
+    eigenvalue accuracy the refinement loop must reach. Which numeric levels
+    count as distinct follows from the achieved error estimates (SEPARATION),
+    not from a width."""
 
     eig_rel: float = 1e-7
-    cluster_abs: float = 1e-3
 
     def __post_init__(self):
-        for name in ("eig_rel", "cluster_abs"):
-            if not (getattr(self, name) > 0):
-                raise InvariantViolation(f"{name} must be strictly positive")
+        if not (self.eig_rel > 0):
+            raise InvariantViolation("eig_rel must be strictly positive")

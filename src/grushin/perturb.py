@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .core import (
+    SEPARATION,
     CallableProfile,
     ConvergenceError,
     ExactFamilyProfile,
@@ -255,7 +257,7 @@ def check_continuity_bound(potential: Potential, w_seq, k: int, m: int,
         sup_w = w_n.scale
         upper = base.lam * sup_w - (pert.lam - base.lam)
         lower = pert.lam * sup_w - (base.lam - pert.lam)
-        slack = 10.0 * (base.err_est + pert.err_est)
+        slack = SEPARATION * (base.err_est + pert.err_est)
         records.append(ContinuityRecord(
             sup_w=sup_w, lam_base=base.lam, lam_pert=pert.lam,
             upper_margin=upper, lower_margin=lower, err_slack=slack,
@@ -305,8 +307,8 @@ def check_gap_avoidance(potential: Potential, w: Perturbation, k: int, m: int,
 
     Precondition: sup(base W) < kappa_m / k^2; otherwise PreconditionError.
     Eigenvalues are counted as intrusions only when they sit inside an
-    interval by more than 10x the error estimate; values straddling an
-    endpoint within error bars yield UNDECIDED.
+    interval by more than SEPARATION * err_est; values straddling an endpoint
+    within error bars yield UNDECIDED.
     """
     if m < 0:
         raise PreconditionError("m must be >= 0")
@@ -334,16 +336,11 @@ def check_gap_avoidance(potential: Potential, w: Perturbation, k: int, m: int,
             if lo >= hi:
                 continue
             depth = min(lam - lo, hi - lam)  # > 0 strictly inside
-            if depth > 10.0 * err:
+            if depth > SEPARATION * err:
                 intrusions.append(lam)
-            elif abs(depth) <= 10.0 * err:
+            elif abs(depth) <= SEPARATION * err:
                 undecided = True
-    if intrusions:
-        verdict = "FAIL"
-    elif undecided:
-        verdict = "UNDECIDED"
-    else:
-        verdict = "PASS"
+    verdict = "FAIL" if intrusions else "UNDECIDED" if undecided else "PASS"
     return GapReport(k=k, m=m, info=info, radius=radius,
                      window=tuple(window), intrusions=tuple(intrusions),
                      verdict=verdict)
@@ -388,8 +385,9 @@ def splitting_experiment(s2: ExactScalar, collision_value, w: Perturbation,
 
     For each contributing (k, n) the report carries the derivative
     k^2 * integral(x^2 W |u|^2) at t = 0 and the deformed eigenvalue; a cross-
-    mode pair is certified separated when its gap clears 10x the summed error
-    estimates, and to first order the gap should match t * |slope difference|.
+    mode pair is certified separated when its gap clears SEPARATION times the
+    summed error estimates, and to first order the gap should match
+    t * |slope difference|.
     """
     if not s2.is_rational:
         raise PreconditionError("splitting experiments run on rational s2")
@@ -420,17 +418,15 @@ def splitting_experiment(s2: ExactScalar, collision_value, w: Perturbation,
         contributors.append(SplitContributor(
             k=k, n=n, slope=slope, lam_perturbed=pair.lam, err_est=pair.err_est))
     pairs = []
-    for i in range(len(contributors)):
-        for j in range(i + 1, len(contributors)):
-            a, b = contributors[i], contributors[j]
-            if a.k == b.k:
-                continue
-            gap = abs(a.lam_perturbed - b.lam_perturbed)
-            err_bound = 10.0 * (a.err_est + b.err_est)
-            pairs.append(SplitPair(
-                k_a=a.k, n_a=a.n, k_b=b.k, n_b=b.n, gap=gap,
-                predicted=t * abs(a.slope - b.slope), err_bound=err_bound,
-                separated=gap > err_bound))
+    for a, b in combinations(contributors, 2):
+        if a.k == b.k:
+            continue
+        gap = abs(a.lam_perturbed - b.lam_perturbed)
+        err_bound = SEPARATION * (a.err_est + b.err_est)
+        pairs.append(SplitPair(
+            k_a=a.k, n_a=a.n, k_b=b.k, n_b=b.n, gap=gap,
+            predicted=t * abs(a.slope - b.slope), err_bound=err_bound,
+            separated=gap > err_bound))
     verdict = "SEPARATED" if pairs and all(p.separated for p in pairs) else "UNDECIDED"
     return SplitReport(value=float(line.value), s2=s2, t=t,
                        contributors=tuple(contributors), pairs=tuple(pairs),

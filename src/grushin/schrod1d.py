@@ -45,6 +45,7 @@ import numpy as np
 import scipy  # scipy.linalg loads on first use, so exact-only commands never load it
 
 from .core import (
+    SEPARATION,
     ConvergenceError,
     InvariantViolation,
     Potential,
@@ -391,15 +392,15 @@ def solve_eigen(potential: Potential, k: int, m: int,
 def solve_levels_below(potential: Potential, k: int, e_max: float,
                        tol: Tolerances = Tolerances()) -> list[EigenPair]:
     """All levels with lambda <= e_max (up to solver resolution at the
-    boundary: levels within 10 * err_est of e_max are kept)."""
+    boundary: levels within SEPARATION * err_est of e_max are kept)."""
     _check_cap(e_max)
     m = max(1, int(e_max / (2.0 * abs(k))) + 2)
     while True:
         pairs = solve_eigen(potential, k, m, tol)
-        if pairs[-1].lam > e_max + 10.0 * pairs[-1].err_est:
+        if pairs[-1].lam > e_max + SEPARATION * pairs[-1].err_est:
             break
         if m > 65536:
             raise ConvergenceError(f"more than {m} levels below e_max={e_max!r}")
         m *= 2
-    return [p for p in pairs if p.lam <= e_max + 10.0 * p.err_est]
+    return [p for p in pairs if p.lam <= e_max + SEPARATION * p.err_est]
 

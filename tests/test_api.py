@@ -32,6 +32,7 @@ GONE_FROM_CLASSES = {
     ("assembler", "AssembledSpectrum"): ["tolerances", "total_count"],
     ("perturb", "Branch"): ["potential", "perturbation"],
     ("core", "Perturbation"): ["w", "sup_plain"],
+    ("core", "Tolerances"): ["cluster_abs"],
 }
 
 

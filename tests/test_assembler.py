@@ -1,3 +1,6 @@
+import math
+import time
+
 import pytest
 from helpers import brute_property_p, weighted_power
 
@@ -5,7 +8,6 @@ from grushin import assembler, schrod1d
 from grushin.assembler import assemble, check_property_p
 from grushin.core import (
     ExactScalar,
-    InvariantViolation,
     Potential,
     PreconditionError,
     SampledProfile,
@@ -67,7 +69,13 @@ def test_table_below_the_scaling_bound_keeps_every_mode():
     spec = assemble(TABLE_FINE, 3.0)
     assert spec.k_cut == 29
     assert _contributing_modes(spec) == set(range(1, 30))
-    assert len(spec.lines) == 30
+    # the sampled table is not exactly 0.01 x^2, so the oscillator's exact
+    # collisions, such as (1, 1) and (3, 0), split by more than their error
+    # bound: every line is one +-k pair
+    assert len(spec.lines) == 63
+    assert all(len({abs(k) for k, _ in line.contributors}) == 1 and line.multiplicity == 2
+               for line in spec.lines)
+    assert sum(line.multiplicity for line in spec.lines) == 126
 
 
 def test_torus_assembly_solves_each_mode_once(monkeypatch):
@@ -164,11 +172,57 @@ def test_infinite_cap_rejected():
             call()
 
 
-def test_cluster_width_guard():
-    # clustering must refuse widths below 10x the achieved error estimate
-    with pytest.raises(InvariantViolation, match="cluster_abs"):
-        assemble(POWER1, 5.0, mode="numeric",
-                 tol=Tolerances(eig_rel=1e-4, cluster_abs=1e-6))
+def test_coarse_tolerance_assembles_the_exact_lines():
+    # lines form from the achieved error estimates, so a coarse eig_rel still
+    # joins the oscillator's exact collisions and nothing else
+    num = assemble(POWER1, 5.0, tol=Tolerances(eig_rel=1e-4))
+    ex = assemble(SHIFT0, 5.0, mode="exact")
+    assert [(ln.contributors, ln.multiplicity) for ln in num.lines] == \
+        [(ln.contributors, ln.multiplicity) for ln in ex.lines]
+    for a, b in zip(num.lines, ex.lines):
+        assert a.value == pytest.approx(b.value, rel=1e-4)
+    assert num.warnings == ()
+
+
+def _line_of(spectrum, k, n):
+    return next(line for line in spectrum.lines if (k, n) in line.contributors)
+
+
+def test_certified_distinct_levels_form_separate_lines():
+    # (7, 1) and (32, 0) of |x|^3 are 1.9e-4 apart, far outside their error
+    # bound: property P certifies them distinct and assembly keeps them apart
+    pot = parse_potential("power:gamma=1.5")
+    spec = assemble(pot, 20.0)
+    a, b = _line_of(spec, 7, 1), _line_of(spec, 32, 0)
+    assert a is not b
+    assert a.contributors == ((-7, 1), (7, 1))
+    assert b.contributors == ((-32, 0), (32, 0))
+    report = check_property_p(pot, 2, 32)
+    (pair,) = [r for r in report.collisions if (r.k, r.i, r.l, r.j) == (7, 1, 32, 0)]
+    assert pair.status == "PASS"
+    assert pair.gap > pair.err_bound
+
+
+def test_torus_lines_follow_the_error_bound():
+    # mode 1 of the circle: levels 5 and 6 differ by 1.4e-4, far outside their
+    # bound, while levels 7 and 8 differ by less than theirs
+    spec = assemble(TORUS1, 32.0)
+    assert _line_of(spec, 1, 5) is not _line_of(spec, 1, 6)
+    assert _line_of(spec, 1, 7) is _line_of(spec, 1, 8)
+
+
+def test_zero_interval_table_fails_fast():
+    # V = 0 on [-1, 1]: every mode has a level at or below (pi/2)^2 < 5
+    nodes = ((-2.0, 1.0), (-1.0, 0.0), (1.0, 0.0), (2.0, 1.0))
+    pot = Potential(geometry="cylinder", gamma=1.0,
+                    profile=SampledProfile(nodes=nodes, extrapolation_exponent=2.0))
+    start = time.perf_counter()
+    with pytest.raises(PreconditionError) as info:
+        assemble(pot, 5.0)
+    assert time.perf_counter() - start < 1.0
+    bound = (math.pi / 2.0) ** 2
+    assert "vanishes on [-1.0, 1.0]" in str(info.value)
+    assert repr(bound) in str(info.value)
 
 
 # --- property (P) ------------------------------------------------------------
@@ -210,7 +264,7 @@ def test_property_p_numeric_collision_is_undecided_not_fail():
 ])
 def test_property_p_records_match_pair_oracle(s2, n, k_range, cluster_abs, verdict, count):
     pot = parse_potential(f"shifted:s2={s2}")
-    report = check_property_p(pot, n, k_range, Tolerances(cluster_abs=cluster_abs))
+    report = check_property_p(pot, n, k_range, cluster_abs=cluster_abs)
     expected = brute_property_p(pot.profile.s2, n, k_range, cluster_abs)
     assert list(report.collisions) == expected
     assert report.verdict == verdict

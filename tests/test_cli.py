@@ -385,6 +385,7 @@ _CONTINUITY = ["perturb", "continuity", "--potential", "power:gamma=1", "--k", "
     (_GAP, ["--count", "3"]),
     (_CONTINUITY, ["--t", "0.1"]),
     (_CONTINUITY, ["--levels", "0,1"]),
+    (["spectrum", "--potential", "power:gamma=1", "--emax", "5"], ["--cluster-abs", "1e-2"]),
 ])
 def test_unread_shared_flags_are_usage_errors(tmp_path, capsys, command, flag):
     # a subcommand, and each perturb experiment, takes only the flags it
@@ -400,6 +401,37 @@ def test_unread_shared_flags_are_usage_errors(tmp_path, capsys, command, flag):
     assert code == 2
     assert out == ""
     assert f"config key {key!r} matches no flag" in err
+
+
+_CHECK_S2_0 = ["check", "property-p", "--potential", "shifted:s2=0", "--n", "12",
+               "--krange", "12"]
+
+
+def test_check_keeps_its_report_window(tmp_path, capsys):
+    # --cluster-abs is the property-P report window, by flag or config key
+    code, by_flag, err = run_capture(capsys, _CHECK_S2_0 + ["--cluster-abs", "1e-2"])
+    assert (code, err) == (0, "")
+    assert json.loads(by_flag)["config"]["cluster_abs"] == 1e-2
+    conf = tmp_path / "run.json"
+    conf.write_text(json.dumps({"cluster_abs": 1e-2}), encoding="utf-8")
+    code, by_file, _ = run_capture(capsys, _CHECK_S2_0 + ["--config", str(conf)])
+    assert code == 0
+    assert by_file == by_flag
+    code, out, err = run_capture(capsys, _CHECK_S2_0 + ["--cluster-abs", "0"])
+    assert (code, out) == (1, "")
+    assert err == 'error: code=InvariantViolation msg="cluster_abs must be strictly positive"\n'
+
+
+def test_check_names_a_pair_inside_its_error_bound(capsys):
+    # at eig_rel 1e-2 the bound of (4, 2) and (11, 1) of x^4 (4.0e-2) exceeds
+    # both their gap (6.3e-3) and the report window: the pair is UNDECIDED
+    code, out, _ = run_capture(capsys, ["check", "property-p", "--potential", "power:gamma=2",
+                                        "--n", "4", "--krange", "16", "--eig-rel", "1e-2"])
+    report = json.loads(out)
+    assert (code, report["verdict"]) == (3, "UNDECIDED")
+    (pair,) = [r for r in report["collisions"] if (r["k"], r["i"], r["l"], r["j"]) == (4, 2, 11, 1)]
+    assert pair["status"] == "UNDECIDED"
+    assert 1e-3 < pair["gap"] <= pair["err_bound"]
 
 
 @pytest.mark.parametrize("command, embedded", [
@@ -441,7 +473,7 @@ _PINNED_EXACT_REPORTS = [
     (["spectrum", "--potential", "shifted:s2=irr:sqrt2", "--emax", "700", "--mode", "exact",
       "--format", "csv"], "6cbf4d2dc59dda024b6cbb0e76c3d188ba19043a49636cc4a6fe47724a11ff64"),
     (["spectrum", "--potential", "shifted:s2=5/4", "--emax", "300", "--mode", "exact"],
-     "6493cbaabf65b734a3a515aaffcb8754d37701dd7edd8e67bea004744e04913f"),
+     "a6ecfab83f5874b19bdd63528f5eb6d15149a4b400b362f6da05d2d9a7634ec1"),
     (["check", "property-p", "--potential", "shifted:s2=3/2", "--n", "8", "--krange", "8"],
      "ec87dfc12a4bdcbc3b94741f17587cbcc1dd021cc6597bcfcaf15f719f48d81f"),
     (["check", "property-p", "--potential", "shifted:s2=irr:golden", "--n", "12",

@@ -8,6 +8,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from grushin.assembler import check_property_p
 from grushin.core import (
     IRRATIONAL_TAGS,
     ExactFamilyProfile,
@@ -325,5 +326,5 @@ def test_tolerances_validated():
     Tolerances()
     with pytest.raises(InvariantViolation):
         Tolerances(eig_rel=0.0)
-    with pytest.raises(InvariantViolation):
-        Tolerances(cluster_abs=-1.0)
+    with pytest.raises(InvariantViolation, match="cluster_abs must be strictly positive"):
+        check_property_p(parse_potential("shifted:s2=0"), 3, 3, cluster_abs=-1.0)
