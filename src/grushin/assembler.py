@@ -9,25 +9,25 @@ Exact assembly (shifted parabolas) groups levels by the key of
 pair for a tagged irrational, and the exact property-P check compares those
 same keys.
 
-Numeric assembly solves modes k = 1, 2, ... upward and stops at the first
+Numeric assembly takes modes k = 1, 2, ... upward and stops at the first
 mode with no level below the cap: with V >= 0 every level of -u'' + k^2 V u
-is nondecreasing in |k| (min-max), so no later mode contributes. Pure-power
-and shifted-parabola cylinders satisfy V >= |x|^(2 gamma) and also stop
-before solving the mode that a scaling bound already rules out.
+is nondecreasing in |k| (min-max), so no later mode contributes. A pure
+power V = |x|^(2 gamma) on the cylinder is solved once, at k = 1: dilation
+makes mode k exactly k^(2/(gamma+1)) times mode 1, values and error
+estimates alike. Every other potential is solved mode by mode, and the
+shifted parabola also stops before the mode that lambda_0(k) >= k rules out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import combinations, groupby
 from math import inf, pi
 
 from .core import (
     SEPARATION,
     ExactFamilyProfile,
-    ExactScalar,
     InvariantViolation,
     Potential,
     PreconditionError,
@@ -60,15 +60,6 @@ class AssembledSpectrum:
     k_cut: int
     mode: str
     warnings: tuple[str, ...] = ()
-
-
-@cache
-def _ground_constant(gamma: float) -> float:
-    """Lowest eigenvalue of -u'' + |x|^(2 gamma) u; 1 exactly for gamma=1."""
-    if gamma == 1.0:
-        return 1.0
-    pot = Potential(geometry="cylinder", gamma=gamma, profile=StructuredProfile())
-    return solve_eigen(pot, 1, 1, Tolerances(eig_rel=1e-7))[0].lam
 
 
 def _assemble_exact(potential: Potential, e_max: float) -> AssembledSpectrum:
@@ -135,24 +126,26 @@ def _check_zero_interval(nodes: tuple[tuple[float, float], ...], e_max: float) -
 
 
 def _assemble_numeric(potential: Potential, e_max: float, tol: Tolerances) -> AssembledSpectrum:
-    # V >= |x|^(2 gamma) bounds lambda_1(k) >= c_gamma * k^(2/(gamma+1)) by
-    # scaling, which rules out a mode without solving it
-    scaling = potential.geometry == "cylinder" and isinstance(
-        potential.profile, (StructuredProfile, ExactFamilyProfile))
-    if scaling:
-        # lower-bias the constant by 10x its tolerance so an uncertain c can
-        # only lengthen the scan, never drop a contributing mode
-        c = _ground_constant(potential.gamma) * (1.0 - 1e-6)
-        p = 2.0 / (potential.gamma + 1.0)
     if isinstance(potential.profile, SampledProfile):
         _check_zero_interval(potential.profile.nodes, e_max)
+    # V = |x|^(2 gamma): x = k^(-1/(gamma+1)) y maps mode k onto k^(2/(gamma+1))
+    # times mode 1, values and errors alike, so only mode 1 is solved
+    power = potential.geometry == "cylinder" and isinstance(potential.profile, StructuredProfile)
+    # V = x^2 + s2 >= x^2 gives lambda_0(k) >= k, and a kept level (lam <= e_max + SEPARATION
+    # err, err <= r lam) has true value at most lam + err <= e_max (1 + r) / (1 - SEPARATION r)
+    shifted, r = isinstance(potential.profile, ExactFamilyProfile), tol.eig_rel
     entries: list[tuple[float, float, int, int]] = []
     k = 1
-    while not (scaling and c * float(k) ** p > e_max):
-        pairs = solve_levels_below(potential, k, e_max, tol)
-        if not pairs:
+    while not (shifted and k * (1.0 - SEPARATION * r) > e_max * (1.0 + r)):
+        if k == 1 or not power:
+            pairs = solve_levels_below(potential, k, e_max, tol)
+        s = float(k) ** (2.0 / (potential.gamma + 1.0)) if power else 1.0
+        # the solver's keep rule, scaled with the levels
+        kept = [(s * pr.lam, s * pr.err_est, pr.n) for pr in pairs
+                if s * pr.lam <= e_max + SEPARATION * s * pr.err_est]
+        if not kept:
             break
-        entries += [(pr.lam, pr.err_est, sign * pr.k, pr.n) for pr in pairs for sign in (1, -1)]
+        entries += [(lam, err, sign * k, n) for lam, err, n in kept for sign in (1, -1)]
         k += 1
     lines, warnings = _cluster(entries)
     return AssembledSpectrum(e_max=float(e_max), lines=tuple(lines), k_cut=k - 1,
@@ -164,8 +157,9 @@ def assemble(potential: Potential, e_max: float, tol: Tolerances = Tolerances(),
     """Assemble the 2D spectrum below e_max.
 
     mode "exact" requires the shifted-parabola family and merges by exact
-    arithmetic; "numeric" solves each mode with the 1D solver and clusters;
-    "auto" picks exact when available.
+    arithmetic; "numeric" takes each mode's levels from the 1D solver (for a
+    pure power on the cylinder, mode 1's levels scaled by k^(2/(gamma+1)))
+    and clusters them; "auto" picks exact when available.
     """
     _check_cap(e_max)
     is_exact = isinstance(potential.profile, ExactFamilyProfile)

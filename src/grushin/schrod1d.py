@@ -191,6 +191,15 @@ def _dense_circle(potential: Potential, grid: Grid) -> bool:
     return grid.kind == "circle" and not isinstance(potential.profile, StructuredProfile)
 
 
+def _diagonal(potential: Potential, k: int, x: np.ndarray, grid: Grid) -> np.ndarray:
+    """The diagonal 2/h^2 + k^2 V(x), checked finite before any LAPACK call."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag = 2.0 / (grid.h * grid.h) + (k * k) * eval_potential(potential, x)
+    if not np.all(np.isfinite(diag)):
+        raise ConvergenceError(f"k^2 V overflows on the grid over [-L, L] with L = {grid.length!r}")
+    return diag
+
+
 def _tridiagonal(diag: np.ndarray, off: np.ndarray, m: int, vectors: bool):
     return scipy.linalg.eigh_tridiagonal(
         diag, off, eigvals_only=not vectors, select="i", select_range=(0, m - 1),
@@ -211,8 +220,7 @@ def _solve_even_circle(potential: Potential, k: int, m: int, grid: Grid, vectors
     n = grid.npoints
     half = n // 2
     h = grid.h
-    pot = np.asarray(eval_potential(potential, h * np.arange(half + 1)), dtype=float)
-    diag = 2.0 / (h * h) + (k * k) * pot
+    diag = _diagonal(potential, k, h * np.arange(half + 1), grid)
     off = np.full(half, -1.0 / (h * h))
     off_even = off.copy()
     off_even[[0, -1]] *= math.sqrt(2.0)
@@ -253,10 +261,8 @@ def solve_on_grid(potential: Potential, k: int, m: int, grid: Grid, *,
         raise PreconditionError(f"grid with {grid.npoints} nodes cannot resolve {m} levels")
     if grid.kind == "circle" and not _dense_circle(potential, grid):
         return _solve_even_circle(potential, k, m, grid, vectors)
-    x = grid.points()
     h = grid.h
-    pot = np.asarray(eval_potential(potential, x), dtype=float)
-    diag = 2.0 / (h * h) + (k * k) * pot
+    diag = _diagonal(potential, k, grid.points(), grid)
     if grid.kind == "line":
         out = _tridiagonal(diag, np.full(grid.npoints - 1, -1.0 / (h * h)), m, vectors)
     else:

@@ -17,7 +17,8 @@ GONE_FROM_MODULES = {
                 "hermite_eigenfunction", "render_potential", "ExactEigenvalue",
                 "exact_eigenvalue", "k_cutoff"],
     "grushin.exact_family": ["ExactEigenvalue", "exact_eigenvalue"],
-    "grushin.assembler": ["ExactEigenvalue", "exact_eigenvalue", "_exact_level", "k_cutoff"],
+    "grushin.assembler": ["ExactEigenvalue", "exact_eigenvalue", "_exact_level", "k_cutoff",
+                          "_ground_constant"],
     "grushin.concentration": ["ModeCoefficients", "kappa_coefficients",
                               "ratio_closed_form", "min_ratio_witness", "cmath"],
     "grushin.schrod1d": ["hermite_eigenfunction"],

@@ -93,6 +93,53 @@ def test_torus_assembly_solves_each_mode_once(monkeypatch):
     assert all(eig_rel == Tolerances().eig_rel for _, eig_rel in calls)
 
 
+def test_power_assembly_solves_mode_one_only(monkeypatch):
+    calls = []
+    real_eigen, real_below = schrod1d.solve_eigen, schrod1d.solve_levels_below
+
+    def spy_eigen(potential, k, m, tol=Tolerances()):
+        calls.append(("solve_eigen", k))
+        return real_eigen(potential, k, m, tol)
+
+    def spy_below(potential, k, e_max, tol=Tolerances()):
+        calls.append(("solve_levels_below", k))
+        return real_below(potential, k, e_max, tol)
+
+    for module in (assembler, schrod1d):
+        monkeypatch.setattr(module, "solve_eigen", spy_eigen)
+        monkeypatch.setattr(module, "solve_levels_below", spy_below)
+    spec = assemble(POWER2, 12.0)
+    assert spec.k_cut > 1
+    assert calls.count(("solve_levels_below", 1)) == 1
+    assert {k for _, k in calls} == {1}
+
+
+@pytest.mark.parametrize("gamma, e_max", [(0.5, 6.0), (0.75, 4.5), (1.5, 12.0), (2.0, 12.0)])
+def test_scaled_power_levels_match_per_mode_solves(monkeypatch, gamma, e_max):
+    # every level of mode k > 1 comes from mode 1 by dilation; an independent
+    # solve of mode k must agree to within the two error estimates
+    entries = []
+    real = assembler._cluster
+
+    def spy(levels):
+        entries.extend(levels)
+        return real(levels)
+
+    monkeypatch.setattr(assembler, "_cluster", spy)
+    pot = parse_potential(f"power:gamma={gamma}")
+    spec = assemble(pot, e_max)
+    assert spec.k_cut > 2
+    by_mode = {}
+    for lam, err, k, n in entries:
+        if k > 0:
+            by_mode.setdefault(k, {})[n] = (lam, err)
+    assert set(by_mode) == set(range(1, spec.k_cut + 1))
+    for k, levels in by_mode.items():
+        solved = solve_eigen(pot, k, max(levels) + 1)
+        for n, (lam, err) in levels.items():
+            assert abs(lam - solved[n].lam) <= err + solved[n].err_est, (k, n)
+
+
 @pytest.mark.parametrize("pot, e_max, k_cut", [
     (POWER1, 6.5, 6),
     (POWER1, 0.5, 0),
@@ -107,6 +154,21 @@ def test_numeric_k_cut_is_the_largest_contributing_mode(pot, e_max, k_cut):
     assert spec.k_cut == k_cut
     assert spec.k_cut == max(_contributing_modes(spec), default=0)
     assert _contributing_modes(spec) == set(range(1, k_cut + 1))
+
+
+@pytest.mark.parametrize("eig_rel, e_max, k_cut", [
+    (1e-2, 5.999, 6),
+    (1e-4, 5.9999, 6),
+    (1e-7, 5.999, 5),
+])
+def test_shifted_scaling_stop_drops_no_admitted_mode(eig_rel, e_max, k_cut):
+    # lambda_0(6) = 6 of x^2 sits within the keep rule's margin of a cap just
+    # below 6 once eig_rel is coarse, so mode 6 belongs to the spectrum there
+    tol = Tolerances(eig_rel=eig_rel)
+    spec = assemble(SHIFT0, e_max, tol=tol, mode="numeric")
+    assert spec.k_cut == k_cut
+    assert _contributing_modes(spec) == set(range(1, k_cut + 1))
+    assert solve_levels_below(SHIFT0, k_cut + 1, e_max, tol) == []
 
 
 def test_assemble_exact_small_spectrum():

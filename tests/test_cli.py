@@ -183,6 +183,21 @@ def test_non_finite_bump_is_single_line_exit_1(capsys, argv):
     assert err == f'error: code=PreconditionError msg="{message}"\n'
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve1d", "--potential", "power:gamma=50", "--k", "1", "--m", "1"],
+    ["spectrum", "--potential", "power:gamma=50", "--emax", "3", "--mode", "numeric"],
+    ["check", "property-p", "--potential", "power:gamma=50", "--n", "2", "--krange", "3"],
+], ids=["solve1d", "spectrum", "property-p"])
+def test_overflowing_potential_is_single_line_exit_1(capsys, argv):
+    # the truncation search widens [-L, L] until |x|^100 overflows on the grid
+    code, out, err = run_capture(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith('error: code=ConvergenceError msg="k^2 V overflows on the grid '
+                          'over [-L, L] with L = ')
+    assert err.count("\n") == 1
+
+
 def test_perturb_continuity_without_bumps_is_an_error(capsys):
     code, out, err = run_capture(capsys, [
         "perturb", "continuity", "--potential", "power:gamma=1", "--k", "1",
