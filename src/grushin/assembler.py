@@ -14,8 +14,7 @@ mode with no level below the cap: with V >= 0 every level of -u'' + k^2 V u
 is nondecreasing in |k| (min-max), so no later mode contributes. A pure
 power V = |x|^(2 gamma) on the cylinder is solved once, at k = 1: dilation
 makes mode k exactly k^(2/(gamma+1)) times mode 1, values and error
-estimates alike. Every other potential is solved mode by mode, and the
-shifted parabola also stops before the mode that lambda_0(k) >= k rules out.
+estimates alike. Every other potential is solved mode by mode.
 """
 
 from __future__ import annotations
@@ -131,12 +130,9 @@ def _assemble_numeric(potential: Potential, e_max: float, tol: Tolerances) -> As
     # V = |x|^(2 gamma): x = k^(-1/(gamma+1)) y maps mode k onto k^(2/(gamma+1))
     # times mode 1, values and errors alike, so only mode 1 is solved
     power = potential.geometry == "cylinder" and isinstance(potential.profile, StructuredProfile)
-    # V = x^2 + s2 >= x^2 gives lambda_0(k) >= k, and a kept level (lam <= e_max + SEPARATION
-    # err, err <= r lam) has true value at most lam + err <= e_max (1 + r) / (1 - SEPARATION r)
-    shifted, r = isinstance(potential.profile, ExactFamilyProfile), tol.eig_rel
     entries: list[tuple[float, float, int, int]] = []
     k = 1
-    while not (shifted and k * (1.0 - SEPARATION * r) > e_max * (1.0 + r)):
+    while True:
         if k == 1 or not power:
             pairs = solve_levels_below(potential, k, e_max, tol)
         s = float(k) ** (2.0 / (potential.gamma + 1.0)) if power else 1.0

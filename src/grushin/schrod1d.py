@@ -196,7 +196,8 @@ def _diagonal(potential: Potential, k: int, x: np.ndarray, grid: Grid) -> np.nda
     with np.errstate(over="ignore", invalid="ignore"):
         diag = 2.0 / (grid.h * grid.h) + (k * k) * eval_potential(potential, x)
     if not np.all(np.isfinite(diag)):
-        raise ConvergenceError(f"k^2 V overflows on the grid over [-L, L] with L = {grid.length!r}")
+        raise ConvergenceError(
+            f"k^2 V is not finite on the grid over [-L, L] with L = {grid.length!r}")
     return diag
 
 

@@ -161,9 +161,10 @@ def test_numeric_k_cut_is_the_largest_contributing_mode(pot, e_max, k_cut):
     (1e-4, 5.9999, 6),
     (1e-7, 5.999, 5),
 ])
-def test_shifted_scaling_stop_drops_no_admitted_mode(eig_rel, e_max, k_cut):
+def test_shifted_k_cut_keeps_every_admitted_mode(eig_rel, e_max, k_cut):
     # lambda_0(6) = 6 of x^2 sits within the keep rule's margin of a cap just
     # below 6 once eig_rel is coarse, so mode 6 belongs to the spectrum there
+    # and k_cut must reach it
     tol = Tolerances(eig_rel=eig_rel)
     spec = assemble(SHIFT0, e_max, tol=tol, mode="numeric")
     assert spec.k_cut == k_cut

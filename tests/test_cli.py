@@ -193,8 +193,8 @@ def test_overflowing_potential_is_single_line_exit_1(capsys, argv):
     code, out, err = run_capture(capsys, argv)
     assert code == 1
     assert out == ""
-    assert err.startswith('error: code=ConvergenceError msg="k^2 V overflows on the grid '
-                          'over [-L, L] with L = ')
+    assert err.startswith('error: code=ConvergenceError msg="k^2 V is not finite on the '
+                          'grid over [-L, L] with L = ')
     assert err.count("\n") == 1
 
 
