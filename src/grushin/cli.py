@@ -1,10 +1,14 @@
 """Command-line front end.
 
-Every subcommand resolves its configuration (flags override an optional JSON
-config file, which overrides built-in defaults), runs a pure computation, and
-emits a deterministic report: identical resolved configurations produce
-byte-identical output files. JSON reports embed the resolved configuration
-and the tool version; CSV output is the plot-ready delimited form.
+Each subcommand, and each perturb experiment, declares its flags once: type
+or choices, and a default or none (required). The parser, the defaults, the
+required-flag checks and the inputs of perturb reports all follow from that
+declaration. A run resolves its configuration (flags override an optional
+JSON config file, which overrides the declared defaults), runs a pure
+computation, and emits a deterministic report: identical resolved
+configurations produce byte-identical output files. JSON reports embed the
+resolved configuration and the tool version; CSV output is the plot-ready
+delimited form.
 
 Exit codes: 0 success, 1 computation error, 2 usage error, 3 when a
 certification comes back UNDECIDED.
@@ -104,33 +108,59 @@ def parse_value(text: str) -> Fraction:
             f"bad value {text!r}; expected a finite rational such as 6, 7/2 or 2.5") from None
 
 
-_DEFAULTS = {
-    "format": "json",
-    "eig_rel": 1e-7,
-    "cluster_abs": 1e-3,
-    "mode": "auto",
-    "samples": 4,
-    "steps": 32,
-    "count": 10,
-}
-
 # execution-only knobs: never embedded in reports, so outputs stay
 # byte-identical across destinations
 _EXECUTION_KEYS = {"output", "config"}
 
+# a flag without a default: the run stops with "missing required --X" when
+# neither the command line nor the config file gives it
+_REQUIRED = object()
+_FORMAT = (("json", "csv"), "json")
+_EIG_REL = (float, 1e-7)
 
-# perturb experiment -> summary and the flags it reads, besides --config,
-# --output and --eig-rel
-_EXPERIMENTS = {
-    "hf": ("first-order eigenvalue derivative", ("potential", "k", "n", "bump")),
-    "branch": ("eigenbranch continuation",
-               ("potential", "k", "levels", "tmax", "steps", "bump")),
-    "split": ("splitting of an exact collision", ("s2", "value", "t", "bump")),
-    "gap": ("resolvent gap avoidance", ("potential", "k", "m", "bump")),
-    "continuity": ("spectral continuity bound", ("potential", "k", "m", "bump", "count")),
+# command -> summary and the flags it reads, besides --config and --output:
+# flag -> (type or choices, default; _REQUIRED, or None for a flag the
+# command reads only in some cases). Required flags are checked in this order.
+_COMMANDS = {
+    "spectrum": ("assemble the 2D spectrum below a cap", {
+        "format": _FORMAT, "eig_rel": _EIG_REL, "potential": (str, _REQUIRED),
+        "emax": (float, _REQUIRED), "mode": (("auto", "exact", "numeric"), "auto")}),
+    "weyl": ("counting-function residuals", {
+        "format": _FORMAT, "s2": (str, _REQUIRED), "emax": (float, _REQUIRED),
+        "samples": (int, 4)}),
+    "multiplicity": ("multiplicity of one eigenvalue", {
+        "format": _FORMAT, "s2": (str, _REQUIRED), "value": (str, None), "lin": (int, None),
+        "quad": (int, None)}),
+    "concentration": ("concentration certificate over a strip", {
+        "s2": (str, _REQUIRED), "emax": (float, _REQUIRED), "a": (str, _REQUIRED),
+        "b": (str, _REQUIRED)}),
+    "solve1d": ("lowest levels of one 1D mode", {
+        "format": _FORMAT, "eig_rel": _EIG_REL, "potential": (str, _REQUIRED),
+        "k": (int, _REQUIRED), "m": (int, _REQUIRED)}),
+    "check": ("spectral condition checks", {
+        "eig_rel": _EIG_REL, "cluster_abs": (float, 1e-3), "potential": (str, _REQUIRED),
+        "n": (int, _REQUIRED), "krange": (int, _REQUIRED)}),
 }
-_FLAG_TYPES = {"k": int, "n": int, "m": int, "steps": int, "count": int,
-               "tmax": float, "t": float}
+# the same for each perturb experiment; its report's inputs are these flags
+# but --eig-rel
+_EXPERIMENTS = {
+    "hf": ("first-order eigenvalue derivative", {
+        "eig_rel": _EIG_REL, "potential": (str, _REQUIRED), "k": (int, _REQUIRED),
+        "n": (int, _REQUIRED), "bump": (str, _REQUIRED)}),
+    "branch": ("eigenbranch continuation", {
+        "eig_rel": _EIG_REL, "potential": (str, _REQUIRED), "k": (int, _REQUIRED),
+        "levels": (str, _REQUIRED), "tmax": (float, _REQUIRED), "steps": (int, 32),
+        "bump": (str, _REQUIRED)}),
+    "split": ("splitting of an exact collision", {
+        "eig_rel": _EIG_REL, "s2": (str, _REQUIRED), "value": (str, _REQUIRED),
+        "t": (float, _REQUIRED), "bump": (str, _REQUIRED)}),
+    "gap": ("resolvent gap avoidance", {
+        "eig_rel": _EIG_REL, "potential": (str, _REQUIRED), "k": (int, _REQUIRED),
+        "m": (int, _REQUIRED), "bump": (str, _REQUIRED)}),
+    "continuity": ("spectral continuity bound", {
+        "eig_rel": _EIG_REL, "potential": (str, _REQUIRED), "k": (int, _REQUIRED),
+        "m": (int, _REQUIRED), "bump": (str, _REQUIRED), "count": (int, 10)}),
+}
 
 
 @functools.cache
@@ -138,66 +168,34 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="grushin", description=__doc__)
     sub = parser.add_subparsers(dest="command")
 
-    def command(name: str, summary: str, *shared: str, within=sub) -> _Parser:
-        # --config, --output, and of the shared flags only those it reads
+    def command(within, name: str, summary: str, flags: dict) -> _Parser:
         p = within.add_parser(name, help=summary)
         p.add_argument("--config", help="JSON file with the same keys as the flags")
         p.add_argument("--output", help="output path ('-' or omitted: stdout)")
-        if "format" in shared:
-            p.add_argument("--format", choices=["json", "csv"])
-        if "eig_rel" in shared:
-            p.add_argument("--eig-rel", dest="eig_rel", type=float)
-        if "cluster_abs" in shared:
-            p.add_argument("--cluster-abs", dest="cluster_abs", type=float)
+        for flag, (kind, default) in flags.items():
+            typed = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+            p.add_argument(f"--{flag.replace('_', '-')}",
+                           default=None if default is _REQUIRED else default, **typed)
         return p
 
-    p = command("spectrum", "assemble the 2D spectrum below a cap", "format", "eig_rel")
-    p.add_argument("--potential")
-    p.add_argument("--emax", type=float)
-    p.add_argument("--mode", choices=["auto", "exact", "numeric"])
-
-    p = command("weyl", "counting-function residuals", "format")
-    p.add_argument("--s2")
-    p.add_argument("--emax", type=float)
-    p.add_argument("--samples", type=int)
-
-    p = command("multiplicity", "multiplicity of one eigenvalue", "format")
-    p.add_argument("--s2")
-    p.add_argument("--value")
-    p.add_argument("--lin", type=int)
-    p.add_argument("--quad", type=int)
-
-    p = command("concentration", "concentration certificate over a strip")
-    p.add_argument("--s2")
-    p.add_argument("--emax", type=float)
-    p.add_argument("--a")
-    p.add_argument("--b")
-
-    p = command("solve1d", "lowest levels of one 1D mode", "format", "eig_rel")
-    p.add_argument("--potential")
-    p.add_argument("--k", type=int)
-    p.add_argument("--m", type=int)
-
-    p = command("check", "spectral condition checks", "eig_rel", "cluster_abs")
-    p.add_argument("target", choices=["property-p"])
-    p.add_argument("--potential")
-    p.add_argument("--n", type=int)
-    p.add_argument("--krange", type=int)
-
+    for name, (summary, flags) in _COMMANDS.items():
+        p = command(sub, name, summary, flags)
+        if name == "check":
+            p.add_argument("target", choices=["property-p"])
     experiments = sub.add_parser("perturb", help="perturbation experiments").add_subparsers(
         dest="experiment", required=True)
     for name, (summary, flags) in _EXPERIMENTS.items():
-        p = command(name, summary, "eig_rel", within=experiments)
-        for flag in flags:
-            p.add_argument(f"--{flag}", type=_FLAG_TYPES.get(flag))
-
+        command(experiments, name, summary, flags)
     return parser
 
 
 def _resolve(parser: _Parser, argv: list[str], args: argparse.Namespace) -> dict:
-    """Merge flags > config file > defaults into one plain dict. Each config entry
-    must name a flag of the subcommand and is parsed as that flag, ahead of the
-    command-line flags so that those win."""
+    """Merge flags > config file > declared defaults into one plain dict, then
+    check the required flags. Each config entry must name a flag of the
+    subcommand and is parsed as that flag, ahead of the command-line flags so
+    that those win."""
+    _, declared = (_EXPERIMENTS[args.experiment] if args.command == "perturb"
+                   else _COMMANDS[args.command])
     config_path = args.config
     if config_path:
         try:
@@ -212,7 +210,7 @@ def _resolve(parser: _Parser, argv: list[str], args: argparse.Namespace) -> dict
         flags = []
         for key, value in file_conf.items():
             key = key.replace("-", "_")
-            if key not in vars(args) or key == "config":
+            if key not in declared and key != "output":
                 raise _UsageError(
                     f"config key {key!r} matches no flag of {' '.join(argv[:head])}")
             if value is not None:
@@ -222,17 +220,11 @@ def _resolve(parser: _Parser, argv: list[str], args: argparse.Namespace) -> dict
             args = parser.parse_args(argv[:head] + flags + argv[head:])
         except _UsageError as exc:
             raise _UsageError(f"config {config_path!r}: {exc}") from None
-    merged = {k: v for k, v in vars(args).items() if k != "config"}
-    for key, value in _DEFAULTS.items():
-        if key in merged and merged[key] is None:
-            merged[key] = value
-    return merged
-
-
-def _require(conf: dict, *keys: str):
-    for key in keys:
-        if conf.get(key) is None:
-            raise _UsageError(f"missing required --{key.replace('_', '-')}")
+    conf = {k: v for k, v in vars(args).items() if k != "config"}
+    for flag, (_, default) in declared.items():
+        if default is _REQUIRED and conf[flag] is None:
+            raise _UsageError(f"missing required --{flag.replace('_', '-')}")
+    return conf
 
 
 def _write(text: str, output: str | None) -> None:
@@ -253,8 +245,12 @@ def _emit_csv(header: str, rows: list[str], conf: dict) -> None:
     _write("\n".join([header] + rows) + "\n", conf.get("output"))
 
 
-def _contributors_field(line) -> str:
-    return ";".join(f"{k}:{n}" for k, n in line.contributors)
+_LINE_HEADER = "value,multiplicity,contributors"
+
+
+def _line_row(line) -> str:
+    contributors = ";".join(f"{k}:{n}" for k, n in line.contributors)
+    return f"{line.value!r},{line.multiplicity},{contributors}"
 
 
 def _line_json(line) -> dict:
@@ -263,13 +259,10 @@ def _line_json(line) -> dict:
 
 
 def _cmd_spectrum(conf: dict) -> int:
-    _require(conf, "potential", "emax")
     potential = parse_potential(conf["potential"])
     spectrum = assemble(potential, conf["emax"], Tolerances(conf["eig_rel"]), mode=conf["mode"])
     if conf["format"] == "csv":
-        rows = [f"{line.value!r},{line.multiplicity},{_contributors_field(line)}"
-                for line in spectrum.lines]
-        _emit_csv("value,multiplicity,contributors", rows, conf)
+        _emit_csv(_LINE_HEADER, [_line_row(line) for line in spectrum.lines], conf)
     else:
         _emit_json({
             "e_max": spectrum.e_max,
@@ -282,9 +275,8 @@ def _cmd_spectrum(conf: dict) -> int:
 
 
 def _cmd_weyl(conf: dict) -> int:
-    _require(conf, "s2", "emax")
-    s2 = parse_exact_scalar(str(conf["s2"]))
-    samples = int(conf["samples"])
+    s2 = parse_exact_scalar(conf["s2"])
+    samples = conf["samples"]
     if samples < 1:
         raise _UsageError("samples must be >= 1")
     es = [conf["emax"] * 10.0 ** (i - samples + 1) for i in range(samples)]
@@ -301,36 +293,35 @@ def _cmd_weyl(conf: dict) -> int:
 
 
 def _cmd_multiplicity(conf: dict) -> int:
-    _require(conf, "s2")
-    s2 = parse_exact_scalar(str(conf["s2"]))
+    s2 = parse_exact_scalar(conf["s2"])
+    # a rational s2 names the value, an irrational one its coordinates
+    reads, unread, kind = ((["value"], ["lin", "quad"], "a rational") if s2.is_rational
+                           else (["lin", "quad"], ["value"], "an irrational"))
+    for flag in reads:
+        if conf[flag] is None:
+            raise _UsageError(f"missing required --{flag}")
+    for flag in unread:
+        if conf[flag] is not None:
+            raise _UsageError(f"--{flag} does not apply to {kind} --s2")
     if s2.is_rational:
-        _require(conf, "value")
         line = multiplicity_enumeration(parse_value(conf["value"]), s2)
     else:
-        _require(conf, "lin", "quad")
         line = multiplicity_enumeration((conf["lin"], conf["quad"]), s2)
-    payload = {
-        "s2": render_exact_scalar(s2),
-        "value": float(line.value),
-        "mult": line.multiplicity,
-        "contributors": [{"k": k, "n": n} for k, n in line.contributors],
-    }
+    if conf["format"] == "csv":
+        _emit_csv(_LINE_HEADER, [_line_row(line)], conf)
+        return 0
+    payload = {"s2": render_exact_scalar(s2), **_line_json(line)}
     if s2.is_rational and s2.rational == 0 and line.exact_value.denominator == 1:
         payload["factorization_mult"] = multiplicity_factorization(int(line.exact_value))
-    if conf["format"] == "csv":
-        _emit_csv("value,multiplicity,contributors",
-                  [f"{line.value!r},{line.multiplicity},{_contributors_field(line)}"], conf)
-    else:
-        _emit_json(payload, conf)
+    _emit_json(payload, conf)
     return 0
 
 
 def _cmd_concentration(conf: dict) -> int:
-    _require(conf, "s2", "emax", "a", "b")
-    s2 = parse_exact_scalar(str(conf["s2"]))
+    s2 = parse_exact_scalar(conf["s2"])
     potential = Potential(geometry="cylinder", gamma=1.0, profile=ExactFamilyProfile(s2=s2))
     spectrum = assemble(potential, conf["emax"], mode="exact")
-    strip = Strip(parse_angle(str(conf["a"])), parse_angle(str(conf["b"])))
+    strip = Strip(parse_angle(conf["a"]), parse_angle(conf["b"]))
     cert = concentration_certificate(spectrum, strip)
     _emit_json({
         "strip": {"a": strip.a, "b": strip.b},
@@ -343,7 +334,6 @@ def _cmd_concentration(conf: dict) -> int:
 
 
 def _cmd_solve1d(conf: dict) -> int:
-    _require(conf, "potential", "k", "m")
     potential = parse_potential(conf["potential"])
     pairs = solve_eigen(potential, conf["k"], conf["m"], Tolerances(conf["eig_rel"]))
     if conf["format"] == "csv":
@@ -359,7 +349,6 @@ def _cmd_solve1d(conf: dict) -> int:
 
 
 def _cmd_check(conf: dict) -> int:
-    _require(conf, "potential", "n", "krange")
     potential = parse_potential(conf["potential"])
     report = check_property_p(potential, conf["n"], conf["krange"], Tolerances(conf["eig_rel"]),
                               cluster_abs=conf["cluster_abs"])
@@ -378,102 +367,71 @@ def _cmd_check(conf: dict) -> int:
     return 3 if report.verdict == "UNDECIDED" else 0
 
 
-def _perturb_payload(experiment: str, inputs: dict, t_grid: list, lambdas,
-                     slopes, gap, verdict: str) -> dict:
-    return {"experiment": experiment, "inputs": inputs, "t_grid": t_grid,
-            "lambdas": lambdas, "slopes": slopes, "gap": gap, "verdict": verdict}
+def _perturb_hf(conf, inputs, tol, potential, s2, bump) -> dict:
+    return {"slopes": [hellmann_feynman(potential, bump, conf["k"], conf["n"], tol)]}
+
+
+def _perturb_branch(conf, inputs, tol, potential, s2, bump) -> dict:
+    inputs["levels"] = parse_levels(conf["levels"])
+    branches = track_branches(potential, bump, conf["k"], inputs["levels"],
+                              conf["tmax"], conf["steps"], tol)
+    return {"t_grid": [float(t) for t in branches[0].t_grid],
+            "lambdas": [[float(v) for v in br.lambdas] for br in branches],
+            "slopes": [hellmann_feynman(potential, bump, conf["k"], br.level, tol)
+                       for br in branches]}
+
+
+def _perturb_split(conf, inputs, tol, potential, s2, bump) -> dict:
+    inputs["s2"] = render_exact_scalar(s2)
+    report = splitting_experiment(s2, parse_value(conf["value"]), bump, conf["t"], tol)
+    return {"t_grid": [0.0, conf["t"]],
+            "lambdas": [{"k": c.k, "n": c.n, "lambda": c.lam_perturbed, "err_est": c.err_est}
+                        for c in report.contributors],
+            "slopes": [{"k": c.k, "n": c.n, "slope": c.slope} for c in report.contributors],
+            "gap": min((p.gap for p in report.pairs), default=None),
+            "verdict": report.verdict}
+
+
+def _perturb_gap(conf, inputs, tol, potential, s2, bump) -> dict:
+    report = check_gap_avoidance(potential, bump, conf["k"], conf["m"], tol)
+    inputs.update(lambda_m=report.info.lambda_m, radius=report.radius,
+                  j_minus=list(report.info.j_minus), j_plus=list(report.info.j_plus))
+    return {"lambdas": [{"lambda": lam, "err_est": err} for lam, err in report.window],
+            "gap": report.info.kappa_m, "verdict": report.verdict}
+
+
+def _perturb_continuity(conf, inputs, tol, potential, s2, bump) -> dict:
+    seq = [bump.scaled(1.0 / n) for n in range(1, conf["count"] + 1)]
+    report = check_continuity_bound(potential, seq, conf["k"], conf["m"], tol)
+    margins = [min(r.upper_margin, r.lower_margin) for r in report.records]
+    return {"lambdas": [{"sup_w": r.sup_w, "lam_base": r.lam_base, "lam_pert": r.lam_pert,
+                         "upper_margin": r.upper_margin, "lower_margin": r.lower_margin}
+                        for r in report.records],
+            "gap": min(margins) if margins else None, "verdict": report.verdict}
+
+
+# experiment -> its run, which adds to `inputs` what the report shows beyond
+# the declared flags and returns the payload fields it sets
+_PERTURB_RUNS = {"hf": _perturb_hf, "branch": _perturb_branch, "split": _perturb_split,
+                 "gap": _perturb_gap, "continuity": _perturb_continuity}
 
 
 def _cmd_perturb(conf: dict) -> int:
     experiment = conf["experiment"]
-    tol = Tolerances(conf["eig_rel"])
-    code = 0
-
-    if experiment == "hf":
-        _require(conf, "potential", "k", "n", "bump")
-        potential = parse_potential(conf["potential"])
-        bump = parse_bump(conf["bump"])
-        value = hellmann_feynman(potential, bump, conf["k"], conf["n"], tol)
-        payload = _perturb_payload(
-            "hf",
-            {"potential": conf["potential"], "k": conf["k"], "n": conf["n"],
-             "bump": conf["bump"]},
-            [], [], [value], None, "OK")
-
-    elif experiment == "branch":
-        _require(conf, "potential", "k", "levels", "tmax", "bump")
-        potential = parse_potential(conf["potential"])
-        bump = parse_bump(conf["bump"])
-        levels = parse_levels(conf["levels"])
-        branches = track_branches(potential, bump, conf["k"], levels,
-                                  conf["tmax"], conf["steps"], tol)
-        slopes = [hellmann_feynman(potential, bump, conf["k"], br.level, tol)
-                  for br in branches]
-        payload = _perturb_payload(
-            "branch",
-            {"potential": conf["potential"], "k": conf["k"], "levels": levels,
-             "tmax": conf["tmax"], "steps": conf["steps"], "bump": conf["bump"]},
-            [float(t) for t in branches[0].t_grid],
-            [[float(v) for v in br.lambdas] for br in branches],
-            slopes, None, "OK")
-
-    elif experiment == "split":
-        _require(conf, "s2", "value", "t", "bump")
-        s2 = parse_exact_scalar(str(conf["s2"]))
-        bump = parse_bump(conf["bump"])
-        report = splitting_experiment(s2, parse_value(conf["value"]), bump,
-                                      conf["t"], tol)
-        gap = min((p.gap for p in report.pairs), default=None)
-        payload = _perturb_payload(
-            "split",
-            {"s2": render_exact_scalar(s2), "value": str(conf["value"]),
-             "t": conf["t"], "bump": conf["bump"]},
-            [0.0, conf["t"]],
-            [{"k": c.k, "n": c.n, "lambda": c.lam_perturbed, "err_est": c.err_est}
-             for c in report.contributors],
-            [{"k": c.k, "n": c.n, "slope": c.slope} for c in report.contributors],
-            gap, report.verdict)
-        code = 3 if report.verdict == "UNDECIDED" else 0
-
-    elif experiment == "gap":
-        _require(conf, "potential", "k", "m", "bump")
-        potential = parse_potential(conf["potential"])
-        bump = parse_bump(conf["bump"])
-        report = check_gap_avoidance(potential, bump, conf["k"], conf["m"], tol)
-        payload = _perturb_payload(
-            "gap",
-            {"potential": conf["potential"], "k": conf["k"], "m": conf["m"],
-             "bump": conf["bump"], "lambda_m": report.info.lambda_m,
-             "radius": report.radius,
-             "j_minus": list(report.info.j_minus), "j_plus": list(report.info.j_plus)},
-            [], [{"lambda": lam, "err_est": err} for lam, err in report.window],
-            [], report.info.kappa_m, report.verdict)
-        code = 3 if report.verdict == "UNDECIDED" else 0
-
-    elif experiment == "continuity":
-        _require(conf, "potential", "k", "m", "bump")
-        potential = parse_potential(conf["potential"])
-        bump = parse_bump(conf["bump"])
-        seq = [bump.scaled(1.0 / n) for n in range(1, conf["count"] + 1)]
-        report = check_continuity_bound(potential, seq, conf["k"], conf["m"], tol)
-        margins = [min(r.upper_margin, r.lower_margin) for r in report.records]
-        payload = _perturb_payload(
-            "continuity",
-            {"potential": conf["potential"], "k": conf["k"], "m": conf["m"],
-             "bump": conf["bump"], "count": conf["count"]},
-            [], [{"sup_w": r.sup_w, "lam_base": r.lam_base, "lam_pert": r.lam_pert,
-                  "upper_margin": r.upper_margin, "lower_margin": r.lower_margin}
-                 for r in report.records],
-            [], min(margins) if margins else None, report.verdict)
-
-    else:  # pragma: no cover - argparse restricts choices
-        raise _UsageError(f"unknown experiment {experiment!r}")
-
+    flags = _EXPERIMENTS[experiment][1]
+    potential = parse_potential(conf["potential"]) if "potential" in flags else None
+    s2 = parse_exact_scalar(conf["s2"]) if "s2" in flags else None
+    bump = parse_bump(conf["bump"])
+    inputs = {flag: conf[flag] for flag in flags if flag != "eig_rel"}
+    payload = {"experiment": experiment, "inputs": inputs, "t_grid": [], "lambdas": [],
+               "slopes": [], "gap": None, "verdict": "OK"}
+    payload.update(_PERTURB_RUNS[experiment](conf, inputs, Tolerances(conf["eig_rel"]),
+                                             potential, s2, bump))
     _emit_json(payload, conf)
-    return code
+    return 3 if payload["verdict"] == "UNDECIDED" else 0
 
 
-_COMMANDS = {
+_RUNS = {
     "spectrum": _cmd_spectrum,
     "weyl": _cmd_weyl,
     "multiplicity": _cmd_multiplicity,
@@ -492,7 +450,7 @@ def run(argv: list[str]) -> int:
         if args.command is None:
             raise _UsageError("missing subcommand")
         conf = _resolve(parser, argv, args)
-        return _COMMANDS[args.command](conf)
+        return _RUNS[args.command](conf)
     except _UsageError as exc:
         print(f'error: code=usage msg="{exc}"', file=sys.stderr)
         return 2

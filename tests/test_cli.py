@@ -2,16 +2,20 @@ import hashlib
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from grushin import cli
 from grushin.cli import _build_parser, parse_angle, parse_bump, run
 
 
-_SRC = str(Path(__file__).resolve().parent.parent / "src")
+_ROOT = Path(__file__).resolve().parent.parent
+_SRC = str(_ROOT / "src")
 
 
 def run_capture(capsys, argv):
@@ -94,6 +98,28 @@ def test_multiplicity_subcommand(capsys):
         "multiplicity", "--s2", "irr:sqrt2", "--lin", "1", "--quad", "1"])
     assert code == 0
     assert json.loads(out)["mult"] == 2
+
+
+@pytest.mark.parametrize("argv, flag, message", [
+    (["--s2", "0", "--value", "45", "--lin", "3", "--quad", "1"], "lin",
+     "--lin does not apply to a rational --s2"),
+    (["--s2", "irr:sqrt2", "--lin", "15", "--quad", "9", "--value", "7"], "value",
+     "--value does not apply to an irrational --s2"),
+    (["--s2", "0"], None, "missing required --value"),
+    (["--s2", "irr:sqrt2", "--lin", "15"], None, "missing required --quad"),
+])
+def test_multiplicity_reads_value_or_coordinates(tmp_path, capsys, argv, flag, message):
+    # a rational s2 reads --value only, an irrational one --lin and --quad
+    # only, whether the other flags come on the command line or in a config file
+    code, out, err = run_capture(capsys, ["multiplicity"] + argv)
+    assert (code, out, err) == (2, "", f'error: code=usage msg="{message}"\n')
+    if flag is not None:
+        at = argv.index(f"--{flag}")
+        conf = tmp_path / "run.json"
+        conf.write_text(json.dumps({flag: argv[at + 1]}), encoding="utf-8")
+        rest = argv[:at] + argv[at + 2:]
+        code, out, err = run_capture(capsys, ["multiplicity", "--config", str(conf)] + rest)
+        assert (code, out, err) == (2, "", f'error: code=usage msg="{message}"\n')
 
 
 def test_solve1d_json(capsys):
@@ -313,6 +339,23 @@ def test_config_key_without_flag_is_usage_error(tmp_path, capsys):
     assert "eig_rell" in err
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["weyl", "--s2", "0", "--emax", "10"], "command"),
+    (["check", "property-p", "--potential", "shifted:s2=0", "--n", "3", "--krange", "3"],
+     "target"),
+    (_SOLVE1D, "config"),
+    (["perturb", "hf"], "experiment"),
+])
+def test_config_key_naming_no_flag_is_usage_error(tmp_path, capsys, argv, key):
+    # the subcommand and its positionals come from the command line only
+    conf = tmp_path / "run.json"
+    conf.write_text(json.dumps({key: "x"}), encoding="utf-8")
+    code, out, err = run_capture(capsys, argv + ["--config", str(conf)])
+    head = " ".join(argv[:2 if argv[0] == "perturb" else 1])
+    assert (code, out) == (2, "")
+    assert err == f'error: code=usage msg="config key {key!r} matches no flag of {head}"\n'
+
+
 def test_config_value_parsed_as_its_flag(tmp_path, capsys):
     conf = tmp_path / "run.json"
     conf.write_text(json.dumps({"eig_rel": "1e-9"}), encoding="utf-8")
@@ -523,3 +566,100 @@ def test_heavy_scipy_modules_load_only_for_numeric_solves(code, loaded):
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert json.loads(done.stdout.splitlines()[-1]) == loaded
+
+
+# one run of every command and experiment: its required flags, in order, and
+# multiplicity's value, which it reads for a rational s2
+_EXAMPLES = {
+    "spectrum": {"potential": "shifted:s2=0", "emax": "5"},
+    "weyl": {"s2": "0", "emax": "100"},
+    "multiplicity": {"s2": "0", "value": "45"},
+    "concentration": {"s2": "irr:sqrt2", "emax": "10", "a": "0", "b": "pi"},
+    "solve1d": {"potential": "power:gamma=1", "k": "1", "m": "2"},
+    "check property-p": {"potential": "shifted:s2=0", "n": "3", "krange": "3"},
+    "perturb hf": {"potential": "power:gamma=1", "k": "1", "n": "0", "bump": "-1,1,0.2"},
+    "perturb branch": {"potential": "power:gamma=1", "k": "1", "levels": "0", "tmax": "0.01",
+                       "bump": "-1,1,0.2"},
+    "perturb split": {"s2": "1", "value": "6", "t": "0.05", "bump": "-1,1,0.2"},
+    "perturb gap": {"potential": "power:gamma=1", "k": "1", "m": "1", "bump": "-1,1,0.2,0.2"},
+    "perturb continuity": {"potential": "power:gamma=1", "k": "1", "m": "0",
+                           "bump": "-2,2,0.5"},
+}
+
+
+def _declarations():
+    for name, (_, flags) in cli._COMMANDS.items():
+        yield name + (" property-p" if name == "check" else ""), flags
+    for name, (_, flags) in cli._EXPERIMENTS.items():
+        yield f"perturb {name}", flags
+
+
+_DECLARED = dict(_declarations())
+
+
+def _example_argv(head: str, drop: str | None = None) -> list[str]:
+    return head.split() + [f"--{flag}={value}" for flag, value in _EXAMPLES[head].items()
+                           if flag != drop]
+
+
+def test_examples_give_the_required_flags_and_no_defaulted_one():
+    assert _EXAMPLES.keys() == _DECLARED.keys()
+    for head, flags in _DECLARED.items():
+        required = [flag for flag, (_, default) in flags.items() if default is cli._REQUIRED]
+        given = list(_EXAMPLES[head])
+        assert given[:len(required)] == required, head
+        assert all(flags[flag][1] is None for flag in given[len(required):]), head
+
+
+@pytest.mark.parametrize("head, flag", [
+    (head, flag) for head, flags in _DECLARED.items()
+    for flag, (_, default) in flags.items() if default is cli._REQUIRED])
+def test_each_declared_required_flag_is_checked(capsys, head, flag):
+    code, out, err = run_capture(capsys, _example_argv(head, drop=flag))
+    assert (code, out) == (2, "")
+    assert err == f'error: code=usage msg="missing required --{flag.replace("_", "-")}"\n'
+
+
+@pytest.mark.parametrize("head", list(_DECLARED))
+def test_declared_defaults_reach_the_report(capsys, head):
+    code, out, err = run_capture(capsys, _example_argv(head))
+    assert (code, err) == (0, "")
+    config = json.loads(out)["config"]
+    defaults = {flag: default for flag, (_, default) in _DECLARED[head].items()
+                if default not in (cli._REQUIRED, None)}
+    assert {flag: config[flag] for flag in defaults} == defaults
+    embedded = config.keys() - {"command", "experiment", "target"}
+    assert embedded == set(_EXAMPLES[head]) | set(defaults)
+
+
+def _readme_section(title: str) -> str:
+    text = (_ROOT / "README.md").read_text(encoding="utf-8")
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_commands_parse():
+    # every command line the README shows is accepted, required flags included
+    block = _readme_section("Command line").split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    assert len(lines) >= len(_DECLARED)
+    parser = _build_parser()
+    seen = set()
+    for line in lines:
+        argv = shlex.split(line)
+        assert argv[0] == "grushin", line
+        args = parser.parse_args(argv[1:])
+        cli._resolve(parser, argv[1:], args)
+        seen.add(" ".join(argv[1:3 if args.command in ("perturb", "check") else 2]))
+    assert seen == _DECLARED.keys()
+
+
+def test_readme_perturb_table_lists_the_declared_flags():
+    rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", _readme_section("Command line"), re.M)
+    table = {name: re.findall(r"`--([\w-]+)`(?: \(default ([^)]+)\))?", flags)
+             for name, flags in rows}
+    declared = {name: [(flag.replace("_", "-"),
+                        "" if default is cli._REQUIRED else str(default))
+                       for flag, (_, default) in flags.items() if flag != "eig_rel"]
+                for name, (_, flags) in cli._EXPERIMENTS.items()}
+    assert table == declared
+    assert ("steps", "32") in table["branch"] and ("count", "10") in table["continuity"]
