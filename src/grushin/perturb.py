@@ -156,8 +156,8 @@ def track_branches(potential: Potential, w: Perturbation, k: int, levels,
     kappa = math.inf
     for n in levels:
         if n > 0:
-            kappa = min(kappa, lams0[n] - lams0[n - 1])
-        kappa = min(kappa, lams0[n + 1] - lams0[n])
+            kappa = min(kappa, float(lams0[n] - lams0[n - 1]))
+        kappa = min(kappa, float(lams0[n + 1] - lams0[n]))
     rate = k * k * w.sup_weighted(potential)
     if t_max * rate >= kappa / 2.0:
         raise PreconditionError(

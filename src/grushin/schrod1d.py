@@ -1,39 +1,30 @@
-"""Finite-difference eigensolver for the fibered operators
--u'' + k^2 V(x) u on the truncated line (Dirichlet) and on the circle
-(periodic).
+"""Finite-difference eigensolver for -u'' + k^2 V(x) u on the truncated line
+(Dirichlet) and on the circle (periodic).
 
 Discretization is second-order central differences. On the line the matrix is
 symmetric tridiagonal and the lowest m eigenvalues come from Sturm-sequence
 bisection with inverse-iteration eigenvectors (LAPACK stebz/stein). On the
-circle the periodic corner entries break tridiagonality, but the grid is
-closed under x -> -x, so for an even potential (every StructuredProfile) the
-periodic matrix splits exactly into two tridiagonal problems on [0, pi], one
-for even and one for odd eigenvectors, each solved like the line. A circle
-potential not known to be even (CallableProfile, SampledProfile) is solved by
-a dense symmetric solver at N <= 4096.
+circle the grid is closed under x -> -x, so for an even potential (every
+StructuredProfile) the periodic matrix splits exactly into an even and an odd
+tridiagonal problem on [0, pi]; any other circle potential takes a dense
+solve at N <= 4096.
 
-The grid is halved until the requested levels are accurate. Each grid after
-the first yields the Richardson extrapolant
+The line is cut to [-L, L] by the Agmon action (truncation_length): a level
+at E decays like exp(-S), S = int sqrt(k^2 V - E) dx, past its turning point,
+and L is where S reaches ln(1/eig_rel)/2 + DECAY_MARGIN on both sides.
+solve_levels_below takes E = its cap and m = 1 + the Sturm count below the
+cap on the first grid; solve_eigen takes E = the top level of a probe solve.
 
-    R_{h/2} = (4 lambda_{h/2} - lambda_h) / 3,
-
-which removes the h^2 term of the discretization error; R is the returned
-eigenvalue. Its error is estimated from successive extrapolants,
-
-    err_est = |R_{h/2} - R_h| / 3,
-
-which bounds the error of R whenever the remainder left after extrapolation
-is of order 2 or higher (order 4 for smooth potentials, about 2.5 for
-V = |x|^1.5). The estimate needs three grids, and it is used only when the
-order observed on those grids, log2((lambda_{2h} - lambda_h) /
-(lambda_h - lambda_{h/2})), is 2 to within ORDER_SLACK. Otherwise, and on the
-first two grids, the plain estimate |lambda_h - lambda_{h/2}| / 3 of the
-unextrapolated error is used, which also bounds the error of R. Refinement
-stops when err_est <= eig_rel * lambda for every requested level.
-
-Refinement solves for eigenvalues only. Eigenvectors, where needed, come from
-solve_on_grid on the final grid; they are O(h^2) accurate and carry that
-grid's discrete eigenvalues rather than the extrapolants.
+The grid is halved until every requested level meets err_est <= eig_rel *
+lambda. Each grid after the first yields the Richardson extrapolant R_{h/2} =
+(4 lambda_{h/2} - lambda_h) / 3, the returned eigenvalue, which removes the
+h^2 error term. Its error is estimated as |R_{h/2} - R_h| / 3, which bounds it
+when the remainder is of order 2 or more (4 for smooth V, about 2.5 for
+|x|^1.5), once three grids show an observed order log2((lambda_{2h} -
+lambda_h) / (lambda_h - lambda_{h/2})) within ORDER_SLACK of 2; otherwise the
+plain |lambda_h - lambda_{h/2}| / 3, which also bounds it, is used.
+Eigenvectors come from solve_on_grid on the final grid: O(h^2) accurate, with
+that grid's discrete eigenvalues.
 """
 
 from __future__ import annotations
@@ -76,13 +67,12 @@ CIRCLE_MAX_NODES = 4096
 # estimate.
 ORDER_SLACK = 0.05
 
-# Energy factor by which the truncation barrier exceeds the levels it confines.
-TRUNCATION_MARGIN = 2.0
+# Decay margin c of the action rule (truncation_length): the wall at L moves a
+# level by about exp(-2 S) relative, and S >= ln(1/eig_rel)/2 + c keeps that
+# below eig_rel * exp(-2c) = 4.5e-5 eig_rel, before prefactors.
+DECAY_MARGIN = 5.0
 
-# The search grid for the truncation length, L = 0.5 * 2^(j/64) below 1e9,
-# accumulated by repeated multiplication.
-_LENGTH_LADDER = np.cumprod(np.r_[0.5, np.full(64 * 32, 2.0 ** (1.0 / 64.0))])
-_LENGTH_LADDER = _LENGTH_LADDER[_LENGTH_LADDER < 1e9]
+_LENGTH_LADDER = 0.5 * 2.0 ** (np.arange(1978) / 64.0)  # the L of truncation_length, < 1e9
 
 
 @dataclass(frozen=True)
@@ -132,15 +122,10 @@ class Grid:
 
 @dataclass(frozen=True)
 class EigenPair:
-    """Level ``n`` of -d^2/dx^2 + k^2 V, as found by refinement.
-
-    ``lam`` is the Richardson-extrapolated eigenvalue, the best estimate of
-    the continuum level, and ``err_est`` estimates its error. ``grid`` is the
-    final refinement grid: column n of the vectors from
-    ``solve_on_grid(potential, k, n + 1, grid)`` is the discrete eigenvector
-    there, and its discrete eigenvalue differs from ``lam`` by the O(h^2)
-    grid bias.
-    """
+    """Level ``n`` of -d^2/dx^2 + k^2 V: ``lam`` is the extrapolated
+    eigenvalue and ``err_est`` its error estimate. Column n of the vectors
+    from ``solve_on_grid(potential, k, n + 1, grid)`` on the final ``grid``
+    is the discrete eigenvector, whose eigenvalue carries the O(h^2) bias."""
 
     lam: float
     k: int
@@ -149,30 +134,41 @@ class EigenPair:
     grid: Grid
 
 
-def truncation_length(potential: Potential, k: int, e_max: float) -> float:
-    """Smallest L on a geometric search grid with
-    k^2 * (min(V(L), V(-L)) - V(0)) >= TRUNCATION_MARGIN * e_max.
-
-    Eigenfunctions with lambda <= e_max then decay well inside [-L, L], since
-    L lies beyond their classical turning points by a factor TRUNCATION_MARGIN
-    in energy. The rise is measured above the floor V(0): a constant part of V
-    raises every level and the barrier alike, so it adds no confinement.
-    """
+def truncation_length(potential: Potential, k: int, energy: float,
+                      tol: Tolerances = Tolerances()) -> float:
+    """Smallest ladder L where, on each side, the action int sqrt(k^2 V -
+    energy) dx from the outermost turning point reaches ln(1/eig_rel)/2 +
+    DECAY_MARGIN (trapezoid rule on the ladder; Agmon, Lectures on
+    Exponential Decay, 1982). V is evaluated four doublings of L at a time,
+    only as far out as needed. Bisection resolves eigenvalues only to about eps
+    times the largest matrix entry, so ConvergenceError if eps * k^2 V(+-L)
+    passes both eig_rel * energy and the first grid's roundoff floor."""
     if potential.geometry == "torus":
         raise PreconditionError("circle problems need no truncation")
-    _check_cap(e_max)
-    threshold = TRUNCATION_MARGIN * e_max / (k * k)
-    floor = eval_potential(potential, 0.0)
-    # far points may overflow to inf (or inf * 0 = nan), which is harmless here
-    with np.errstate(over="ignore", invalid="ignore"):
-        rise = np.minimum(eval_potential(potential, _LENGTH_LADDER),
-                          eval_potential(potential, -_LENGTH_LADDER)) - floor
-    hits = np.flatnonzero(rise >= threshold)
-    if hits.size:
-        return float(_LENGTH_LADDER[hits[0]])
-    raise ConvergenceError(
-        "potential never reaches the confinement threshold "
-        f"{threshold!r}; cannot truncate")
+    _check_cap(energy)
+    target = 0.5 * math.log(1.0 / tol.eig_rel) + DECAY_MARGIN
+    action, last_x, last_f = np.zeros(2), 0.0, np.zeros(2)
+    for start in range(0, _LENGTH_LADDER.size, 256):
+        x = _LENGTH_LADDER[start:start + 256]
+        with np.errstate(over="ignore", invalid="ignore"):
+            kv = (k * k) * eval_potential(potential, np.concatenate([x, -x])).reshape(2, -1)
+            f = np.sqrt(np.maximum(kv - energy, 0.0))
+        # the action restarts wherever k^2 V <= energy
+        total = action[:, None] + np.cumsum(
+            0.5 * (f + np.concatenate([last_f[:, None], f[:, :-1]], axis=1))
+            * np.diff(x, prepend=last_x), axis=1)
+        total -= np.maximum.accumulate(np.where(f > 0.0, 0.0, total), axis=1)
+        reached = np.flatnonzero(np.min(total, axis=0) >= target)
+        if reached.size:
+            length, noise = float(x[reached[0]]), _EPS * float(np.max(kv[:, reached[0]]))
+            allowed = max(tol.eig_rel * energy, _err_floor(_initial_line_grid(length, 1), energy))
+            if not noise <= allowed:  # nan and inf fail too
+                raise ConvergenceError(f"cannot truncate: at L = {length!r}, eps k^2 V = {noise!r} "
+                                       f"passes eig_rel * E and the grid's floor {allowed!r}")
+            return length
+        action, last_x, last_f = total[:, -1], x[-1], f[:, -1]
+    raise ConvergenceError(f"no confinement at E = {energy!r}: the action of k^2 V - E stays "
+                           f"below {target!r} for L < 1e9; cannot truncate")
 
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
@@ -207,15 +203,25 @@ def _tridiagonal(diag: np.ndarray, off: np.ndarray, m: int, vectors: bool):
         lapack_driver="stebz")
 
 
+def _count_below(potential: Potential, k: int, cap: float, grid: Grid) -> int:
+    """Sturm count of the discrete eigenvalues <= cap, by bisection on the
+    value range (LAPACK stebz); on the circle, among its N/2 lowest."""
+    if grid.kind == "circle":
+        return int(np.sum(solve_on_grid(potential, k, grid.npoints // 2, grid,
+                                        vectors=False)[0] <= cap))
+    off = np.full(grid.npoints - 1, -1.0 / (grid.h * grid.h))
+    return scipy.linalg.eigh_tridiagonal(
+        _diagonal(potential, k, grid.points(), grid), off, eigvals_only=True, select="v",
+        select_range=(-np.inf, cap), lapack_driver="stebz").size
+
+
 def _solve_even_circle(potential: Potential, k: int, m: int, grid: Grid, vectors: bool):
     """The circle problem for an even V as two tridiagonal problems on the
-    half-grid x_i = i h, i = 0..N/2 (node i is circle node N/2 + i, and its
-    mirror is node N/2 - i, or node 0 for i = N/2).
-
-    Even vectors: all N/2 + 1 half-grid nodes, where u_{-1} = u_1 at x = 0 and
-    u_{N/2+1} = u_{N/2-1} at x = pi. In the unknowns w_i = sqrt(2) u_i (interior)
-    and w_i = u_i (ends) the matrix is symmetric, with the first and last
-    off-diagonals scaled by sqrt(2). Odd vectors vanish at x = 0 and x = pi and
+    half-grid x_i = i h, i = 0..N/2 (circle node N/2 + i; its mirror is node
+    N/2 - i, or node 0 for i = N/2). Even vectors live on all N/2 + 1 nodes,
+    with u_{-1} = u_1 at x = 0 and u_{N/2+1} = u_{N/2-1} at x = pi; in the
+    unknowns w_i = sqrt(2) u_i (interior) and w_i = u_i (ends) the matrix is
+    symmetric, its first and last off-diagonals scaled by sqrt(2). Odd vectors
     solve the Dirichlet problem on nodes 1..N/2-1. Both unfold to circle
     vectors of unit 2-norm."""
     n = grid.npoints
@@ -244,16 +250,14 @@ def _solve_even_circle(potential: Potential, k: int, m: int, grid: Grid, vectors
 
 def solve_on_grid(potential: Potential, k: int, m: int, grid: Grid, *,
                   vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-    """The m lowest eigenpairs of the discretized operator on a fixed grid.
-
-    Returns (lams, vecs) with vecs of shape (npoints, m), L2-normalized in the
+    """The m lowest eigenpairs of the discretized operator on a fixed grid:
+    (lams, vecs) with vecs of shape (npoints, m), L2-normalized in the
     discrete inner product h * <u, v>, each with its first significant
     component positive; with ``vectors=False`` only the eigenvalues are
     computed and vecs is None. A circle with a StructuredProfile (an even V)
     is solved as its even and odd half-grid problems, whose vectors are
     exactly even or odd under node j -> N - j; any other circle potential
-    takes the dense solve, capped at CIRCLE_MAX_NODES nodes.
-    """
+    takes the dense solve, capped at CIRCLE_MAX_NODES nodes."""
     if k == 0:
         raise PreconditionError("k must be nonzero")
     if m < 1:
@@ -309,16 +313,11 @@ def _extrapolate(coarser: np.ndarray | None, coarse: np.ndarray,
 
 def _refine(potential: Potential, k: int, m: int, grid: Grid, tol: Tolerances,
             lams: np.ndarray | None = None):
-    """Halve h from ``grid`` until every level meets err_est <= eig_rel * lambda
-    (see the module docstring).
-
-    ``lams`` are the eigenvalues on ``grid`` when the caller already has them.
-    Returns (lams, err, grid): the extrapolated eigenvalues, their error
-    estimates and the final grid.
-
-    Stops with ConvergenceError (best estimates attached) when the node budget
-    runs out, or when the roundoff floor of the discrete problem already
-    exceeds the target so further refinement cannot help."""
+    """Halve h from ``grid`` (whose eigenvalues are ``lams`` if the caller has
+    them) until every level meets err_est <= eig_rel * lambda, and return the
+    extrapolants, their error estimates and the final grid. ConvergenceError,
+    with the best estimates attached, when the node budget runs out or the
+    roundoff floor already exceeds the target."""
     max_nodes = CIRCLE_MAX_NODES if _dense_circle(potential, grid) else LINE_MAX_NODES
     if lams is None:
         lams, _ = solve_on_grid(potential, k, m, grid, vectors=False)
@@ -356,58 +355,58 @@ def _refine(potential: Potential, k: int, m: int, grid: Grid, tol: Tolerances,
 
 def _initial_line_grid(length: float, m: int) -> Grid:
     n = 255
-    while n < max(16, 8 * m):
+    while n < 8 * m:
         n = 2 * n + 1
     return Grid("line", n, length)
+
+
+def _pairs(potential: Potential, k: int, m: int, grid: Grid, tol: Tolerances,
+           lams: np.ndarray | None = None) -> list[EigenPair]:
+    lams, err, grid = _refine(potential, k, m, grid, tol, lams)
+    return [EigenPair(float(lams[i]), k, i, float(err[i]), grid) for i in range(m)]
 
 
 def solve_eigen(potential: Potential, k: int, m: int,
                 tol: Tolerances = Tolerances()) -> list[EigenPair]:
     """The m lowest eigenvalues of -u'' + k^2 V(x) u, with error estimates.
-
-    Line problems are truncated to [-L, L] with a confinement margin of 2 in
-    energy and one extra doubling of L for safety; the domain is enlarged
-    until the computed top level is certified below the barrier. Circle
-    problems use the full period; an even potential (StructuredProfile) is
-    solved by the parity split with the line's node budget, any other by the
-    dense solve with its cap of CIRCLE_MAX_NODES nodes.
-    """
+    The line is cut for a probe's top level. The first probe is cut for the
+    top level |k|(2m - 1) a + k^2 V(0) of the oscillator through V(0) and V(1)
+    (of x^2 if that is not positive and finite), and kept if its top level is
+    at least half that and at most it; else the cut moves to its top level
+    once, then only grows until a probe holds its top level. An even circle
+    potential takes the parity split, any other the dense solve."""
     if k == 0:
         raise PreconditionError("k must be nonzero")
     if m < 1:
         raise PreconditionError("m must be >= 1")
     if potential.geometry == "torus":
-        probe = Grid("circle", max(64, 16 * ((2 * m + 15) // 16)))
-        lams_probe = None
-    else:
-        e_guess = max(1.0, abs(k) * (2.0 * m + 1.0))
-        for _ in range(64):
-            length = 2.0 * truncation_length(potential, k, e_guess)
-            probe = _initial_line_grid(length, m)
-            lams_probe, _ = solve_on_grid(potential, k, m, probe, vectors=False)
-            top = float(lams_probe[-1])
-            if top <= e_guess:
-                break
-            e_guess = max(2.0 * top, 2.0 * e_guess)
-        else:  # pragma: no cover - 2^64 growth always terminates first
-            raise ConvergenceError("could not certify a truncation domain")
-
-    lams, err, grid = _refine(potential, k, m, probe, tol, lams_probe)
-    return [EigenPair(float(lams[i]), k, i, float(err[i]), grid) for i in range(m)]
+        return _pairs(potential, k, m, Grid("circle", max(64, 16 * ((2 * m + 15) // 16))), tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v0, v1 = map(float, eval_potential(potential, np.array([0.0, 1.0])))
+    energy = abs(k) * (2.0 * m - 1.0) * math.sqrt(max(v1 - v0, 0.0)) + k * k * v0
+    energy, moved = (energy if 0.0 < energy < math.inf else abs(k) * (2.0 * m - 1.0)), False
+    while True:
+        grid = _initial_line_grid(truncation_length(potential, k, energy, tol), m)
+        lams, _ = solve_on_grid(potential, k, m, grid, vectors=False)
+        if lams[-1] <= energy and (moved or lams[-1] >= energy / 2.0):
+            return _pairs(potential, k, m, grid, tol, lams)
+        energy, moved = float(lams[-1]), True
 
 
 def solve_levels_below(potential: Potential, k: int, e_max: float,
                        tol: Tolerances = Tolerances()) -> list[EigenPair]:
-    """All levels with lambda <= e_max (up to solver resolution at the
-    boundary: levels within SEPARATION * err_est of e_max are kept)."""
+    """All levels with lambda <= e_max (levels within SEPARATION * err_est
+    of e_max are kept). m = 1 + the Sturm count at e_max on the first grid
+    stays fixed along the refinement, and the line is cut for E = e_max. If
+    the top level is not certified above the cap, m is recounted on the final
+    grid, raised by at least one, and the solve repeated: no level is lost."""
     _check_cap(e_max)
-    m = max(1, int(e_max / (2.0 * abs(k))) + 2)
+    first = (Grid("circle", 64) if potential.geometry == "torus"
+             else _initial_line_grid(truncation_length(potential, k, e_max, tol), 1))
+    m = _count_below(potential, k, e_max, first) + 1
     while True:
-        pairs = solve_eigen(potential, k, m, tol)
+        pairs = (solve_eigen(potential, k, m, tol) if first.kind == "circle"
+                 else _pairs(potential, k, m, _initial_line_grid(first.length, m), tol))
         if pairs[-1].lam > e_max + SEPARATION * pairs[-1].err_est:
-            break
-        if m > 65536:
-            raise ConvergenceError(f"more than {m} levels below e_max={e_max!r}")
-        m *= 2
-    return [p for p in pairs if p.lam <= e_max + SEPARATION * p.err_est]
-
+            return [p for p in pairs if p.lam <= e_max + SEPARATION * p.err_est]
+        m = max(m + 1, _count_below(potential, k, e_max, pairs[-1].grid) + 1)

@@ -265,13 +265,19 @@ def shooting_level(gamma: float, k: int, n: int, bracket: tuple[float, float]) -
     y0 = [1.0, 0.0] if n % 2 == 0 else [0.0, 1.0]
 
     def tail(lam: float) -> float:
-        # past the turning point until the WKB decay exponent reaches 20,
-        # so the wall at the end shifts the level by about e^-40
+        # past the turning point to where the WKB decay exponent reaches 20,
+        # so the wall at the end shifts the level by about e^-40; stopping
+        # there, not beyond, keeps the growing solution finite for steep powers
         turn = (lam / (k * k)) ** (0.5 / gamma)
+
+        def decay(x: float) -> float:
+            return quad(lambda s: math.sqrt(max(k * k * s ** (2.0 * gamma) - lam, 0.0)),
+                        turn, x)[0] - 20.0
+
         end = turn + 1.0
-        while quad(lambda x: math.sqrt(max(k * k * x ** (2.0 * gamma) - lam, 0.0)),
-                   turn, end)[0] < 20.0:
+        while decay(end) < 0.0:
             end *= 1.25
+        end = brentq(decay, turn, end)
         sol = solve_ivp(lambda x, y: [y[1], (k * k * abs(x) ** (2.0 * gamma) - lam) * y[0]],
                         (0.0, end), y0, method="DOP853", rtol=1e-13, atol=1e-16)
         return float(sol.y[0, -1])
@@ -291,22 +297,6 @@ def mathieu_levels(k: int, m: int) -> list[float]:
     off = np.full(n.size - 1, -float(k * k))
     matrix = np.diag(n * n + 2.0 * k * k) + np.diag(off, 1) + np.diag(off, -1)
     return [float(v) for v in np.linalg.eigvalsh(matrix)[:m]]
-
-
-def scalar_truncation_length(potential: Potential, k: int, e_max: float) -> float:
-    """The truncation search as a scalar walk: L = 0.5, 0.5 r, 0.5 r^2, ...
-    with r = 2^(1/64), stopping at the first L below 1e9 where
-    k^2 * (min(V(L), V(-L)) - V(0)) >= 2 * e_max."""
-    threshold = 2.0 * e_max / (k * k)
-    floor = eval_potential(potential, 0.0)
-    length = 0.5
-    ratio = 2.0 ** (1.0 / 64.0)
-    while length < 1e9:
-        if min(eval_potential(potential, length), eval_potential(potential, -length)) - floor \
-                >= threshold:
-            return length
-        length *= ratio
-    raise ConvergenceError("potential never reaches the confinement threshold")
 
 
 class RankDeficientBasis(GrushinError):

@@ -8,10 +8,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from helpers import shooting_level
 
 from grushin import cli
 from grushin.cli import _build_parser, parse_angle, parse_bump, run
+from grushin.core import CallableProfile, Potential
 
 
 _ROOT = Path(__file__).resolve().parent.parent
@@ -209,19 +212,72 @@ def test_non_finite_bump_is_single_line_exit_1(capsys, argv):
     assert err == f'error: code=PreconditionError msg="{message}"\n'
 
 
+# V = exp(1000 x^2) on the circle overflows to inf on the grid away from x = 0
+_OVERFLOWING = Potential("torus", 1.0, CallableProfile(lambda x: np.exp(1e3 * np.asarray(x) ** 2)))
+
+
 @pytest.mark.parametrize("argv", [
-    ["solve1d", "--potential", "power:gamma=50", "--k", "1", "--m", "1"],
-    ["spectrum", "--potential", "power:gamma=50", "--emax", "3", "--mode", "numeric"],
-    ["check", "property-p", "--potential", "power:gamma=50", "--n", "2", "--krange", "3"],
+    ["solve1d", "--potential", "overflowing", "--k", "1", "--m", "1"],
+    ["spectrum", "--potential", "overflowing", "--emax", "3", "--mode", "numeric"],
+    ["check", "property-p", "--potential", "overflowing", "--n", "2", "--krange", "3"],
 ], ids=["solve1d", "spectrum", "property-p"])
-def test_overflowing_potential_is_single_line_exit_1(capsys, argv):
-    # the truncation search widens [-L, L] until |x|^100 overflows on the grid
+def test_overflowing_potential_is_single_line_exit_1(capsys, monkeypatch, argv):
+    # the grammar has no overflowing potential, so the parser hands one over;
+    # the grid check refuses it before any LAPACK call
+    monkeypatch.setattr(cli, "parse_potential", lambda spec: _OVERFLOWING)
     code, out, err = run_capture(capsys, argv)
     assert code == 1
     assert out == ""
     assert err.startswith('error: code=ConvergenceError msg="k^2 V is not finite on the '
                           'grid over [-L, L] with L = ')
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve1d", "--potential", "power:gamma=50", "--k", "1", "--m", "3"],
+    ["spectrum", "--potential", "power:gamma=50", "--emax", "2.2", "--mode", "numeric"],
+    ["check", "property-p", "--potential", "power:gamma=50", "--n", "2", "--krange", "3"],
+], ids=["solve1d", "spectrum", "property-p"])
+def test_steep_power_answers_against_shooting(capsys, argv):
+    # V = x^100 rises from 1 to 4e17 between x = 1 and 1.5; the domain the
+    # action rule gives ends at L = 1.14, where eps V is still 1e-7 E
+    code, out, err = run_capture(capsys, argv)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    if argv[0] == "solve1d":
+        levels = [(lv["n"], lv["lambda"], lv["err_est"]) for lv in report["levels"]]
+    elif argv[0] == "spectrum":
+        # mode k is mode 1 scaled by k^(2/51): 2.105, 2.163 and 2.198 lie below 2.2
+        assert [line["contributors"] for line in report["lines"]] == [
+            [{"k": -k, "n": 0}, {"k": k, "n": 0}] for k in (1, 2, 3)]
+        levels = [(0, report["lines"][0]["value"], 1e-7 * 2.2)]
+    else:
+        assert report["verdict"] == "PASS"
+        return
+    for n, lam, err in levels:
+        ref = shooting_level(50.0, 1, n, (0.999 * lam, 1.001 * lam))
+        assert abs(lam - ref) <= err, (n, lam, ref, err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["perturb", "branch", "--potential", "torus:gamma=1", "--k", "2", "--levels", "0,1",
+     "--tmax", "0.5", "--bump", "0.5,1.5,0.2"],
+    ["perturb", "branch", "--potential", "power:gamma=1", "--k", "1", "--levels", "0",
+     "--tmax", "5", "--bump=-1,1,0.2"],
+    ["perturb", "gap", "--potential", "power:gamma=1", "--k", "1", "--m", "1",
+     "--bump=-1,1,0.2,50"],
+    ["perturb", "split", "--s2", "1", "--value", "6", "--t", "5", "--bump=-1,1,0.2"],
+    ["solve1d", "--potential", "power:gamma=1", "--k", "1", "--m", "1", "--eig-rel", "1e-15"],
+    ["solve1d", "--potential", "power:gamma=50", "--k", "1", "--m", "1", "--eig-rel", "1e-12"],
+    ["spectrum", "--potential", "power:gamma=50", "--emax", "3", "--mode", "numeric",
+     "--eig-rel", "1e-12"],
+])
+def test_error_messages_print_plain_numbers(capsys, argv):
+    # numbers in diagnostics print as Python floats, never as np.float64(...)
+    code, out, err = run_capture(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: code=") and err.count("\n") == 1
+    assert "np." not in err
 
 
 def test_perturb_continuity_without_bumps_is_an_error(capsys):
