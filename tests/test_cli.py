@@ -240,7 +240,7 @@ def test_overflowing_potential_is_single_line_exit_1(capsys, monkeypatch, argv):
 ], ids=["solve1d", "spectrum", "property-p"])
 def test_steep_power_answers_against_shooting(capsys, argv):
     # V = x^100 rises from 1 to 4e17 between x = 1 and 1.5; the domain the
-    # action rule gives ends at L = 1.14, where eps V is still 1e-7 E
+    # action rule gives ends at L = 1.151, where eps V is 2.9e-10, below 1e-9 E
     code, out, err = run_capture(capsys, argv)
     assert (code, err) == (0, "")
     report = json.loads(out)
