@@ -13,8 +13,7 @@ The line is cut to [-L, L] by the Agmon action (truncation_length): a level
 at E decays like exp(-S), S = int sqrt(k^2 V - E) dx, past its turning point,
 and L is where S reaches ln(1/eig_rel)/2 + DECAY_MARGIN on both sides.
 solve_levels_below takes E = its cap and m = 1 + the Sturm count below the
-cap on the first grid; solve_eigen takes E = the top level of a probe solve,
-starting from |k|(2m + 1) + k^2 V(0).
+cap on the first grid; solve_eigen takes E = the top level of a probe solve.
 
 The grid is halved until every requested level meets err_est <= eig_rel *
 lambda. Each grid after the first yields the Richardson extrapolant R_{h/2} =
@@ -68,12 +67,9 @@ CIRCLE_MAX_NODES = 4096
 # estimate.
 ORDER_SLACK = 0.05
 
-# Decay margin c of the action rule (truncation_length): the wall at L moves a
-# level by about exp(-2 S) relative, and S >= ln(1/eig_rel)/2 + c keeps that
-# below eig_rel * exp(-2c) = 2e-9 eig_rel, before prefactors. c = 5 already
-# keeps the move below a tenth of err_est; the wider domain of c = 10 keeps
-# the final grids fine enough for the O(h^2) eigenvectors and the level
-# separations the tests check.
+# Decay margin c of the action rule (truncation_length): the wall moves a level by
+# about eig_rel * exp(-2c). c = 5 already keeps each move under 0.1 err_est; c = 10
+# keeps the final grids as fine as the eigenvector and line-separation tests need.
 DECAY_MARGIN = 10.0
 
 _LENGTH_LADDER = 0.5 * 2.0 ** (np.arange(1978) / 64.0)  # the L of truncation_length, < 1e9
@@ -373,12 +369,10 @@ def _pairs(potential: Potential, k: int, m: int, grid: Grid, tol: Tolerances,
 def solve_eigen(potential: Potential, k: int, m: int,
                 tol: Tolerances = Tolerances()) -> list[EigenPair]:
     """The m lowest eigenvalues of -u'' + k^2 V(x) u, with error estimates.
-    The line is cut for an energy E, first |k|(2m + 1) + k^2 V(0) (one level
-    above the top of the oscillator on the floor V(0), which absorbs a
-    perturbation that raises the levels), then the top level of the probe
-    solve on the cut, until the cut for a probe's top level is no wider than
-    the probe's. An even circle potential takes the parity split, any other
-    the dense solve."""
+    The line is cut for E = |k|(2m + 1) + k^2 V(0), one oscillator level above
+    the top on the floor V(0), then for the top level of the probe solve on
+    the cut until that cut is no wider. An even circle potential takes the
+    parity split, any other the dense solve."""
     if k == 0:
         raise PreconditionError("k must be nonzero")
     if m < 1:
