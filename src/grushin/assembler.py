@@ -7,7 +7,12 @@ is certified (core.SEPARATION), the rule the numeric property-P check uses.
 Exact assembly (shifted parabolas) groups levels by the key of
 ``exact_family.level_key``, an integer for rational s2 and a (lin, quad)
 pair for a tagged irrational, and the exact property-P check compares those
-same keys.
+same keys. It keys the int64 array of every (k, n) below the cap at once
+(``exact_family._level_keys``) and groups equal rational keys by one stable
+sort, which keeps each line's members in (k, n) order; an irrational key is
+injective in (k, n), so each of its lines is one pair +-k. A rational line's
+value is the Python-int quotient key / q, since int64 true division rounds
+twice once a key passes 2^53.
 
 Numeric assembly takes modes k = 1, 2, ... upward and stops at the first
 mode with no level below the cap: with V >= 0 every level of -u'' + k^2 V u
@@ -24,6 +29,8 @@ from fractions import Fraction
 from itertools import combinations, groupby
 from math import inf, pi
 
+import numpy as np
+
 from .core import (
     SEPARATION,
     ExactFamilyProfile,
@@ -35,7 +42,13 @@ from .core import (
     Tolerances,
     _check_cap,
 )
-from .exact_family import SpectrumLine, _sorted_contributors, enumerate_exact_pairs, level_key
+from .exact_family import (
+    SpectrumLine,
+    _level_keys,
+    _sorted_contributors,
+    enumerate_exact_pairs,
+    level_key,
+)
 from .schrod1d import solve_eigen, solve_levels_below
 
 __all__ = [
@@ -63,21 +76,35 @@ class AssembledSpectrum:
 
 def _assemble_exact(potential: Potential, e_max: float) -> AssembledSpectrum:
     s2 = potential.profile.s2
-    pairs = enumerate_exact_pairs(s2, e_max)
-    groups: dict = {}
-    for k, n, value, key in pairs:
-        _, members = groups.setdefault(key, (value, []))
-        members.extend([(k, n), (-k, n)])
+    kn = enumerate_exact_pairs(s2, e_max)
+    if not len(kn):
+        return AssembledSpectrum(e_max=float(e_max), lines=(), k_cut=0, mode="exact")
+    k, n = kn.T
+    keys = _level_keys(k, n, s2)
+    if s2.is_rational:
+        # equal keys are one line; the stable sort keeps its members in (k, n) order
+        order = np.argsort(keys, kind="stable")
+        k, n, keys = k[order], n[order], keys[order]
+        first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        q = s2.rational.denominator
+        line_keys = keys[first].tolist()
+        values = [key / q for key in line_keys]  # Python ints: int64 division rounds twice
+        exact = [(Fraction(key, q), None) for key in line_keys]
+    else:
+        # (lin, quad) is injective in (k, n): each line is one pair +-k
+        first = np.arange(len(k))
+        lin, quad = keys
+        values = (lin + quad * s2.approx).tolist()
+        exact = [(None, pair) for pair in zip(lin.tolist(), quad.tolist())]
+    # each member's contributors (-k, n), (k, n), so a line lists them in |k| order
+    members = list(zip(np.column_stack((-k, k)).ravel().tolist(), np.repeat(n, 2).tolist()))
+    bounds = (2 * first).tolist() + [len(members)]
+    # (value, contributors) order: distinct lines differ in their first contributor
     lines = []
-    for key, (value, members) in groups.items():
-        exact = ({"exact_value": Fraction(key, s2.rational.denominator)} if s2.is_rational
-                 else {"exact_pair": key})
-        contributors = _sorted_contributors(members)
-        lines.append(SpectrumLine(value=value, contributors=contributors,
-                                  multiplicity=len(contributors), **exact))
-    lines.sort(key=lambda ln: (ln.value, ln.contributors))
-    k_cut = max((k for k, *_ in pairs), default=0)
-    return AssembledSpectrum(e_max=float(e_max), lines=tuple(lines), k_cut=k_cut,
+    for i in np.lexsort((n[first], -k[first], values)).tolist():
+        contributors = tuple(members[bounds[i]:bounds[i + 1]])
+        lines.append(SpectrumLine(values[i], contributors, len(contributors), *exact[i]))
+    return AssembledSpectrum(e_max=float(e_max), lines=tuple(lines), k_cut=int(kn[-1, 0]),
                              mode="exact")
 
 

@@ -10,14 +10,19 @@ eigenvalue counting function is an exact divisor-style sum.
 float value and the key that decides equality. For rational s2 = p/q the key
 is the integer q * level = q (2n+1)|k| + p k^2; for a tagged irrational it is
 the pair (lin, quad) = ((2n+1)|k|, k^2), so no float comparison ever decides
-equality.
+equality. ``_level_keys`` is its array form: the same formula over int64
+arrays of (k, n), guarded so that no product wraps. A rational level's value
+is the Python-int quotient key / q, exact to the last bit; int64 true
+division rounds twice once a key passes 2^53.
 
 One per-mode table, ``_modes``, decides which levels lie below a cap for
 counting, enumeration and multiplicities. For rational s2 every level is a
 multiple of 1/q, so the cap E floors to the integer c = floor(qE), and level
 n of mode k lies below it exactly when (2n+1) qk <= c - pk^2: 64-bit-guarded
 integers, no Fractions. Only the cap test of a tagged irrational goes through
-its float approximation.
+its float approximation. ``enumerate_exact_pairs`` turns the table into one
+int64 array of (k, n); exact assembly keys that array with ``_level_keys``
+and groups equal keys by one stable sort of the int64 keys.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ __all__ = [
 ]
 
 _INT64_MAX = 2**63 - 1
+_INT64_ISQRT = math.isqrt(_INT64_MAX)  # the largest |k| whose k^2 fits in 64 bits
 _FACTOR_LIMIT = 10**12  # trial division stays cheap below this
 _BLOCK = 4096  # modes per _modes block: memory stays bounded for any cap
 
@@ -84,6 +90,15 @@ def _sorted_contributors(pairs) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(pairs, key=lambda kn: (abs(kn[0]), kn[0], kn[1])))
 
 
+def _key(lin, quad, s2: ExactScalar):
+    """The key of the level with lin = (2n+1)|k| and quad = k^2, from Python
+    ints or elementwise from int64 arrays: q lin + p quad for rational
+    s2 = p/q, otherwise the pair (lin, quad)."""
+    if s2.is_rational:
+        return s2.rational.denominator * lin + s2.rational.numerator * quad
+    return lin, quad
+
+
 def level_key(k: int, n: int, s2: ExactScalar) -> tuple[float, int | tuple[int, int]]:
     """Level n of Fourier mode k as (value, key). The key decides equality in
     exact arithmetic: the integer q * level = q (2n+1)|k| + p k^2 for rational
@@ -92,11 +107,33 @@ def level_key(k: int, n: int, s2: ExactScalar) -> tuple[float, int | tuple[int, 
         raise PreconditionError("a level needs k != 0 and n >= 0")
     lin = _check64((2 * n + 1) * abs(k), "(2n+1)|k|")
     quad = _check64(k * k, "k^2")
+    key = _key(lin, quad, s2)
     if s2.is_rational:
-        q = s2.rational.denominator
-        key = q * lin + s2.rational.numerator * quad
-        return key / q, key
-    return float(lin + quad * s2.approx), (lin, quad)
+        return key / s2.rational.denominator, key
+    return float(lin + quad * s2.approx), key
+
+
+def _level_keys(k: np.ndarray, n: np.ndarray, s2: ExactScalar):
+    """The keys of ``level_key`` for int64 arrays k and n, elementwise: an
+    int64 array for rational s2, the arrays (lin, quad) for a tagged
+    irrational. IntegerOverflowError wherever level_key raises, and wherever a
+    rational key passes 64 bits, so no product wraps. Values are left to the
+    caller: a rational value is the Python-int quotient key / q."""
+    if np.any(k == 0) or np.any(n < 0):
+        raise PreconditionError("a level needs k != 0 and n >= 0")
+    ak = np.abs(k)  # |-2^63| wraps to -2^63, which fails the bound on n
+    if np.any(n > (_INT64_MAX // ak - 1) // 2):
+        raise IntegerOverflowError("(2n+1)|k| exceeds the 64-bit guard")
+    if np.any(ak > _INT64_ISQRT):
+        raise IntegerOverflowError("k^2 exceeds the 64-bit guard")
+    lin, quad = (2 * n + 1) * ak, ak * ak
+    if s2.is_rational:
+        p, q = s2.rational.numerator, s2.rational.denominator
+        # each term within 64 bits, then their sum
+        if (np.any(lin > _INT64_MAX // q) or np.any(quad > _INT64_MAX // max(abs(p), 1))
+                or np.any(p * quad > _INT64_MAX - q * lin)):
+            raise IntegerOverflowError("q(2n+1)|k| + p k^2 exceeds the 64-bit guard")
+    return _key(lin, quad, s2)
 
 
 def factorize(value: int) -> dict[int, int]:
@@ -206,6 +243,7 @@ def _modes(s2: ExactScalar, e_max):
     else:
         e = float(e_max)
         k_max = int(min(e, math.sqrt(e) / math.sqrt(s2.approx)))
+        _check64(k_max * k_max, "k_max^2")  # k * k below is int64
     for lo in range(1, k_max + 1, _BLOCK):
         k = np.arange(lo, min(lo + _BLOCK, k_max + 1), dtype=np.int64)
         if s2.is_rational:
@@ -264,13 +302,14 @@ def weyl_residual(e_samples, s2: ExactScalar) -> list[WeylSample]:
     return out
 
 
-def enumerate_exact_pairs(s2: ExactScalar, e_max
-                          ) -> list[tuple[int, int, float, int | tuple[int, int]]]:
-    """Every (k > 0, n, value, key) of ``level_key`` with eigenvalue <= e_max,
-    in (k, n) order."""
+def enumerate_exact_pairs(s2: ExactScalar, e_max) -> np.ndarray:
+    """Every level (k > 0, n) with eigenvalue <= e_max, as an (N, 2) int64
+    array of rows (k, n) in (k, n) order; ``_level_keys`` gives their keys."""
     _check_cap(e_max)
-    out = []
+    blocks = [np.empty((0, 2), dtype=np.int64)]
     for k, r, d in _modes(s2, e_max):
-        for kk, count in zip(k.tolist(), _level_counts(r, d).tolist()):
-            out.extend((kk, n, *level_key(kk, n, s2)) for n in range(count))
-    return out
+        counts = _level_counts(r, d)
+        first = np.cumsum(counts) - counts  # each mode's first row in the block
+        n = np.arange(counts.sum(), dtype=np.int64) - np.repeat(first, counts)
+        blocks.append(np.column_stack((np.repeat(k, counts), n)))
+    return np.concatenate(blocks)

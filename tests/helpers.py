@@ -234,6 +234,24 @@ def brute_force_min_ratio(k: int, w: Strip) -> float:
     return min(best[0], float(polish.fun))
 
 
+def certificate_by_line(spectrum, w: Strip) -> tuple[float, int, int]:
+    """(c_min, witness_k, lines_checked) of the concentration certificate by
+    one min_ratio per line, in line order: the first line that reaches the
+    minimum is the witness. None for an empty spectrum or a line whose
+    multiplicity is not 2."""
+    if not spectrum.lines:
+        return None
+    c_min, witness_k = math.inf, 0
+    for line in spectrum.lines:
+        if line.multiplicity != 2:
+            return None
+        k = abs(line.contributors[0][0])
+        r = min_ratio(k, w)
+        if r < c_min:
+            c_min, witness_k = r, k
+    return c_min, witness_k, len(spectrum.lines)
+
+
 def central_difference_slope(potential: Potential, w: Perturbation, k: int,
                              n: int, grid: Grid, delta: float) -> float:
     """Fourth-order central difference of lambda_n(t) along

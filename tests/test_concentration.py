@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import (
     ModeCoefficients,
     brute_force_min_ratio,
+    certificate_by_line,
     kappa_coefficients,
     min_ratio_witness,
     ratio_closed_form,
@@ -14,7 +17,14 @@ from helpers import (
 
 from grushin.assembler import assemble
 from grushin.concentration import Strip, concentration_certificate, min_ratio
-from grushin.core import InvariantViolation, MultiplicityError, parse_potential
+from grushin.core import (
+    ExactFamilyProfile,
+    ExactScalar,
+    InvariantViolation,
+    MultiplicityError,
+    Potential,
+    parse_potential,
+)
 from grushin.schrod1d import solve_eigen
 
 
@@ -154,6 +164,31 @@ def test_certificate_irrational_family():
     oracle = min((1.0 - abs(math.sin(k)) / k) / (2 * math.pi) for k in ks)
     assert narrow.c_min == pytest.approx(oracle, rel=1e-14)
     assert narrow.c_min > 0.0
+
+
+# strips whose per-|k| minima tie in exact arithmetic, then random ones
+strips = st.one_of(
+    st.sampled_from([(0.0, math.pi), (-math.pi, math.pi), (0.0, math.pi / 2),
+                     (0.0, math.pi / 3), (0.0, 1e-9)]),
+    st.tuples(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi))
+    .filter(lambda ab: ab[0] < ab[1]))
+
+
+@given(st.one_of(st.sampled_from(["sqrt2", "sqrt3", "sqrt5", "golden", "pi", "e"])
+                 .map(ExactScalar.irrational),
+                 st.tuples(st.integers(0, 12), st.integers(1, 12))
+                 .map(lambda pq: ExactScalar.from_rational(*pq))),
+       st.floats(1.0, 200.0), strips)
+def test_certificate_matches_the_per_line_loop(s2, e, ab):
+    spec = assemble(Potential(geometry="cylinder", gamma=1.0, profile=ExactFamilyProfile(s2=s2)),
+                    e, mode="exact")
+    want = certificate_by_line(spec, Strip(*ab))
+    if want is None:
+        with pytest.raises(MultiplicityError):
+            concentration_certificate(spec, Strip(*ab))
+        return
+    cert = concentration_certificate(spec, Strip(*ab))
+    assert (cert.c_min, cert.witness_k, cert.lines_checked) == want
 
 
 def test_certificate_rejects_higher_multiplicity():

@@ -9,6 +9,7 @@ from helpers import brute_count, enumeration_multiplicities
 from grushin.core import ExactScalar, IntegerOverflowError, InvariantViolation, PreconditionError
 from grushin.exact_family import (
     SpectrumLine,
+    _level_keys,
     counting_function,
     enumerate_exact_pairs,
     level_key,
@@ -41,6 +42,50 @@ def test_exact_eigenvalue_guards():
         level_key(2**40, 2**40, S0)
     with pytest.raises(IntegerOverflowError):
         level_key(2**32, 0, SQRT2)  # k^2 passes 64 bits while (2n+1)|k| does not
+
+
+@pytest.mark.parametrize("k, n, s2", [(2**40, 2**40, S0), (2**32, 0, SQRT2),
+                                      (-2**63, 0, SQRT2), (1, 2**62, SQRT2), (1, 2**62, S0)])
+def test_level_keys_raise_where_level_key_raises(k, n, s2):
+    # the array form checks before it multiplies, so no int64 product wraps
+    with pytest.raises(IntegerOverflowError):
+        level_key(k, n, s2)
+    fine = np.array([1, 3], dtype=np.int64)
+    with pytest.raises(IntegerOverflowError):
+        _level_keys(np.r_[fine, k], np.r_[fine, n], s2)
+
+
+def test_level_keys_match_level_key_elementwise():
+    k = np.array([1, -2, 3, 10**9, -5], dtype=np.int64)
+    n = np.array([0, 3, 7, 0, 2], dtype=np.int64)
+    for s2 in (S0, S1, ExactScalar.from_rational(7, 3), SQRT2):
+        keys = _level_keys(k, n, s2)
+        got = list(zip(*(part.tolist() for part in keys))) if isinstance(keys, tuple) \
+            else keys.tolist()
+        assert got == [level_key(kk, nn, s2)[1] for kk, nn in zip(k.tolist(), n.tolist())]
+
+
+def test_level_keys_guard_the_rational_key_itself():
+    # lin and k^2 fit in 64 bits but q lin + p k^2 does not, where level_key's
+    # Python ints grow; on the edge of 64 bits the key still fits
+    one = np.array([1], dtype=np.int64)
+    s2 = ExactScalar.from_rational(2**62, 3)
+    assert level_key(1, 0, s2)[1] == 3 + 2**62
+    assert _level_keys(one, 0 * one, s2).tolist() == [3 + 2**62]
+    with pytest.raises(IntegerOverflowError):
+        _level_keys(2 * one, 0 * one, s2)
+    edge = ExactScalar.from_rational(2**63 - 2, 1)
+    assert _level_keys(one, 0 * one, edge).tolist() == [2**63 - 1]
+    with pytest.raises(IntegerOverflowError):
+        _level_keys(one, 0 * one, ExactScalar.from_rational(2**63 - 1, 1))
+    with pytest.raises(IntegerOverflowError):
+        _level_keys(one, 0 * one, ExactScalar.from_rational(1, 2**63))
+
+
+def test_irrational_mode_cut_guards_k_squared():
+    # sqrt(E/s2) passes 2^31.5, so k * k of the mode table would wrap
+    with pytest.raises(IntegerOverflowError):
+        counting_function(1e20, SQRT2)
 
 
 def test_exact_eigenvalue_pair_invariants():
@@ -109,7 +154,8 @@ def test_unbounded_multiplicity_witness():
 
 
 def test_irrational_rigidity_small_range():
-    for k, n, value, key in enumerate_exact_pairs(SQRT2, 60.0):
+    for k, n in enumerate_exact_pairs(SQRT2, 60.0).tolist():
+        value, key = level_key(k, n, SQRT2)
         line = multiplicity_enumeration(key, SQRT2)
         assert line.multiplicity == 2
         assert line.contributors == ((-k, n), (k, n)) and line.value == value
@@ -206,5 +252,7 @@ def test_weyl_residual_validation():
 
 def test_enumerate_exact_pairs_bounds():
     pairs = enumerate_exact_pairs(S1, 6)
-    assert pairs == [(1, 0, 2.0, 2), (1, 1, 4.0, 4), (1, 2, 6.0, 6), (2, 0, 6.0, 6)]
-    assert all(value <= 6.0 for _, _, value, _ in pairs)
+    assert pairs.dtype == np.int64 and pairs.shape == (4, 2)
+    assert pairs.tolist() == [[1, 0], [1, 1], [1, 2], [2, 0]]
+    assert [level_key(k, n, S1) for k, n in pairs.tolist()] == [(2.0, 2), (4.0, 4), (6.0, 6),
+                                                                (6.0, 6)]

@@ -2,6 +2,7 @@
 assembly for rational s2 = p/q and tagged irrationals against brute-force
 lattice oracles."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -11,10 +12,21 @@ from hypothesis import strategies as st
 from helpers import brute_count, brute_exact_lines
 
 from grushin.assembler import assemble
-from grushin.core import ExactFamilyProfile, ExactScalar, IntegerOverflowError, Potential
+from grushin.cli import run
+from grushin.core import (
+    ExactFamilyProfile,
+    ExactScalar,
+    IntegerOverflowError,
+    Potential,
+    parse_exact_scalar,
+)
 from grushin.exact_family import counting_function, enumerate_exact_pairs, multiplicity_enumeration
 
 shifts = st.tuples(st.integers(0, 60), st.integers(1, 50))
+
+
+def _shifted(s2: ExactScalar) -> Potential:
+    return Potential(geometry="cylinder", gamma=1.0, profile=ExactFamilyProfile(s2=s2))
 
 # ints, rationals, and floats, which mostly fall off the 1/q lattice
 caps = st.one_of(
@@ -33,7 +45,7 @@ def test_counting_matches_brute_lattice_count(pq, e):
 @given(shifts, caps)
 def test_enumeration_is_half_the_count_in_k_n_order(pq, e):
     s2 = ExactScalar.from_rational(*pq)
-    pairs = [(k, n) for k, n, *_ in enumerate_exact_pairs(s2, e)]
+    pairs = [tuple(kn) for kn in enumerate_exact_pairs(s2, e).tolist()]
     assert 2 * len(pairs) == counting_function(e, s2)
     assert pairs == sorted(set(pairs))
 
@@ -67,17 +79,42 @@ def test_counting_beyond_64_bits_raises(p, q, extra):
         counting_function(s2.rational + extra, s2)
 
 
+@given(st.integers(50 * 2**63, 2**72), st.integers(1, 50), st.integers(1, 100))
+def test_exact_assembly_beyond_64_bits_raises(p, q, extra):
+    s2 = ExactScalar.from_rational(p, q)
+    with pytest.raises(IntegerOverflowError):
+        assemble(_shifted(s2), s2.rational + extra, mode="exact")
+
+
 @given(st.one_of(shifts.map(lambda pq: ExactScalar.from_rational(*pq)),
+                 # keys q * level pass 2^53 = 9007199254740992
+                 st.tuples(st.integers(0, 3), st.integers(2**53 // 4, 7**19))
+                 .map(lambda pq: ExactScalar.from_rational(*pq)),
                  st.sampled_from(["sqrt2", "sqrt3", "sqrt5", "golden", "pi"])
                  .map(ExactScalar.irrational)),
-       st.one_of(st.integers(1, 150), st.fractions(Fraction(1, 12), 150, max_denominator=12)))
+       st.one_of(st.integers(1, 150), st.fractions(Fraction(1, 12), 150, max_denominator=12),
+                 st.floats(0.01, 150.0)))
 def test_exact_assembly_matches_brute_grouping(s2, e):
-    # no level of a tagged irrational lies within rounding of these caps, so
-    # the oracle's float cap test agrees with the library's
-    spectrum = assemble(Potential(geometry="cylinder", gamma=1.0,
-                                  profile=ExactFamilyProfile(s2=s2)), e, mode="exact")
+    # a tagged irrational's levels lie within rounding of none of these caps,
+    # so the oracle's float cap test agrees with the library's
+    spectrum = assemble(_shifted(s2), e, mode="exact")
     got = [(ln.value, ln.contributors, ln.multiplicity, ln.exact_value, ln.exact_pair)
            for ln in spectrum.lines]
     want = brute_exact_lines(s2, e)
     assert got == want
     assert spectrum.k_cut == max((abs(k) for _, kn, *_ in want for k, _ in kn), default=0)
+
+
+def test_values_past_2_53_are_correctly_rounded_quotients(capsys):
+    # s2 = 1/7^19: the keys q * level pass 2^53, where an int64 true division
+    # key / q rounds twice and lands one ulp off for about half of them
+    s2 = "1/11398895185373143"
+    spectrum = assemble(_shifted(parse_exact_scalar(s2)), 30, mode="exact")
+    assert len(spectrum.lines) == 62
+    assert max(ln.exact_value.numerator for ln in spectrum.lines) > 2**53
+    assert all(ln.value == float(ln.exact_value) for ln in spectrum.lines)
+    assert run(["spectrum", "--potential", f"shifted:s2={s2}", "--emax", "30", "--mode", "exact",
+                "--format", "csv"]) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 63
+    assert hashlib.sha256(out.encode()).hexdigest().startswith("79782013f1a78037")
