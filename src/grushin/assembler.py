@@ -10,9 +10,9 @@ pair for a tagged irrational, and the exact property-P check compares those
 same keys. It keys the int64 array of every (k, n) below the cap at once
 (``exact_family._level_keys``) and groups equal rational keys by one stable
 sort, which keeps each line's members in (k, n) order; an irrational key is
-injective in (k, n), so each of its lines is one pair +-k. A rational line's
-value is the Python-int quotient key / q, since int64 true division rounds
-twice once a key passes 2^53.
+injective in (k, n), so each of its lines is one pair +-k. Each line keeps
+its key; a rational line's value is the Python-int quotient key / q, since
+int64 true division rounds twice once a key passes 2^53.
 
 Numeric assembly takes modes k = 1, 2, ... upward and stops at the first
 mode with no level below the cap: with V >= 0 every level of -u'' + k^2 V u
@@ -25,7 +25,6 @@ estimates alike. Every other potential is solved mode by mode.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, groupby
 from math import inf, pi
 
@@ -89,22 +88,19 @@ def _assemble_exact(potential: Potential, e_max: float) -> AssembledSpectrum:
         q = s2.rational.denominator
         line_keys = keys[first].tolist()
         values = [key / q for key in line_keys]  # Python ints: int64 division rounds twice
-        exact = [(Fraction(key, q), None) for key in line_keys]
     else:
         # (lin, quad) is injective in (k, n): each line is one pair +-k
         first = np.arange(len(k))
         lin, quad = keys
         values = (lin + quad * s2.approx).tolist()
-        exact = [(None, pair) for pair in zip(lin.tolist(), quad.tolist())]
+        line_keys = list(zip(lin.tolist(), quad.tolist()))
     # each member's contributors (-k, n), (k, n), so a line lists them in |k| order
     members = list(zip(np.column_stack((-k, k)).ravel().tolist(), np.repeat(n, 2).tolist()))
     bounds = (2 * first).tolist() + [len(members)]
     # (value, contributors) order: distinct lines differ in their first contributor
-    lines = []
-    for i in np.lexsort((n[first], -k[first], values)).tolist():
-        contributors = tuple(members[bounds[i]:bounds[i + 1]])
-        lines.append(SpectrumLine(values[i], contributors, len(contributors), *exact[i]))
-    return AssembledSpectrum(e_max=float(e_max), lines=tuple(lines), k_cut=int(kn[-1, 0]),
+    lines = tuple(SpectrumLine(values[i], tuple(members[bounds[i]:bounds[i + 1]]), line_keys[i])
+                  for i in np.lexsort((n[first], -k[first], values)).tolist())
+    return AssembledSpectrum(e_max=float(e_max), lines=lines, k_cut=int(kn[-1, 0]),
                              mode="exact")
 
 
@@ -128,9 +124,7 @@ def _cluster(entries: list[tuple[float, float, int, int]]
     lines, warnings = [], []
     for members in clusters:
         value = sum(lam for lam, _, _, _ in members) / len(members)
-        contributors = _sorted_contributors((k, n) for _, _, k, n in members)
-        lines.append(SpectrumLine(value=value, contributors=contributors,
-                                  multiplicity=len(contributors)))
+        lines.append(SpectrumLine(value, _sorted_contributors((k, n) for _, _, k, n in members)))
         pair = next((ab for ab in combinations(members, 2) if _distinct(*ab)), None)
         if pair:
             warnings.append(f"line at {value!r} joins levels (k, n) = {pair[0][2:]} and "

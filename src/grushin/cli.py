@@ -304,15 +304,16 @@ def _cmd_multiplicity(conf: dict) -> int:
         if conf[flag] is not None:
             raise _UsageError(f"--{flag} does not apply to {kind} --s2")
     if s2.is_rational:
-        line = multiplicity_enumeration(parse_value(conf["value"]), s2)
+        value = parse_value(conf["value"])
+        line = multiplicity_enumeration(value, s2)
     else:
         line = multiplicity_enumeration((conf["lin"], conf["quad"]), s2)
     if conf["format"] == "csv":
         _emit_csv(_LINE_HEADER, [_line_row(line)], conf)
         return 0
     payload = {"s2": render_exact_scalar(s2), **_line_json(line)}
-    if s2.is_rational and s2.rational == 0 and line.exact_value.denominator == 1:
-        payload["factorization_mult"] = multiplicity_factorization(int(line.exact_value))
+    if s2.is_rational and s2.rational == 0 and value.denominator == 1:
+        payload["factorization_mult"] = multiplicity_factorization(int(value))
     _emit_json(payload, conf)
     return 0
 

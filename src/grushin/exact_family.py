@@ -13,16 +13,19 @@ the pair (lin, quad) = ((2n+1)|k|, k^2), so no float comparison ever decides
 equality. ``_level_keys`` is its array form: the same formula over int64
 arrays of (k, n), guarded so that no product wraps. A rational level's value
 is the Python-int quotient key / q, exact to the last bit; int64 true
-division rounds twice once a key passes 2^53.
+division rounds twice once a key passes 2^53. A ``SpectrumLine`` carries the
+key (no Fraction) beside its value and contributors, whose count is its
+multiplicity.
 
 One per-mode table, ``_modes``, decides which levels lie below a cap for
-counting, enumeration and multiplicities. For rational s2 every level is a
-multiple of 1/q, so the cap E floors to the integer c = floor(qE), and level
-n of mode k lies below it exactly when (2n+1) qk <= c - pk^2: 64-bit-guarded
-integers, no Fractions. Only the cap test of a tagged irrational goes through
-its float approximation. ``enumerate_exact_pairs`` turns the table into one
-int64 array of (k, n); exact assembly keys that array with ``_level_keys``
-and groups equal keys by one stable sort of the int64 keys.
+counting, enumeration, multiplicities and assembly, and refuses s2 < 0. For
+rational s2 every level is a multiple of 1/q, so the cap E floors to the
+integer c = floor(qE), and level n of mode k lies below it exactly when
+(2n+1) qk <= c - pk^2: 64-bit-guarded integers, no Fractions. Only the cap
+test of a tagged irrational goes through its float approximation.
+``enumerate_exact_pairs`` turns the table into one int64 array of (k, n);
+exact assembly keys that array with ``_level_keys`` and groups equal keys by
+one stable sort of the int64 keys.
 """
 
 from __future__ import annotations
@@ -68,22 +71,23 @@ def _check64(value: int, what: str) -> int:
 @dataclass(frozen=True)
 class SpectrumLine:
     """An assembled eigenvalue of the two-dimensional operator: its numeric
-    value, the contributing Fourier/level pairs, and the multiplicity."""
+    value, the contributing Fourier/level pairs, and their ``level_key`` key
+    (None for a numeric line). The multiplicity is the contributor count."""
 
     value: float
     contributors: tuple[tuple[int, int], ...]
-    multiplicity: int
-    exact_value: Fraction | None = None
-    exact_pair: tuple[int, int] | None = None
+    key: int | tuple[int, int] | None = None
 
     def __post_init__(self):
-        if self.multiplicity != len(self.contributors):
-            raise InvariantViolation("multiplicity must equal the contributor count")
-        if self.multiplicity % 2 != 0:
+        if len(self.contributors) % 2 != 0:
             raise InvariantViolation("multiplicities are even (k and -k pair up)")
         have = set(self.contributors)
         if any((-k, n) not in have for k, n in self.contributors):
             raise InvariantViolation("contributors must be closed under k -> -k")
+
+    @property
+    def multiplicity(self) -> int:
+        return len(self.contributors)
 
 
 def _sorted_contributors(pairs) -> tuple[tuple[int, int], ...]:
@@ -188,26 +192,25 @@ def multiplicity_enumeration(target, s2: ExactScalar) -> SpectrumLine:
     contributors, and equality is tested in integers on the ``_modes`` table.
     Irrational s2: the target is a pair (lin, quad), the key of ``level_key``,
     and equality is pair equality; no float comparison ever happens. A pair
-    with no (k, n) preimage has no contributors.
+    with no (k, n) preimage has no contributors. The line's key is the pair,
+    or for rational s2 the int q * target (None off the lattice).
     """
     if s2.is_rational:
         t = Fraction(target)
         if t <= 0:
             raise PreconditionError("eigenvalues are positive")
+        key = t * s2.rational.denominator
+        on_lattice = key.denominator == 1
         contributors = []
-        if (t * s2.rational.denominator).denominator == 1:
-            # level n of mode k equals t exactly when (2n+1) d == r
-            for k, r, d in _modes(s2, t):
-                odd = r // d
-                hit = (r % d == 0) & (odd % 2 == 1)
-                for kk, n in zip(k[hit].tolist(), (odd[hit] // 2).tolist()):
-                    contributors.extend([(kk, n), (-kk, n)])
-        return SpectrumLine(
-            value=float(t),
-            contributors=_sorted_contributors(contributors),
-            multiplicity=len(contributors),
-            exact_value=t,
-        )
+        # on the lattice level n of mode k equals t when (2n+1) d == r; off
+        # it none does, and a cap of 0 scans no mode but still refuses s2 < 0
+        for k, r, d in _modes(s2, t if on_lattice else 0):
+            odd = r // d
+            hit = (r % d == 0) & (odd % 2 == 1)
+            for kk, n in zip(k[hit].tolist(), (odd[hit] // 2).tolist()):
+                contributors.extend([(kk, n), (-kk, n)])
+        return SpectrumLine(value=float(t), contributors=_sorted_contributors(contributors),
+                            key=int(key) if on_lattice else None)
 
     lin, quad = target
     k = math.isqrt(max(quad, 0))
@@ -216,12 +219,8 @@ def multiplicity_enumeration(target, s2: ExactScalar) -> SpectrumLine:
     if valid:
         n = ((lin // k) - 1) // 2
         contributors = [(k, n), (-k, n)]
-    return SpectrumLine(
-        value=float(lin + quad * s2.approx),
-        contributors=_sorted_contributors(contributors),
-        multiplicity=len(contributors),
-        exact_pair=(lin, quad),
-    )
+    return SpectrumLine(value=float(lin + quad * s2.approx),
+                        contributors=_sorted_contributors(contributors), key=(lin, quad))
 
 
 def _modes(s2: ExactScalar, e_max):
@@ -232,10 +231,15 @@ def _modes(s2: ExactScalar, e_max):
     Rational s2 = p/q: r = floor(q e_max) - p k^2 and d = q k in int64, exact
     because every level is a multiple of 1/q. Tagged irrational: among
     k <= min(E, sqrt(E/s2)), those whose float quotient r = (e_max - k^2 s2)/k
-    is >= 1, with d = 1.
+    is >= 1, with d = 1. s2 < 0 (levels unbounded below) raises
+    PreconditionError when the first block is asked for, even if there is none.
     """
     if s2.is_rational:
         p, q = s2.rational.numerator, s2.rational.denominator
+        if p < 0:
+            raise PreconditionError(
+                f"s2 must be >= 0; at s2 = {s2.rational} the levels (2n+1)|k| + k^2 s2 "
+                "fall without bound as |k| grows")
         c = math.floor(q * Fraction(e_max))
         # the largest k with p k^2 + q k <= c
         k_max = c // q if p == 0 else (math.isqrt(q * q + 4 * p * c) - q) // (2 * p)

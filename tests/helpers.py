@@ -177,7 +177,8 @@ def brute_exact_lines(s2: ExactScalar, e_max) -> list[tuple]:
     (+-k, n): by Fraction equality of (2n+1)k + k^2 s2 for rational s2 >= 0,
     by equality of the pair ((2n+1)k, k^2) for a tagged irrational, whose cap
     test uses its float value. Lines are (value, contributors, multiplicity,
-    exact_value, exact_pair) in (value, contributors) order."""
+    key) in (value, contributors) order, with the key of ``level_key``: the
+    integer q * level for rational s2 = p/q, the pair for an irrational."""
     groups: dict = {}
     k = 1
     while True:
@@ -201,10 +202,12 @@ def brute_exact_lines(s2: ExactScalar, e_max) -> list[tuple]:
     for key, members in groups.items():
         contributors = tuple(sorted(members, key=lambda kn: (abs(kn[0]), kn[0], kn[1])))
         if s2.is_rational:
-            lines.append((float(key), contributors, len(contributors), key, None))
+            scaled = key * s2.rational.denominator  # every level is a multiple of 1/q
+            assert scaled.denominator == 1
+            lines.append((float(key), contributors, len(contributors), scaled.numerator))
         else:
             value = float(key[0] + key[1] * s2.approx)
-            lines.append((value, contributors, len(contributors), None, key))
+            lines.append((value, contributors, len(contributors), key))
     return sorted(lines, key=lambda line: line[:2])
 
 

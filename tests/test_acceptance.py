@@ -92,7 +92,7 @@ def test_c05_irrational_rigidity():
     spec = assemble(parse_potential("shifted:s2=irr:sqrt2"), 10**4, mode="exact")
     assert spec.lines, "empty spectrum"
     for line in spec.lines:
-        assert line.exact_pair[0] <= 10**4
+        assert line.key[0] <= 10**4
         assert line.multiplicity == 2, line
     _passline(5, f"all {len(spec.lines)} sqrt2-shift lines have multiplicity 2")
 

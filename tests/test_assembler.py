@@ -7,6 +7,7 @@ from helpers import brute_property_p, weighted_power
 from grushin import assembler, schrod1d
 from grushin.assembler import assemble, check_property_p
 from grushin.core import (
+    SEPARATION,
     ExactScalar,
     Potential,
     PreconditionError,
@@ -200,6 +201,19 @@ def test_assemble_numeric_matches_exact():
         assert a.multiplicity == b.multiplicity
         assert set(a.contributors) == set(b.contributors)
     assert num.warnings == ()
+
+
+def test_cluster_chain_that_joins_distinct_levels_warns():
+    # a ~ b ~ c chain into one line, though a and c are certified distinct
+    err = 1.0
+    a, b, c = 10.0, 10.0 + 1.5 * SEPARATION * err, 10.0 + 3.0 * SEPARATION * err
+    entries = [(lam, err, sign * k, 0) for lam, k in ((a, 1), (b, 2), (c, 3)) for sign in (1, -1)]
+    lines, warnings = assembler._cluster(entries)
+    assert [line.contributors for line in lines] == [
+        ((-1, 0), (1, 0), (-2, 0), (2, 0), (-3, 0), (3, 0))]
+    assert lines[0].key is None
+    assert warnings == [f"line at {(a + b + c) / 3!r} joins levels (k, n) = (-1, 0) and "
+                        "(-3, 0), which are certified distinct"]
 
 
 def test_assemble_multiplicities_even_and_counts():

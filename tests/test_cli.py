@@ -125,6 +125,33 @@ def test_multiplicity_reads_value_or_coordinates(tmp_path, capsys, argv, flag, m
         assert (code, out, err) == (2, "", f'error: code=usage msg="{message}"\n')
 
 
+@pytest.mark.parametrize("argv, rows", [
+    (["--s2", "0", "--value", "15"], ["15.0,8,-1:7;1:7;-3:2;3:2;-5:1;5:1;-15:0;15:0"]),
+    (["--s2", "1/2", "--value", "7/2"], ["3.5,2,-1:1;1:1"]),
+    (["--s2", "0", "--value", "5/2"], ["2.5,0,"]),  # off the lattice
+    (["--s2", "irr:sqrt2", "--lin", "15", "--quad", "9"], ["27.72792206135786,2,-3:2;3:2"]),
+], ids=["s2=0", "s2=1/2", "off-lattice", "sqrt2"])
+def test_multiplicity_csv(capsys, argv, rows):
+    code, out, err = run_capture(capsys, ["multiplicity", *argv, "--format", "csv"])
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["value,multiplicity,contributors"] + rows
+
+
+def test_solve1d_csv(capsys):
+    # V = x^2, mode 2: the levels are 2 (2n + 1)
+    code, out, err = run_capture(capsys, [
+        "solve1d", "--potential", "power:gamma=1", "--k", "2", "--m", "3", "--format", "csv"])
+    assert (code, err) == (0, "")
+    header, *rows = out.splitlines()
+    assert header == "k,n,lambda,err_est"
+    assert len(rows) == 3
+    for n, row in enumerate(rows):
+        k, level, lam, err_est = row.split(",")
+        assert (k, level) == ("2", str(n))
+        assert 0 < float(err_est) < 1e-6
+        assert abs(float(lam) - 2 * (2 * n + 1)) <= float(err_est)
+
+
 def test_solve1d_json(capsys):
     code, out, _ = run_capture(capsys, [
         "solve1d", "--potential", "power:gamma=1", "--k", "1", "--m", "3"])
@@ -152,6 +179,46 @@ def test_usage_errors_are_single_line_exit_2(capsys):
 
     code, _, err = run_capture(capsys, [])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["weyl", "--s2", "0", "--emax", "10", "--samples", "0"], "samples must be >= 1"),
+    (["concentration", "--s2", "irr:sqrt2", "--emax", "10", "--a", "0", "--b", "pi/0"],
+     "zero denominator in angle 'pi/0'"),
+    (["perturb", "hf", "--potential", "power:gamma=1", "--k", "1", "--n", "0", "--bump=-1,1"],
+     "bump must be 'a,b,eps[,scale]', got '-1,1'"),
+    (["perturb", "hf", "--potential", "power:gamma=1", "--k", "1", "--n", "0",
+      "--bump=-1,1,x"], "bad number in bump '-1,1,x'"),
+    (["perturb", "branch", "--potential", "power:gamma=1", "--k", "1", "--levels", "0,a",
+      "--tmax", "0.01", "--bump=-1,1,0.2"], "bad level list '0,a'"),
+    (["weyl", "--config", "{missing}"], "cannot read config '{missing}': "),
+    (["weyl", "--config", "{listed}"], "config file must hold a JSON object"),
+], ids=["samples", "angle", "bump-count", "bump-number", "levels", "unreadable-config",
+        "config-list"])
+def test_malformed_inputs_are_single_line_exit_2(tmp_path, capsys, argv, message):
+    listed = tmp_path / "listed.json"
+    listed.write_text('["s2", "0"]', encoding="utf-8")
+    paths = {"missing": str(tmp_path / "missing.json"), "listed": str(listed)}
+    argv = [arg.format(**paths) for arg in argv]
+    code, out, err = run_capture(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f'error: code=usage msg="{message.format(**paths)}')
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["weyl", "--s2=-1", "--emax", "5"],
+    ["multiplicity", "--s2=-1/10", "--value", "3"],
+    ["concentration", "--s2=-1/10", "--emax", "50", "--a", "0", "--b", "pi/2"],
+    ["concentration", "--s2=-1/10", "--emax", "2", "--a", "0", "--b", "pi/2"],
+    ["perturb", "split", "--s2=-1", "--value", "6", "--t", "0.05", "--bump=-1,1,0.2"],
+])
+def test_negative_s2_is_single_line_exit_1(capsys, argv):
+    # its levels fall without bound as |k| grows, so no cap holds finitely many
+    code, out, err = run_capture(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith('error: code=PreconditionError msg="s2 must be >= 0; at s2 = -1')
+    assert err.count("\n") == 1
 
 
 def test_potential_syntax_error_exit_code(capsys):

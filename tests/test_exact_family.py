@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -6,7 +7,15 @@ import pytest
 
 from helpers import brute_count, enumeration_multiplicities
 
-from grushin.core import ExactScalar, IntegerOverflowError, InvariantViolation, PreconditionError
+from grushin.assembler import assemble
+from grushin.core import (
+    ExactFamilyProfile,
+    ExactScalar,
+    IntegerOverflowError,
+    InvariantViolation,
+    Potential,
+    PreconditionError,
+)
 from grushin.exact_family import (
     SpectrumLine,
     _level_keys,
@@ -93,14 +102,17 @@ def test_exact_eigenvalue_pair_invariants():
     assert multiplicity_enumeration((4, 4), SQRT2).multiplicity == 0  # 4/2 = 2 is even
     line = multiplicity_enumeration((15, 9), SQRT2)
     assert line.contributors == ((-3, 2), (3, 2))
-    assert line.exact_pair == (15, 9)
+    assert line.key == (15, 9)
 
 
 def test_spectrum_line_invariants():
+    # a line is its value, contributors and key; the multiplicity is derived
+    assert [f.name for f in dataclasses.fields(SpectrumLine)] == ["value", "contributors", "key"]
+    assert SpectrumLine(value=1.0, contributors=((-1, 0), (1, 0)), key=1).multiplicity == 2
     with pytest.raises(InvariantViolation):
-        SpectrumLine(value=1.0, contributors=((1, 0),), multiplicity=1)
+        SpectrumLine(value=1.0, contributors=((1, 0),))
     with pytest.raises(InvariantViolation):
-        SpectrumLine(value=1.0, contributors=((1, 0), (2, 0)), multiplicity=2)
+        SpectrumLine(value=1.0, contributors=((1, 0), (2, 0)))
 
 
 # --- multiplicity -----------------------------------------------------------
@@ -222,6 +234,27 @@ def test_counting_irrational_tag():
 
 
 # --- Weyl residuals ---------------------------------------------------------
+
+def _assemble(s2, e_max):
+    return assemble(Potential("cylinder", 1.0, ExactFamilyProfile(s2=s2)), e_max, mode="exact")
+
+
+# the levels (2n+1)|k| - k^2/10 fall without bound, so no cap, small or large,
+# holds finitely many
+@pytest.mark.parametrize("call", [
+    lambda s2: counting_function(5, s2),
+    lambda s2: enumerate_exact_pairs(s2, 5),
+    lambda s2: weyl_residual([5], s2),
+    lambda s2: multiplicity_enumeration(3, s2),
+    lambda s2: multiplicity_enumeration(Fraction(3, 7), s2),  # off the lattice
+    lambda s2: _assemble(s2, 2.0),
+    lambda s2: _assemble(s2, 50.0),
+], ids=["counting", "enumeration", "weyl", "multiplicity", "off-lattice", "assemble-2",
+        "assemble-50"])
+def test_negative_s2_is_refused_by_the_cap_table(call):
+    with pytest.raises(PreconditionError, match="s2 must be >= 0"):
+        call(ExactScalar.from_rational(-1, 10))
+
 
 def test_weyl_residual_windows_small():
     samples = weyl_residual([10.0**3, 10.0**4], S0)

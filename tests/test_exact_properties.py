@@ -98,8 +98,7 @@ def test_exact_assembly_matches_brute_grouping(s2, e):
     # a tagged irrational's levels lie within rounding of none of these caps,
     # so the oracle's float cap test agrees with the library's
     spectrum = assemble(_shifted(s2), e, mode="exact")
-    got = [(ln.value, ln.contributors, ln.multiplicity, ln.exact_value, ln.exact_pair)
-           for ln in spectrum.lines]
+    got = [(ln.value, ln.contributors, ln.multiplicity, ln.key) for ln in spectrum.lines]
     want = brute_exact_lines(s2, e)
     assert got == want
     assert spectrum.k_cut == max((abs(k) for _, kn, *_ in want for k, _ in kn), default=0)
@@ -109,10 +108,12 @@ def test_values_past_2_53_are_correctly_rounded_quotients(capsys):
     # s2 = 1/7^19: the keys q * level pass 2^53, where an int64 true division
     # key / q rounds twice and lands one ulp off for about half of them
     s2 = "1/11398895185373143"
+    q = 7**19
     spectrum = assemble(_shifted(parse_exact_scalar(s2)), 30, mode="exact")
     assert len(spectrum.lines) == 62
-    assert max(ln.exact_value.numerator for ln in spectrum.lines) > 2**53
-    assert all(ln.value == float(ln.exact_value) for ln in spectrum.lines)
+    exact = [Fraction(ln.key, q) for ln in spectrum.lines]
+    assert max(level.numerator for level in exact) > 2**53
+    assert all(ln.value == float(level) for ln, level in zip(spectrum.lines, exact))
     assert run(["spectrum", "--potential", f"shifted:s2={s2}", "--emax", "30", "--mode", "exact",
                 "--format", "csv"]) == 0
     out = capsys.readouterr().out

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import re
 
@@ -11,7 +13,10 @@ from scipy.optimize import linear_sum_assignment
 from helpers import branch_overlaps, central_difference_slope
 
 from grushin import perturb
+from grushin.cli import run
 from grushin.core import (
+    SEPARATION,
+    CallableProfile,
     ConvergenceError,
     ExactScalar,
     Perturbation,
@@ -244,6 +249,48 @@ def test_gap_avoidance_small_bump_passes():
     assert moved
 
 
+# check_gap_avoidance on HARMONIC, k = 1, m = 1, with the perturbed level m
+# placed by hand: the CLI flags of the same run
+_GAP_BUMP = BUMP.scaled(0.2)
+_GAP_ARGV = ["perturb", "gap", "--potential", "power:gamma=1", "--k", "1", "--m", "1",
+             "--bump=-1,1,0.2,0.2"]
+
+
+def _perturbed_level_at(monkeypatch, where):
+    """Stub the perturbed (t = 1) solve of check_gap_avoidance so that its
+    level m = 1 sits at where(info) with error estimate 1e-4. The unperturbed
+    solve stays real. Returns the GapInfo, which the stub leaves as it is."""
+    info = check_gap_avoidance(HARMONIC, _GAP_BUMP, 1, 1).info
+    solve = perturb.solve_eigen
+
+    def stub(potential, k, m, tol=Tolerances()):
+        pairs = solve(potential, k, m, tol)
+        if isinstance(potential.profile, CallableProfile):  # V + base W at t = 1
+            pairs[1] = dataclasses.replace(pairs[1], lam=where(info), err_est=1e-4)
+        return pairs
+
+    monkeypatch.setattr(perturb, "solve_eigen", stub)
+    return info
+
+
+def test_gap_avoidance_level_deep_inside_j_plus_fails(monkeypatch):
+    info = _perturbed_level_at(monkeypatch, lambda info: sum(info.j_plus) / 2)
+    report = check_gap_avoidance(HARMONIC, _GAP_BUMP, 1, 1)
+    assert report.info == info
+    assert report.verdict == "FAIL"
+    assert report.intrusions == (sum(info.j_plus) / 2,)
+
+
+def test_gap_avoidance_level_at_an_endpoint_is_undecided(monkeypatch, capsys):
+    # within SEPARATION * err_est of J+'s lower end: inside by less than the
+    # error bars
+    _perturbed_level_at(monkeypatch, lambda info: info.j_plus[0] + 0.5 * SEPARATION * 1e-4)
+    report = check_gap_avoidance(HARMONIC, _GAP_BUMP, 1, 1)
+    assert (report.verdict, report.intrusions) == ("UNDECIDED", ())
+    assert run(_GAP_ARGV) == 3
+    assert json.loads(capsys.readouterr().out)["verdict"] == "UNDECIDED"
+
+
 def test_gap_avoidance_precondition_violation():
     with pytest.raises(PreconditionError, match="PRECONDITION"):
         check_gap_avoidance(HARMONIC, BUMP.scaled(10.0), 1, 1)
@@ -264,6 +311,39 @@ _OFF_PERIOD = mollified_indicator(4.0, 5.0, 0.2)
 def test_torus_experiments_reject_bumps_past_pi(experiment):
     with pytest.raises(PreconditionError, match=r"torus bump support \[3.8, 5.2\]"):
         experiment()
+
+
+# an off-centre bump: the perturbed circle is not even, so it takes the dense
+# solve, and the slope needs the circle grid's coarsening
+_TORUS_BUMP = mollified_indicator(0.5, 1.5, 0.2)
+
+
+def test_torus_hf_matches_central_difference_of_solves():
+    # at eig_rel 1e-9 the solves' error term is 1e-7, well below the O(t^2) one
+    t, tol = 1e-3, Tolerances(1e-9)
+    hf = hellmann_feynman(_TORUS, _TORUS_BUMP, 1, 0, tol)
+    up, down = (solve_eigen(perturbed_potential(_TORUS, _TORUS_BUMP, s), 1, 1, tol)[0]
+                for s in (t, -t))
+    assert up.grid.kind == "circle"
+    base = solve_eigen(_TORUS, 1, 2)
+    # the difference's O(t^2) term: t^2/6 |lambda^(3)| <= t^2 rate^3 / kappa^2
+    rate = _TORUS_BUMP.sup_weighted(_TORUS)
+    kappa = base[1].lam - base[0].lam
+    bound = (up.err_est + down.err_est) / (2 * t) + t * t * rate**3 / kappa**2
+    assert abs(hf - (up.lam - down.lam) / (2 * t)) <= bound
+
+
+def test_torus_track_branches_start_at_solve_eigen():
+    levels, t_max = [0, 1], 0.05
+    branches = track_branches(_TORUS, _TORUS_BUMP, 1, levels, t_max, steps=2)
+    # the tracker takes its t = 0 levels from a solve with three levels to spare
+    start = solve_eigen(_TORUS, 1, levels[-1] + 3)
+    end = solve_eigen(perturbed_potential(_TORUS, _TORUS_BUMP, t_max), 1, levels[-1] + 1)
+    for br in branches:
+        assert br.grid.kind == "circle"
+        assert br.lambdas[0] == start[br.level].lam
+        assert br.t_grid[-1] == t_max
+        assert abs(br.lambdas[-1] - end[br.level].lam) <= br.err_ests[-1] + end[br.level].err_est
 
 
 # --- splitting --------------------------------------------------------------
