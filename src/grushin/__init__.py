@@ -10,7 +10,6 @@ from .core import (
     Potential,
     Tolerances,
     eval_potential,
-    mollified_indicator,
     parse_potential,
 )
 from .schrod1d import EigenPair, Grid, solve_eigen
@@ -39,7 +38,6 @@ __all__ = [
     "Potential",
     "Tolerances",
     "eval_potential",
-    "mollified_indicator",
     "parse_potential",
     "EigenPair",
     "Grid",

@@ -320,10 +320,9 @@ def _cmd_multiplicity(conf: dict) -> int:
 
 def _cmd_concentration(conf: dict) -> int:
     s2 = parse_exact_scalar(conf["s2"])
-    potential = Potential(geometry="cylinder", gamma=1.0, profile=ExactFamilyProfile(s2=s2))
-    spectrum = assemble(potential, conf["emax"], mode="exact")
     strip = Strip(parse_angle(conf["a"]), parse_angle(conf["b"]))
-    cert = concentration_certificate(spectrum, strip)
+    potential = Potential(geometry="cylinder", gamma=1.0, profile=ExactFamilyProfile(s2=s2))
+    cert = concentration_certificate(assemble(potential, conf["emax"], mode="exact"), strip)
     _emit_json({
         "strip": {"a": strip.a, "b": strip.b},
         "e_max": cert.e_max,

@@ -37,7 +37,6 @@ __all__ = [
     "render_exact_scalar",
     "eval_potential",
     "base_factor",
-    "mollified_indicator",
     "sup_on_interval",
 ]
 
@@ -506,12 +505,6 @@ def standard_mollifier_cdf(z) -> np.ndarray | float:
     if np.any(inside):
         out[inside] = _bump_mass(z[inside]) / _BUMP_TOTAL
     return float(out[0]) if scalar else out
-
-
-def mollified_indicator(a: float, b: float, eps: float) -> Perturbation:
-    """The mollified indicator of [a, b] at smoothing width eps: the unit-scale
-    Perturbation."""
-    return Perturbation(a, b, eps)
 
 
 # A numeric level is certified distinct from another, or above a cap, when the

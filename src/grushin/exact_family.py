@@ -113,7 +113,11 @@ def level_key(k: int, n: int, s2: ExactScalar) -> tuple[float, int | tuple[int, 
     quad = _check64(k * k, "k^2")
     key = _key(lin, quad, s2)
     if s2.is_rational:
-        return key / s2.rational.denominator, key
+        # the guard of _level_keys: each term within 64 bits, then their sum
+        p, q = s2.rational.numerator, s2.rational.denominator
+        _check64(q * lin, "q(2n+1)|k|")
+        _check64(p * quad, "p k^2")
+        return _check64(key, "q(2n+1)|k| + p k^2") / q, key
     return float(lin + quad * s2.approx), key
 
 

@@ -14,7 +14,6 @@ which also bounds every branch slope by k^2 * sup(base * W).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -23,7 +22,6 @@ import numpy as np
 from .core import (
     SEPARATION,
     CallableProfile,
-    ConvergenceError,
     ExactFamilyProfile,
     ExactScalar,
     Perturbation,
@@ -117,31 +115,28 @@ class Branch:
     grid: Grid
 
 
-def _match(overlap: np.ndarray) -> np.ndarray:
-    """The column each row of an overlap matrix |<u_prev, u_new>| moves to:
-    its argmax."""
-    return np.argmax(overlap, axis=1)
-
-
 def track_branches(potential: Potential, w: Perturbation, k: int, levels,
                    t_max: float, steps: int = 32,
                    tol: Tolerances = Tolerances()) -> list[Branch]:
     """Continue the chosen levels of -u'' + k^2 (V + t base W) u across
-    t in [0, t_max]. Each branch moves to the new eigenvector of largest
-    overlap |<u_prev, u_new>| with its current one, and a step is halved
-    whenever one of these overlaps falls below 0.9.
+    ``steps`` equal steps of t in [0, t_max]. The branch of level n is level
+    n of the discrete operator at every t, each eigenvector signed to agree
+    with the one before it.
 
-    The per-branch argmax is the maximal-overlap assignment wherever a step
-    is accepted. Old and new eigenvectors are each orthonormal, so by
-    Bessel's inequality a row or column of the overlap matrix holds at most
-    one entry >= 0.9 (two would square-sum to 1.62 > 1). When every row
-    maximum reaches 0.9 the argmax columns are therefore distinct and form
-    the unique optimal assignment; when one falls short, so does the smallest
-    entry of any assignment, and the step is halved either way.
+    Sorted order is branch order, by min-max (Courant-Fischer; Kato,
+    Perturbation Theory for Linear Operators, 1966). On any grid the
+    deformation t k^2 diag(base W) is positive semidefinite with norm at most
+    t * rate, rate = k^2 sup(base W), so each discrete eigenvalue satisfies
+    lambda_j(0) <= lambda_j(t) <= lambda_j(0) + t * rate. On the tracking
+    grid and its coarsening, each gap next to a tracked level at t = 0 is at
+    least kappa, the smallest such gap of the extrapolated levels, less that
+    grid's discretisation error. With that error below kappa/2, t * rate <
+    kappa/2 gives lambda_n(t) <= lambda_n(0) + t * rate < lambda_{n+1}(0)
+    <= lambda_{n+1}(t), and likewise below: level n stays simple and never
+    meets a neighbor, so its eigenvalue and eigenvector continue in t as
+    level n.
 
-    Precondition: t_max * k^2 * sup(base W) < kappa/2, where kappa is the
-    smallest spectral gap around the tracked levels at t = 0, so branches
-    cannot wander past their neighbors.
+    Precondition: t_max * k^2 * sup(base W) < kappa/2.
     """
     levels = sorted(set(int(n) for n in levels))
     if not levels or levels[0] < 0:
@@ -153,11 +148,8 @@ def track_branches(potential: Potential, w: Perturbation, k: int, levels,
     m_solve = levels[-1] + 3
     base = solve_eigen(potential, k, m_solve, tol)
     lams0 = np.array([p.lam for p in base])
-    kappa = math.inf
-    for n in levels:
-        if n > 0:
-            kappa = min(kappa, float(lams0[n] - lams0[n - 1]))
-        kappa = min(kappa, float(lams0[n + 1] - lams0[n]))
+    gaps = np.diff(lams0)  # gaps[n] lies between levels n and n + 1
+    kappa = float(min(np.min(gaps[max(n - 1, 0):n + 1]) for n in levels))
     rate = k * k * w.sup_weighted(potential)
     if t_max * rate >= kappa / 2.0:
         raise PreconditionError(
@@ -166,50 +158,27 @@ def track_branches(potential: Potential, w: Perturbation, k: int, levels,
 
     grid = base[0].grid
     grid_coarse = grid.coarsened()
-    h = grid.h
+    t_grid = np.linspace(0.0, t_max, steps + 1)
+    # every solved level's eigenvalues and error estimates along t_grid, and
+    # the eigenvectors of the tracked levels
+    lams, errs = [lams0], [np.array([p.err_est for p in base])]
     _, vecs0 = solve_on_grid(potential, k, m_solve, grid)
-    # the accepted t values, and per branch its eigenvalues, error estimates
-    # and eigenvectors at those t
-    ts = [0.0]
-    lams = [[base[n].lam] for n in levels]
-    errs = [[base[n].err_est] for n in levels]
-    vectors = [[vecs0[:, n].copy()] for n in levels]
-
-    def solve_at(t: float):
+    vectors = {n: [vecs0[:, n].copy()] for n in levels}
+    for t in t_grid[1:]:
         # the extrapolant of the two tracking grids, as base[n].lam is at t = 0
-        pert = perturbed_potential(potential, w, t)
+        pert = perturbed_potential(potential, w, float(t))
         lams_f, vecs_f = solve_on_grid(pert, k, m_solve, grid)
         lams_c, _ = solve_on_grid(pert, k, m_solve, grid_coarse, vectors=False)
         extrap, raw = _extrapolate(None, lams_c, lams_f)
-        err = np.maximum(raw, _err_floor(grid, float(np.max(np.abs(extrap)))))
-        return extrap, vecs_f, err
-
-    def advance(t_to: float, depth: int):
-        lams_f, vecs_f, err = solve_at(t_to)
-        current = np.column_stack([vecs[-1] for vecs in vectors])
-        overlap = np.abs(h * (current.T @ vecs_f))
-        if np.min(np.max(overlap, axis=1)) < 0.9:
-            if depth >= 10:
-                raise ConvergenceError(
-                    f"branch overlap stayed below 0.9 at t={t_to!r} after "
-                    "repeated step halving")
-            advance(0.5 * (ts[-1] + t_to), depth + 1)
-            advance(t_to, depth + 1)
-            return
-        ts.append(t_to)
-        for row, col in enumerate(_match(overlap)):
-            vec = vecs_f[:, col]
-            if h * float(np.dot(vectors[row][-1], vec)) < 0:
-                vec = -vec
-            lams[row].append(lams_f[col])
-            errs[row].append(err[col])
-            vectors[row].append(vec)
-
-    for t in np.linspace(0.0, t_max, steps + 1)[1:]:
-        advance(float(t), 0)
-    return [Branch(k=k, level=n, t_grid=np.array(ts), lambdas=np.array(lams[row]),
-                   err_ests=np.array(errs[row]), vectors=tuple(vectors[row]), grid=grid)
-            for row, n in enumerate(levels)]
+        lams.append(extrap)
+        errs.append(np.maximum(raw, _err_floor(grid, float(np.max(np.abs(extrap))))))
+        for n, vecs in vectors.items():
+            vec = vecs_f[:, n]
+            vecs.append(-vec if np.dot(vecs[-1], vec) < 0 else vec)
+    lams, errs = np.array(lams), np.array(errs)
+    return [Branch(k=k, level=n, t_grid=t_grid.copy(), lambdas=lams[:, n].copy(),
+                   err_ests=errs[:, n].copy(), vectors=tuple(vecs), grid=grid)
+            for n, vecs in vectors.items()]
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,8 @@ from grushin.cli import run
 from grushin.concentration import Strip, min_ratio
 from grushin.core import (
     ExactScalar,
+    Perturbation,
     Tolerances,
-    mollified_indicator,
     parse_potential,
 )
 from grushin.exact_family import (
@@ -146,7 +146,7 @@ def test_c09_hellmann_feynman():
         lo = float(rng.uniform(-2.2, -0.3))
         hi = lo + float(rng.uniform(1.2, 2.8))
         eps = float(rng.uniform(0.15, 0.45)) * (hi - lo) / 2.0
-        bump = mollified_indicator(lo, hi, eps).scaled(float(rng.uniform(0.5, 1.5)))
+        bump = Perturbation(lo, hi, eps).scaled(float(rng.uniform(0.5, 1.5)))
         hf = hellmann_feynman(pot, bump, k, n)
         pairs = solve_eigen(pot, k, n + 2)
         kappa = pairs[n + 1].lam - pairs[n].lam
@@ -161,15 +161,14 @@ def test_c09_hellmann_feynman():
         assert abs(hf - slope) <= 1e-4 * max(1.0, abs(slope)), (case, hf, slope)
 
     ground = solve_eigen(parse_potential("power:gamma=1"), 1, 1)[0]
-    plateau = mollified_indicator(-(ground.grid.length + 2.0),
-                                  ground.grid.length + 2.0, 1.0)
+    plateau = Perturbation(-(ground.grid.length + 2.0), ground.grid.length + 2.0, 1.0)
     virial = hellmann_feynman(parse_potential("power:gamma=1"), plateau, 1, 0)
     assert abs(virial - 0.5) <= 1e-6
     _passline(9, "20 random derivative checks at 1e-4; virial case 1/2 at 1e-6")
 
 
 def test_c10_splitting_experiment():
-    bump = mollified_indicator(-1.0, 1.0, 0.2)
+    bump = Perturbation(-1.0, 1.0, 0.2)
     report = splitting_experiment(S1, 6, bump, 0.05)
     line = multiplicity_enumeration(6, S1)
     assert line.multiplicity == 4  # the collision really is (1,2) with (2,0)
@@ -182,7 +181,7 @@ def test_c10_splitting_experiment():
 
 def test_c11_gap_avoidance_randomized():
     rng = np.random.default_rng(111111)
-    bump_mid = mollified_indicator(-1.0, 1.0, 0.3)
+    bump_mid = Perturbation(-1.0, 1.0, 0.3)
     pots = [
         parse_potential("power:gamma=1"),
         parse_potential("power:gamma=2"),
@@ -196,7 +195,7 @@ def test_c11_gap_avoidance_randomized():
         lo = float(rng.uniform(-2.0, 0.5))
         hi = lo + float(rng.uniform(0.8, 1.5))
         eps = float(rng.uniform(0.15, 0.4)) * (hi - lo) / 2.0
-        raw = mollified_indicator(lo, hi, eps)
+        raw = Perturbation(lo, hi, eps)
         pairs = solve_eigen(pot, k, m + 2)
         kappa = pairs[m + 1].lam - pairs[m].lam
         if m > 0:
@@ -211,7 +210,7 @@ def test_c11_gap_avoidance_randomized():
 
 
 def test_c12_continuity_bounds():
-    bump = mollified_indicator(-2.0, 2.0, 0.5)
+    bump = Perturbation(-2.0, 2.0, 0.5)
     seq = [bump.scaled(1.0 / n) for n in range(1, 11)]
     report = check_continuity_bound(parse_potential("power:gamma=1"), seq, 1, 1)
     assert report.verdict == "PASS"

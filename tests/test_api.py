@@ -6,7 +6,7 @@ import importlib
 
 import pytest
 
-from grushin.core import mollified_indicator, parse_potential
+from grushin.core import Perturbation, parse_potential
 from grushin.perturb import track_branches
 
 MODULES = ["core", "schrod1d", "exact_family", "assembler", "concentration", "perturb", "cli"]
@@ -15,14 +15,16 @@ MODULES = ["core", "schrod1d", "exact_family", "assembler", "concentration", "pe
 GONE_FROM_MODULES = {
     "grushin": ["ModeCoefficients", "kappa_coefficients", "ratio_closed_form",
                 "hermite_eigenfunction", "render_potential", "ExactEigenvalue",
-                "exact_eigenvalue", "k_cutoff"],
+                "exact_eigenvalue", "k_cutoff", "mollified_indicator"],
     "grushin.exact_family": ["ExactEigenvalue", "exact_eigenvalue"],
     "grushin.assembler": ["ExactEigenvalue", "exact_eigenvalue", "_exact_level", "k_cutoff",
                           "_ground_constant"],
     "grushin.concentration": ["ModeCoefficients", "kappa_coefficients",
                               "ratio_closed_form", "min_ratio_witness", "cmath"],
     "grushin.schrod1d": ["hermite_eigenfunction"],
-    "grushin.core": ["render_potential", "validate_potential", "SUP_SAMPLES"],
+    "grushin.core": ["render_potential", "validate_potential", "SUP_SAMPLES",
+                     "mollified_indicator"],
+    "grushin.perturb": ["_match", "ConvergenceError"],
 }
 
 # (module, class) -> attributes and fields that were deleted
@@ -59,7 +61,7 @@ def test_moved_and_deleted_names_are_gone():
 
 def test_branch_is_frozen():
     (branch,) = track_branches(parse_potential("power:gamma=1"),
-                               mollified_indicator(-1.0, 1.0, 0.2), 1, [0], 0.01, steps=1)
+                               Perturbation(-1.0, 1.0, 0.2), 1, [0], 0.01, steps=1)
     with pytest.raises(dataclasses.FrozenInstanceError):
         branch.t_grid = branch.t_grid[:1]
     assert isinstance(branch.vectors, tuple)

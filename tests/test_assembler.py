@@ -9,11 +9,11 @@ from grushin.assembler import assemble, check_property_p
 from grushin.core import (
     SEPARATION,
     ExactScalar,
+    Perturbation,
     Potential,
     PreconditionError,
     SampledProfile,
     Tolerances,
-    mollified_indicator,
     parse_potential,
 )
 from grushin.exact_family import counting_function, enumerate_exact_pairs, weyl_residual
@@ -317,7 +317,7 @@ def test_property_p_irrational_passes():
 
 
 def test_property_p_numeric_report():
-    bump = mollified_indicator(-1.0, 1.0, 0.3)
+    bump = Perturbation(-1.0, 1.0, 0.3)
     pot = weighted_power(1.0, lambda x: 1.0 + 0.05 * bump(x))
     report = check_property_p(pot, 2, 3)
     assert report.mode == "numeric"

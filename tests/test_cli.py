@@ -206,6 +206,23 @@ def test_malformed_inputs_are_single_line_exit_2(tmp_path, capsys, argv, message
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("b, code, error", [
+    ("pi/0", 2, 'error: code=usage msg="zero denominator in angle'),
+    ("0", 1, 'error: code=InvariantViolation msg="need -pi <= a < b <= pi'),
+], ids=["bad-angle", "empty-strip"])
+def test_concentration_refuses_the_strip_before_assembling(monkeypatch, capsys, b, code, error):
+    # at e_max 1e6 the assembly alone takes seconds; a bad strip must not wait for it
+    def spy(*args, **kwargs):
+        raise AssertionError("assemble ran before the strip was checked")
+
+    monkeypatch.setattr(cli, "assemble", spy)
+    got, out, err = run_capture(capsys, ["concentration", "--s2", "0", "--emax", "1e6",
+                                         "--a", "0", "--b", b])
+    assert (got, out) == (code, "")
+    assert err.startswith(error)
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["weyl", "--s2=-1", "--emax", "5"],
     ["multiplicity", "--s2=-1/10", "--value", "3"],

@@ -23,7 +23,6 @@ from grushin.core import (
     Tolerances,
     base_factor,
     eval_potential,
-    mollified_indicator,
     parse_exact_scalar,
     parse_potential,
     sup_on_interval,
@@ -182,7 +181,7 @@ def test_exact_scalar_reduction_and_tags():
 # --- mollified indicator ---------------------------------------------------
 
 def test_mollifier_plateau_and_support():
-    w = mollified_indicator(0.0, 2.0, 0.5)
+    w = Perturbation(0.0, 2.0, 0.5)
     assert w(1.0) == pytest.approx(1.0)
     assert w(0.5) == pytest.approx(1.0)   # plateau edge a + eps
     assert w(3.0) == 0.0
@@ -201,14 +200,14 @@ def test_mollifier_matches_convolution_quadrature():
         z = u / eps
         return math.exp(-1.0 / (1.0 - z * z)) / (total * eps) if abs(z) < 1 else 0.0
 
-    w = mollified_indicator(a, b, eps)
+    w = Perturbation(a, b, eps)
     for x in (-0.25, 0.1, 0.49, 1.9, 2.3):
         oracle = quad(lambda y: phi_eps(x - y), a, b, epsabs=1e-12, epsrel=1e-12)[0]
         assert w(x) == pytest.approx(oracle, abs=1e-8)
 
 
 def test_mollifier_monotone_on_ramps():
-    w = mollified_indicator(0.0, 2.0, 0.5)
+    w = Perturbation(0.0, 2.0, 0.5)
     up = w(np.linspace(-0.5, 0.5, 200))
     down = w(np.linspace(1.5, 2.5, 200))
     assert np.all(np.diff(up) >= -1e-14)
@@ -218,9 +217,9 @@ def test_mollifier_monotone_on_ramps():
 
 def test_mollifier_preconditions():
     with pytest.raises(PreconditionError):
-        mollified_indicator(2.0, 0.0, 0.1)
+        Perturbation(2.0, 0.0, 0.1)
     with pytest.raises(PreconditionError):
-        mollified_indicator(0.0, 1.0, 0.6)
+        Perturbation(0.0, 1.0, 0.6)
 
 
 # bumps that straddle 0, sit on one side of it, have a narrow ramp (eps
@@ -237,7 +236,7 @@ _FAR_PLATEAU = Perturbation(5.0, 9.0, 0.5)
 
 
 def test_perturbation_sup_norms():
-    assert mollified_indicator(-1.0, 1.0, 0.2).scale == pytest.approx(1.0, rel=1e-10)
+    assert Perturbation(-1.0, 1.0, 0.2).scale == pytest.approx(1.0, rel=1e-10)
     cylinders = [parse_potential(f"power:gamma={g}") for g in (0.5, 1, 2)]
     tori = [parse_potential(f"torus:gamma={g}") for g in (0.5, 1, 2)]
     for w, pots in [(w, cylinders + tori) for w in _SUP_BUMPS] + [(_FAR_PLATEAU, cylinders)]:
@@ -266,7 +265,7 @@ def test_sup_weighted_evaluates_few_points(monkeypatch):
 
 
 def test_perturbation_scaling():
-    w = mollified_indicator(0.0, 2.0, 0.5).scaled(0.25)
+    w = Perturbation(0.0, 2.0, 0.5).scaled(0.25)
     assert w(1.0) == pytest.approx(0.25)
     assert w.scale == pytest.approx(0.25, rel=1e-10)
     with pytest.raises(PreconditionError):
@@ -277,7 +276,7 @@ def test_perturbation_scaling():
 
 def test_perturbation_is_a_value():
     assert [f.name for f in dataclasses.fields(Perturbation)] == ["a", "b", "eps", "scale"]
-    w = mollified_indicator(-1, 1, 0.2).scaled(0.5)
+    w = Perturbation(-1, 1, 0.2).scaled(0.5)
     assert w == Perturbation(-1.0, 1.0, 0.2, 0.5)
     assert hash(w) == hash(Perturbation(-1.0, 1.0, 0.2, 0.5))
     assert w != Perturbation(-1.0, 1.0, 0.2, 0.25)

@@ -54,7 +54,9 @@ def test_exact_eigenvalue_guards():
 
 
 @pytest.mark.parametrize("k, n, s2", [(2**40, 2**40, S0), (2**32, 0, SQRT2),
-                                      (-2**63, 0, SQRT2), (1, 2**62, SQRT2), (1, 2**62, S0)])
+                                      (-2**63, 0, SQRT2), (1, 2**62, SQRT2), (1, 2**62, S0),
+                                      (2, 0, ExactScalar.from_rational(2**62)),
+                                      (3, 0, ExactScalar.from_rational(1, 2**62))])
 def test_level_keys_raise_where_level_key_raises(k, n, s2):
     # the array form checks before it multiplies, so no int64 product wraps
     with pytest.raises(IntegerOverflowError):
@@ -74,8 +76,8 @@ def test_level_keys_match_level_key_elementwise():
 
 
 def test_level_keys_guard_the_rational_key_itself():
-    # lin and k^2 fit in 64 bits but q lin + p k^2 does not, where level_key's
-    # Python ints grow; on the edge of 64 bits the key still fits
+    # lin and k^2 fit in 64 bits but q lin + p k^2 does not; on the edge of
+    # 64 bits the key still fits
     one = np.array([1], dtype=np.int64)
     s2 = ExactScalar.from_rational(2**62, 3)
     assert level_key(1, 0, s2)[1] == 3 + 2**62

@@ -1,14 +1,9 @@
 import dataclasses
 import json
-import math
-import re
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.optimize import linear_sum_assignment
 
 from helpers import branch_overlaps, central_difference_slope
 
@@ -17,17 +12,14 @@ from grushin.cli import run
 from grushin.core import (
     SEPARATION,
     CallableProfile,
-    ConvergenceError,
     ExactScalar,
     Perturbation,
     PreconditionError,
     Tolerances,
     eval_potential,
-    mollified_indicator,
     parse_potential,
 )
 from grushin.perturb import (
-    _match,
     check_continuity_bound,
     check_gap_avoidance,
     hellmann_feynman,
@@ -39,7 +31,7 @@ from grushin.schrod1d import solve_eigen
 
 HARMONIC = parse_potential("power:gamma=1")
 QUARTIC = parse_potential("power:gamma=2")
-BUMP = mollified_indicator(-1.0, 1.0, 0.2)
+BUMP = Perturbation(-1.0, 1.0, 0.2)
 
 
 def test_perturbed_potential_evaluation():
@@ -57,13 +49,13 @@ def test_hf_virial_case():
     # derivative at 0 is (2n+1)/2; the plateau bump is 1 on the whole domain
     ground = solve_eigen(HARMONIC, 1, 1)[0]
     length = ground.grid.length
-    plateau = mollified_indicator(-(length + 2.0), length + 2.0, 1.0)
+    plateau = Perturbation(-(length + 2.0), length + 2.0, 1.0)
     assert hellmann_feynman(HARMONIC, plateau, 1, 0) == pytest.approx(0.5, abs=1e-6)
     assert hellmann_feynman(HARMONIC, plateau, 1, 1) == pytest.approx(1.5, abs=1e-6)
 
 
 def test_hf_far_bump_is_negligible():
-    far = mollified_indicator(10.0, 11.0, 0.2)
+    far = Perturbation(10.0, 11.0, 0.2)
     assert abs(hellmann_feynman(HARMONIC, far, 1, 0)) <= 1e-8
 
 
@@ -88,42 +80,6 @@ def test_hf_matches_central_difference(pot, k, n):
 
 
 # --- branch tracking --------------------------------------------------------
-
-# rotation angles: near zero (a clear match), near arccos(0.9) ~ 0.45 (the
-# halving threshold), near pi/4 (two equal overlaps), or anywhere
-ANGLES = st.one_of(st.floats(-0.2, 0.2), st.floats(0.40, 0.50),
-                   st.floats(math.pi / 4 - 0.01, math.pi / 4 + 0.01),
-                   st.floats(-math.pi, math.pi))
-
-
-@st.composite
-def overlap_matrices(draw):
-    """|<u_i, v_j>| for 1-4 orthonormal rows u and up to 7 orthonormal
-    columns v: the rows turned by Givens rotations, then permuted."""
-    dim = 8
-    rows = draw(st.integers(1, 4))
-    cols = draw(st.integers(rows, 7))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    turned = basis.copy()
-    for _ in range(draw(st.integers(0, 4))):
-        i, j = draw(st.lists(st.integers(0, dim - 1), min_size=2, max_size=2, unique=True))
-        angle = draw(ANGLES)
-        c, s = math.cos(angle), math.sin(angle)
-        turned[:, [i, j]] = turned[:, [i, j]] @ np.array([[c, s], [-s, c]])
-    perm = draw(st.permutations(range(dim)))
-    return np.abs(basis[:, :rows].T @ turned[:, list(perm[:cols])])
-
-
-@given(overlap_matrices())
-def test_match_agrees_with_optimal_assignment(overlap):
-    rows, oracle = linear_sum_assignment(-overlap)
-    assert list(rows) == list(range(overlap.shape[0]))
-    if np.min(np.max(overlap, axis=1)) >= 0.9:
-        assert list(_match(overlap)) == list(oracle)
-    else:
-        assert np.min(overlap[rows, oracle]) < 0.9
-
 
 def test_track_branches_zero_perturbation_constant():
     branches = track_branches(HARMONIC, BUMP.scaled(0.0), 1, [0, 1], 0.1, steps=4)
@@ -157,45 +113,12 @@ def test_track_branches_precondition():
         track_branches(HARMONIC, w, 1, [0], 1.0, steps=4)
 
 
-def test_track_branches_halves_steps_that_rotate_the_levels(monkeypatch):
-    # with the slope bound read as 0 the precondition admits a bump that moves
-    # the vectors too far in one step, so the step must be halved
-    monkeypatch.setattr(Perturbation, "sup_weighted", lambda self, potential: 0.0)
-    w = mollified_indicator(0.2, 1.5, 0.3).scaled(20.0)
-    branches = track_branches(HARMONIC, w, 1, [0, 1], 1.0, steps=1)
-    ref = solve_eigen(perturbed_potential(HARMONIC, w, 1.0), 1, 2)
-    for br in branches:
-        assert br.t_grid[0] == 0.0 and br.t_grid[-1] == 1.0
-        assert np.min(np.diff(br.t_grid)) < 1.0
-        assert np.all(branch_overlaps(br) >= 0.9)
-        assert abs(br.lambdas[-1] - ref[br.level].lam) <= br.err_ests[-1] + ref[br.level].err_est
-
-
-def test_track_branches_gives_up_after_ten_halvings(monkeypatch):
-    # every solve at t > 0 returns the two tracked vectors rotated by pi/4, so
-    # no step is ever accepted: overlaps stay at 1/sqrt(2)
-    solve = perturb.solve_on_grid
-
-    def rotated(potential, k, m, grid, *, vectors=True):
-        lams, vecs = solve(potential, k, m, grid, vectors=vectors)
-        if vectors and potential is not HARMONIC:
-            a, b = vecs[:, 0].copy(), vecs[:, 1].copy()
-            vecs[:, 0] = (a + b) / math.sqrt(2.0)
-            vecs[:, 1] = (b - a) / math.sqrt(2.0)
-        return lams, vecs
-
-    monkeypatch.setattr(perturb, "solve_on_grid", rotated)
-    t_max = 0.01
-    with pytest.raises(ConvergenceError, match=re.escape(f"t={t_max / 2 ** 10!r} ")):
-        track_branches(HARMONIC, BUMP, 1, [0, 1], t_max, steps=1)
-
-
 # --- continuity -------------------------------------------------------------
 
 def test_continuity_bounds_plateau_sequence():
     ground = solve_eigen(HARMONIC, 1, 2)
     length = ground[0].grid.length
-    plateau = mollified_indicator(-(length + 2.0), length + 2.0, 1.0)
+    plateau = Perturbation(-(length + 2.0), length + 2.0, 1.0)
     seq = [plateau.scaled(1.0 / n) for n in range(1, 6)]
     report = check_continuity_bound(HARMONIC, seq, 1, 1, Tolerances())
     assert report.verdict == "PASS"
@@ -215,7 +138,7 @@ def test_continuity_zero_perturbation_equality():
 
 
 def test_continuity_sup_w_is_the_bump_scale():
-    bump = mollified_indicator(-2.0, 2.0, 0.5)
+    bump = Perturbation(-2.0, 2.0, 0.5)
     seq = [bump.scaled(1.0 / n) for n in range(1, 4)]
     report = check_continuity_bound(HARMONIC, seq, 1, 0)
     for n, rec in enumerate(report.records, start=1):
@@ -299,7 +222,7 @@ def test_gap_avoidance_precondition_violation():
 # W is not wrapped: the torus operator sees only [-pi, pi), so a bump past pi
 # would be cut off or, like this 2 pi-translate of [4 - 2 pi, 5 - 2 pi], lost
 _TORUS = parse_potential("torus:gamma=1")
-_OFF_PERIOD = mollified_indicator(4.0, 5.0, 0.2)
+_OFF_PERIOD = Perturbation(4.0, 5.0, 0.2)
 
 
 @pytest.mark.parametrize("experiment", [
@@ -315,7 +238,7 @@ def test_torus_experiments_reject_bumps_past_pi(experiment):
 
 # an off-centre bump: the perturbed circle is not even, so it takes the dense
 # solve, and the slope needs the circle grid's coarsening
-_TORUS_BUMP = mollified_indicator(0.5, 1.5, 0.2)
+_TORUS_BUMP = Perturbation(0.5, 1.5, 0.2)
 
 
 def test_torus_hf_matches_central_difference_of_solves():
@@ -344,6 +267,22 @@ def test_torus_track_branches_start_at_solve_eigen():
         assert br.lambdas[0] == start[br.level].lam
         assert br.t_grid[-1] == t_max
         assert abs(br.lambdas[-1] - end[br.level].lam) <= br.err_ests[-1] + end[br.level].err_est
+
+
+@pytest.mark.parametrize("spec", ["power:gamma=1", "torus:gamma=1"])
+def test_track_branches_one_step_to_the_edge_of_the_gap_bound(spec):
+    # a single step to 0.999 of the bound t_max * rate < kappa/2: level n at
+    # t_max is still the branch of level n
+    pot, levels = parse_potential(spec), [0, 1]
+    base = solve_eigen(pot, 1, levels[-1] + 3)
+    kappa = min(base[1].lam - base[0].lam, base[2].lam - base[1].lam)
+    t_max = 0.999 * kappa / (2.0 * _TORUS_BUMP.sup_weighted(pot))
+    branches = track_branches(pot, _TORUS_BUMP, 1, levels, t_max, steps=1)
+    end = solve_eigen(perturbed_potential(pot, _TORUS_BUMP, t_max), 1, levels[-1] + 1)
+    for br in branches:
+        assert br.t_grid.tolist() == [0.0, t_max]
+        assert abs(br.lambdas[-1] - end[br.level].lam) <= br.err_ests[-1] + end[br.level].err_est
+        assert np.all(branch_overlaps(br) >= 0.9)
 
 
 # --- splitting --------------------------------------------------------------

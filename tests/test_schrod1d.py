@@ -19,12 +19,12 @@ from grushin.core import (
     CallableProfile,
     ConvergenceError,
     InvariantViolation,
+    Perturbation,
     Potential,
     PreconditionError,
     SampledProfile,
     Tolerances,
     eval_potential,
-    mollified_indicator,
     parse_potential,
 )
 from grushin.perturb import perturbed_potential
@@ -313,7 +313,7 @@ def test_even_circle_takes_the_line_budget():
 def test_perturbed_torus_keeps_the_dense_cap():
     # a bump off x = 0 breaks evenness, so the circle takes the dense solve
     pot = perturbed_potential(parse_potential("torus:gamma=1"),
-                              mollified_indicator(0.5, 1.5, 0.2), 0.1)
+                              Perturbation(0.5, 1.5, 0.2), 0.1)
     with pytest.raises(ConvergenceError, match="budget of 4096 nodes exhausted") as info:
         solve_eigen(pot, 1, 40)
     assert "grids visited: 80, 160, 320, 640, 1280, 2560 nodes" in str(info.value)
@@ -557,6 +557,15 @@ def test_grid_invariants():
     assert len(circle.points()) == 64
 
 
+@pytest.mark.parametrize("grid", [Grid("line", 33, 2.0), Grid("line", 1023, 7.5),
+                                  Grid("circle", 32), Grid("circle", 1024)],
+                         ids=["line-33", "line-1023", "circle-32", "circle-1024"])
+def test_coarsened_inverts_refined_at_twice_the_spacing(grid):
+    # the Richardson step pairs a grid with its coarsening, so h' = 2h exactly
+    assert grid.refined().coarsened() == grid
+    assert grid.coarsened().h == 2 * grid.h
+
+
 # --- the parity split of even circles --------------------------------------
 # A torus:gamma=g potential is even, so its circle problem is solved as an
 # even and an odd tridiagonal problem on [0, pi]. The same potential wrapped in
@@ -611,6 +620,6 @@ def test_grammar_torus_never_calls_dense_eigh(monkeypatch, capsys):
     assert run(["spectrum", "--potential", "torus:gamma=1", "--emax", "8"]) == 0
     assert calls == []
     # the spy sees the dense solve that a perturbed torus still takes
-    pot = perturbed_potential(torus, mollified_indicator(0.5, 1.5, 0.2), 0.1)
+    pot = perturbed_potential(torus, Perturbation(0.5, 1.5, 0.2), 0.1)
     solve_on_grid(pot, 1, 2, Grid("circle", 64))
     assert calls == [(64, 64)]
