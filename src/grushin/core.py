@@ -378,26 +378,27 @@ def parse_potential(spec: str) -> Potential:
 SUP_REL = 1e-10
 
 
-def sup_on_interval(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> float:
+def sup_on_interval(fn: Callable[[float], float], lo: float, hi: float) -> float:
     """sup of fn over [lo, hi] to relative accuracy SUP_REL, for fn unimodal
-    on [lo, hi]: one golden-section search over the whole interval."""
+    on [lo, hi]: one golden-section search over the whole interval, calling
+    fn on one float at a time."""
     if hi <= lo:
         raise PreconditionError("empty interval")
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc = float(fn(np.array([c]))[0])
-    fd = float(fn(np.array([d]))[0])
+    fc = float(fn(c))
+    fd = float(fn(d))
     while (b - a) > SUP_REL * max(abs(a), abs(b), 1e-30):
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
-            fc = float(fn(np.array([c]))[0])
+            fc = float(fn(c))
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
-            fd = float(fn(np.array([d]))[0])
+            fd = float(fn(d))
     return max(fc, fd)
 
 
@@ -462,6 +463,8 @@ class Perturbation:
                 f"torus bump support [{lo!r}, {hi!r}] must lie in [-pi, pi]")
 
     def sup_weighted(self, potential: Potential) -> float:
+        """sup of base * W: one golden-section search on each side of 0 that
+        evaluates base * W at one scalar point at a time (class docstring)."""
         self.check_fits(potential)
         lo, hi = self.support
         pieces = [(lo, 0.0), (0.0, hi)] if lo < 0.0 < hi else [(lo, hi)]
@@ -474,14 +477,12 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(192)
 
 
 def _bump(u: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(u)
-    inside = np.abs(u) < 1.0
-    ui = u[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - ui * ui))
-    return out
+    # quadrature nodes lie in (-1, 1) or round to -1, where exp(-1/0) = 0
+    with np.errstate(divide="ignore"):
+        return np.exp(-1.0 / (1.0 - u * u))
 
 
-def _bump_mass(z: np.ndarray) -> np.ndarray:
+def _bump_mass(z: np.ndarray | float) -> np.ndarray | float:
     """integral of exp(-1/(1-u^2)) over [-1, min(z,1)], vectorized."""
     z = np.clip(z, -1.0, 1.0)
     half = (z + 1.0) / 2.0
@@ -497,14 +498,19 @@ _BUMP_TOTAL = float(_bump_mass(np.array([1.0]))[0])
 def standard_mollifier_cdf(z) -> np.ndarray | float:
     """Integral of the unit-mass standard bump from -1 to z: 0 for z <= -1,
     1 for z >= 1, smooth and strictly increasing in between. Quadrature runs
-    only on the transition points, so plateau-heavy evaluations stay cheap."""
-    scalar = np.isscalar(z)
+    only on the transition points, so plateau-heavy evaluations stay cheap. A
+    scalar z takes one 192-node sum with the same values as the array path."""
+    if np.isscalar(z):
+        z = float(z)
+        if not -1.0 < z < 1.0:  # nan lands here and gives 0, as in the array path
+            return 1.0 if z >= 1.0 else 0.0
+        return float(_bump_mass(z)) / _BUMP_TOTAL
     z = np.atleast_1d(np.asarray(z, dtype=float))
     out = np.where(z >= 1.0, 1.0, 0.0)
     inside = (z > -1.0) & (z < 1.0)
     if np.any(inside):
         out[inside] = _bump_mass(z[inside]) / _BUMP_TOTAL
-    return float(out[0]) if scalar else out
+    return out
 
 
 # A numeric level is certified distinct from another, or above a cap, when the

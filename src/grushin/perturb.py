@@ -136,6 +136,11 @@ def track_branches(potential: Potential, w: Perturbation, k: int, levels,
     meets a neighbor, so its eigenvalue and eigenvector continue in t as
     level n.
 
+    The steps solve levels 0..max(levels) only, the levels they read. The
+    base solve keeps max(levels) + 3: kappa needs the level above the top
+    tracked one, and the spare level stays because that solve sets the
+    truncation domain and the tracking grid.
+
     Precondition: t_max * k^2 * sup(base W) < kappa/2.
     """
     levels = sorted(set(int(n) for n in levels))
@@ -159,16 +164,17 @@ def track_branches(potential: Potential, w: Perturbation, k: int, levels,
     grid = base[0].grid
     grid_coarse = grid.coarsened()
     t_grid = np.linspace(0.0, t_max, steps + 1)
-    # every solved level's eigenvalues and error estimates along t_grid, and
+    # levels 0..max(levels) along t_grid: eigenvalues and error estimates, and
     # the eigenvectors of the tracked levels
-    lams, errs = [lams0], [np.array([p.err_est for p in base])]
-    _, vecs0 = solve_on_grid(potential, k, m_solve, grid)
+    m_track = levels[-1] + 1
+    lams, errs = [lams0[:m_track]], [np.array([p.err_est for p in base[:m_track]])]
+    _, vecs0 = solve_on_grid(potential, k, m_track, grid)
     vectors = {n: [vecs0[:, n].copy()] for n in levels}
     for t in t_grid[1:]:
         # the extrapolant of the two tracking grids, as base[n].lam is at t = 0
         pert = perturbed_potential(potential, w, float(t))
-        lams_f, vecs_f = solve_on_grid(pert, k, m_solve, grid)
-        lams_c, _ = solve_on_grid(pert, k, m_solve, grid_coarse, vectors=False)
+        lams_f, vecs_f = solve_on_grid(pert, k, m_track, grid)
+        lams_c, _ = solve_on_grid(pert, k, m_track, grid_coarse, vectors=False)
         extrap, raw = _extrapolate(None, lams_c, lams_f)
         lams.append(extrap)
         errs.append(np.maximum(raw, _err_floor(grid, float(np.max(np.abs(extrap))))))

@@ -25,6 +25,7 @@ from grushin.core import (
     eval_potential,
     parse_exact_scalar,
     parse_potential,
+    standard_mollifier_cdf,
     sup_on_interval,
 )
 
@@ -215,6 +216,19 @@ def test_mollifier_monotone_on_ramps():
     assert np.all((up >= 0) & (up <= 1 + 1e-15))
 
 
+_CDF_EDGES = [-1.5, -1.0, 1.0, 1.5, 0.0, -0.0, math.inf, -math.inf, math.nan,
+              *(math.nextafter(e, d) for e in (-1.0, 1.0) for d in (-2.0, 2.0))]
+
+
+@given(st.one_of(st.floats(-1.5, 1.5), st.sampled_from(_CDF_EDGES)))
+def test_mollifier_cdf_scalar_path_matches_array_path(z):
+    # the scalar branch (the sup search's path) returns exactly what the
+    # array path returns, nan included (0 in both)
+    scalar = standard_mollifier_cdf(z)
+    assert type(scalar) is float
+    assert scalar.hex() == float(standard_mollifier_cdf(np.array([z]))[0]).hex()
+
+
 def test_mollifier_preconditions():
     with pytest.raises(PreconditionError):
         Perturbation(2.0, 0.0, 0.1)
@@ -251,17 +265,20 @@ def test_perturbation_sup_norms():
 
 
 def test_sup_weighted_evaluates_few_points(monkeypatch):
-    # one golden-section search per side of 0, not a dense scan
-    points = []
+    # one golden-section search per side of 0, not a dense scan, evaluating
+    # one scalar point at a time
+    points, ndims = [], []
     w_of = Perturbation._w
 
     def counted(self, x):
         points.append(np.size(x))
+        ndims.append(np.ndim(x))
         return w_of(self, x)
 
     monkeypatch.setattr(Perturbation, "_w", counted)
     Perturbation(-1.0, 1.0, 0.2).sup_weighted(parse_potential("power:gamma=1"))
     assert 0 < sum(points) <= 250
+    assert set(ndims) == {0}
 
 
 def test_perturbation_scaling():

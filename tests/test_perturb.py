@@ -107,6 +107,35 @@ def test_track_branches_slopes_and_lipschitz():
         assert abs(secant - hf) <= 0.05 * max(1.0, abs(hf))
 
 
+def test_track_branches_steps_solve_only_the_tracked_levels(monkeypatch):
+    # the base solve keeps two levels above the top tracked one; every step
+    # solves levels 0..max(levels) and nothing more
+    asked = {"solve_eigen": [], "solve_on_grid": []}
+
+    def spy(name, fn):
+        def wrapped(potential, k, m, *args, **kwargs):
+            asked[name].append(m)
+            return fn(potential, k, m, *args, **kwargs)
+        monkeypatch.setattr(perturb, name, wrapped)
+
+    spy("solve_eigen", perturb.solve_eigen)
+    spy("solve_on_grid", perturb.solve_on_grid)
+    levels, steps = [1, 2], 3
+    branches = track_branches(HARMONIC, BUMP, 1, levels, 0.1, steps=steps)
+    monkeypatch.undo()
+    assert asked["solve_eigen"] == [5]
+    assert asked["solve_on_grid"] == [3] * (1 + 2 * steps)
+    # the same extrapolants as a solve with the base solve's spare levels
+    grid = branches[0].grid
+    for i, t in enumerate(branches[0].t_grid[1:], start=1):
+        pert = perturbed_potential(HARMONIC, BUMP, float(t))
+        fine, _ = perturb.solve_on_grid(pert, 1, 5, grid, vectors=False)
+        coarse, _ = perturb.solve_on_grid(pert, 1, 5, grid.coarsened(), vectors=False)
+        extrap = (4.0 * fine - coarse) / 3.0
+        for br in branches:
+            assert abs(br.lambdas[i] - extrap[br.level]) <= 1e-10 * abs(extrap[br.level])
+
+
 def test_track_branches_precondition():
     w = BUMP.scaled(50.0)
     with pytest.raises(PreconditionError):
