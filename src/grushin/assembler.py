@@ -2,17 +2,28 @@
 spectra: the full spectrum is the union over nonzero Fourier modes k of the
 spectra of -u'' + k^2 V, each taken twice (k and -k).
 
-Numeric assembly chains sorted 1D eigenvalues into SpectrumLines until a gap
-is certified (core.SEPARATION), the rule the numeric property-P check uses.
+An ``AssembledSpectrum`` is columns, not line objects. Line i has the value
+``values[i]`` and the contributors ``contributors[starts[i]:starts[i+1]]``,
+rows (k, n) of one (N, 2) int64 array in (|k|, k, n) order, so its
+multiplicity is ``diff(starts)[i]``. Exact spectra also carry each line's
+``level_key`` key: an int64 column for rational s2, an (L, 2) int64 array of
+(lin, quad) for a tagged irrational; numeric spectra carry none. The spectrum
+checks its lines once, vectorised: even multiplicities, contributors closed
+under k -> -k within each line, values in order. Every column is read-only,
+and ``lines`` is a view that builds the ``SpectrumLine``s on demand for the
+library; the CLI's writers and the certificate read the columns.
+
+Numeric assembly chains sorted 1D eigenvalues into lines until a gap is
+certified (core.SEPARATION), the rule the numeric property-P check uses.
 Exact assembly (shifted parabolas) groups levels by the key of
-``exact_family.level_key``, an integer for rational s2 and a (lin, quad)
-pair for a tagged irrational, and the exact property-P check compares those
+``exact_family.level_key``, and the exact property-P check compares those
 same keys. It keys the int64 array of every (k, n) below the cap at once
 (``exact_family._level_keys``) and groups equal rational keys by one stable
 sort, which keeps each line's members in (k, n) order; an irrational key is
-injective in (k, n), so each of its lines is one pair +-k. Each line keeps
-its key; a rational line's value is the Python-int quotient key / q, since
-int64 true division rounds twice once a key passes 2^53.
+injective in (k, n), so each of its lines is one pair +-k. A rational line's
+value is the correctly rounded quotient key / q: one float64 division where
+key and q are both below 2^53 and so exact in float64, the Python-int
+quotient elsewhere, since int64 true division rounds twice past 2^53.
 
 Numeric assembly takes modes k = 1, 2, ... upward and stops at the first
 mode with no level below the cap: with V >= 0 every level of -u'' + k^2 V u
@@ -25,6 +36,7 @@ estimates alike. Every other potential is solved mode by mode.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, groupby
 from math import inf, pi
 
@@ -40,14 +52,9 @@ from .core import (
     StructuredProfile,
     Tolerances,
     _check_cap,
+    _readonly,
 )
-from .exact_family import (
-    SpectrumLine,
-    _level_keys,
-    _sorted_contributors,
-    enumerate_exact_pairs,
-    level_key,
-)
+from .exact_family import SpectrumLine, _level_keys, enumerate_exact_pairs, level_key
 from .schrod1d import solve_eigen, solve_levels_below
 
 __all__ = [
@@ -59,25 +66,88 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+def _check_lines(values: np.ndarray, starts: np.ndarray, contributors: np.ndarray) -> None:
+    """InvariantViolation unless the columns are lines in value order, each
+    with an even count of contributors closed under k -> -k: the
+    ``SpectrumLine`` checks, for every line at once."""
+    mult = np.diff(starts)
+    if (len(starts) != len(values) + 1 or starts[0] != 0 or starts[-1] != len(contributors)
+            or np.any(mult < 0)):
+        raise InvariantViolation("starts must run from 0 to the contributor count, one per line")
+    if np.any(mult % 2):
+        raise InvariantViolation("multiplicities are even (k and -k pair up)")
+    if not np.all(values[1:] >= values[:-1]):
+        raise InvariantViolation("lines must be in value order")
+    k, n = contributors.T
+    # even counts from 0 keep every row pair (2i, 2i+1) inside one line, and
+    # rows that pair up as (k, n), (-k, n) are closed; otherwise compare each
+    # line's rows with their mirror images, both sorted
+    if np.array_equal(k[1::2], -k[0::2]) and np.array_equal(n[1::2], n[0::2]):
+        return
+    line = np.repeat(np.arange(len(mult)), mult)
+    rows = np.lexsort((n, k, line))
+    mirror = np.lexsort((n, -k, line))
+    if not (np.array_equal(k[rows], -k[mirror]) and np.array_equal(n[rows], n[mirror])):
+        raise InvariantViolation("contributors must be closed under k -> -k")
+
+
+@dataclass(frozen=True, eq=False)
 class AssembledSpectrum:
-    """Spectrum below e_max: sorted lines, the largest |k| that contributes
-    a line (0 if none), and the assembly mode ("exact" or "numeric").
-    Numeric line values sit within solver resolution of the true
-    eigenvalues, so the e_max boundary is enforced up to that resolution."""
+    """Spectrum below e_max as read-only columns (module docstring): line
+    ``values``, contributor offsets ``starts`` (one more than the lines),
+    ``contributors`` rows (k, n), and the exact ``keys`` (None for a numeric
+    spectrum); also the largest |k| that contributes a line (0 if none), and
+    the assembly mode ("exact" or "numeric"). Numeric line values sit within
+    solver resolution of the true eigenvalues, so the e_max boundary is
+    enforced up to that resolution."""
 
     e_max: float
-    lines: tuple[SpectrumLine, ...]
+    values: np.ndarray
+    starts: np.ndarray
+    contributors: np.ndarray
     k_cut: int
     mode: str
+    keys: np.ndarray | None = None
     warnings: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        columns = {"values": _readonly(self.values, np.float64),
+                   "starts": _readonly(self.starts, np.int64),
+                   "contributors": _readonly(np.reshape(self.contributors, (-1, 2)), np.int64)}
+        if self.keys is not None:
+            columns["keys"] = _readonly(self.keys, np.int64)
+            if len(columns["keys"]) != len(columns["values"]):
+                raise InvariantViolation("keys must give one key per line")
+        for name, column in columns.items():
+            object.__setattr__(self, name, column)
+        _check_lines(self.values, self.starts, self.contributors)
+
+    @cached_property
+    def lines(self) -> tuple[SpectrumLine, ...]:
+        """The lines as ``SpectrumLine``s, built on first use."""
+        contributors = list(map(tuple, self.contributors.tolist()))
+        bounds = self.starts.tolist()
+        keys = [None] * len(self.values) if self.keys is None else self.keys.tolist()
+        return tuple(SpectrumLine(value, tuple(contributors[a:b]),
+                                  tuple(key) if isinstance(key, list) else key)
+                     for value, a, b, key in zip(self.values.tolist(), bounds, bounds[1:], keys))
+
+
+def _quotients(keys: np.ndarray, q: int) -> np.ndarray:
+    """The correctly rounded key / q of each int64 key >= 0."""
+    values = keys / float(q)  # one rounding where key and q are exact in float64
+    inexact = keys > 2**53 if q <= 2**53 else slice(None)
+    values[inexact] = [key / q for key in keys[inexact].tolist()]
+    return values
 
 
 def _assemble_exact(potential: Potential, e_max: float) -> AssembledSpectrum:
     s2 = potential.profile.s2
     kn = enumerate_exact_pairs(s2, e_max)
     if not len(kn):
-        return AssembledSpectrum(e_max=float(e_max), lines=(), k_cut=0, mode="exact")
+        return AssembledSpectrum(e_max=float(e_max), values=(), starts=(0,), contributors=(),
+                                 k_cut=0, mode="exact",
+                                 keys=np.empty((0,) if s2.is_rational else (0, 2), np.int64))
     k, n = kn.T
     keys = _level_keys(k, n, s2)
     if s2.is_rational:
@@ -85,23 +155,26 @@ def _assemble_exact(potential: Potential, e_max: float) -> AssembledSpectrum:
         order = np.argsort(keys, kind="stable")
         k, n, keys = k[order], n[order], keys[order]
         first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-        q = s2.rational.denominator
-        line_keys = keys[first].tolist()
-        values = [key / q for key in line_keys]  # Python ints: int64 division rounds twice
+        keys = keys[first]
+        values = _quotients(keys, s2.rational.denominator)
     else:
         # (lin, quad) is injective in (k, n): each line is one pair +-k
         first = np.arange(len(k))
         lin, quad = keys
-        values = (lin + quad * s2.approx).tolist()
-        line_keys = list(zip(lin.tolist(), quad.tolist()))
-    # each member's contributors (-k, n), (k, n), so a line lists them in |k| order
-    members = list(zip(np.column_stack((-k, k)).ravel().tolist(), np.repeat(n, 2).tolist()))
-    bounds = (2 * first).tolist() + [len(members)]
+        values = lin + quad * s2.approx
+        keys = np.column_stack(keys)
     # (value, contributors) order: distinct lines differ in their first contributor
-    lines = tuple(SpectrumLine(values[i], tuple(members[bounds[i]:bounds[i + 1]]), line_keys[i])
-                  for i in np.lexsort((n[first], -k[first], values)).tolist())
-    return AssembledSpectrum(e_max=float(e_max), lines=lines, k_cut=int(kn[-1, 0]),
-                             mode="exact")
+    order = np.lexsort((n[first], -k[first], values))
+    counts = np.diff(np.r_[first, len(k)])[order]
+    bounds = np.r_[0, np.cumsum(counts)]
+    # the member rows in that line order: line i takes the run at first[order[i]]
+    members = np.repeat(first[order] - bounds[:-1], counts) + np.arange(len(k))
+    k, n = k[members], n[members]
+    # each member's contributors (-k, n), (k, n), so a line lists them in |k| order
+    contributors = np.column_stack((np.column_stack((-k, k)).ravel(), np.repeat(n, 2)))
+    return AssembledSpectrum(e_max=float(e_max), values=values[order], starts=2 * bounds,
+                             contributors=contributors, k_cut=int(kn[-1, 0]), mode="exact",
+                             keys=keys[order])
 
 
 def _distinct(a: tuple, b: tuple) -> bool:
@@ -110,26 +183,30 @@ def _distinct(a: tuple, b: tuple) -> bool:
 
 
 def _cluster(entries: list[tuple[float, float, int, int]]
-             ) -> tuple[list[SpectrumLine], list[str]]:
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
     """Chain-link entries (lam, err, k, n) in value order until an entry is
-    certified distinct from the previous one. Warn about each line whose
-    chain joins two members certified distinct."""
+    certified distinct from the previous one, as the columns (values, starts,
+    contributors) of ``AssembledSpectrum``. Warn about each line whose chain
+    joins two members certified distinct."""
     entries = sorted(entries, key=lambda e: (e[0], abs(e[2]), e[2], e[3]))
-    clusters: list[list[tuple[float, float, int, int]]] = []
-    for entry in entries:
-        if clusters and not _distinct(clusters[-1][-1], entry):
-            clusters[-1].append(entry)
-        else:
-            clusters.append([entry])
-    lines, warnings = [], []
-    for members in clusters:
-        value = sum(lam for lam, _, _, _ in members) / len(members)
-        lines.append(SpectrumLine(value, _sorted_contributors((k, n) for _, _, k, n in members)))
+    lam, err, k, n = np.array(entries, dtype=np.float64).reshape(-1, 4).T
+    k, n = k.astype(np.int64), n.astype(np.int64)
+    new = np.ones(len(entries), dtype=bool)
+    new[1:] = np.abs(lam[1:] - lam[:-1]) > SEPARATION * (err[1:] + err[:-1])
+    starts = np.r_[np.flatnonzero(new), len(entries)]
+    values, warnings = [], []
+    for a, b in zip(starts.tolist(), starts[1:].tolist()):
+        members = entries[a:b]
+        value = sum(member[0] for member in members) / len(members)
+        values.append(value)
         pair = next((ab for ab in combinations(members, 2) if _distinct(*ab)), None)
         if pair:
             warnings.append(f"line at {value!r} joins levels (k, n) = {pair[0][2:]} and "
                             f"{pair[1][2:]}, which are certified distinct")
-    return lines, warnings
+    # each line's contributors in (|k|, k, n) order
+    line = np.repeat(np.arange(len(values)), np.diff(starts))
+    order = np.lexsort((n, k, np.abs(k), line))
+    return np.array(values), starts, np.column_stack((k[order], n[order])), warnings
 
 
 def _check_zero_interval(nodes: tuple[tuple[float, float], ...], e_max: float) -> None:
@@ -164,9 +241,10 @@ def _assemble_numeric(potential: Potential, e_max: float, tol: Tolerances) -> As
             break
         entries += [(lam, err, sign * k, n) for lam, err, n in kept for sign in (1, -1)]
         k += 1
-    lines, warnings = _cluster(entries)
-    return AssembledSpectrum(e_max=float(e_max), lines=tuple(lines), k_cut=k - 1,
-                             mode="numeric", warnings=tuple(warnings))
+    values, starts, contributors, warnings = _cluster(entries)
+    return AssembledSpectrum(e_max=float(e_max), values=values, starts=starts,
+                             contributors=contributors, k_cut=k - 1, mode="numeric",
+                             warnings=tuple(warnings))
 
 
 def assemble(potential: Potential, e_max: float, tol: Tolerances = Tolerances(),

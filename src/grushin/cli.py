@@ -26,6 +26,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
+from ._linetext import LINE_HEADER, line_columns, line_dicts, line_rows
 from .assembler import assemble, check_property_p
 from .concentration import Strip, concentration_certificate
 from .core import (
@@ -245,31 +246,19 @@ def _emit_csv(header: str, rows: list[str], conf: dict) -> None:
     _write("\n".join([header] + rows) + "\n", conf.get("output"))
 
 
-_LINE_HEADER = "value,multiplicity,contributors"
-
-
-def _line_row(line) -> str:
-    contributors = ";".join(f"{k}:{n}" for k, n in line.contributors)
-    return f"{line.value!r},{line.multiplicity},{contributors}"
-
-
-def _line_json(line) -> dict:
-    return {"value": float(line.value), "mult": line.multiplicity,
-            "contributors": [{"k": k, "n": n} for k, n in line.contributors]}
-
-
 def _cmd_spectrum(conf: dict) -> int:
     potential = parse_potential(conf["potential"])
     spectrum = assemble(potential, conf["emax"], Tolerances(conf["eig_rel"]), mode=conf["mode"])
+    columns = spectrum.values, spectrum.starts, spectrum.contributors
     if conf["format"] == "csv":
-        _emit_csv(_LINE_HEADER, [_line_row(line) for line in spectrum.lines], conf)
+        _emit_csv(LINE_HEADER, line_rows(*columns), conf)
     else:
         _emit_json({
             "e_max": spectrum.e_max,
             "mode": spectrum.mode,
             "k_cut": spectrum.k_cut,
             "warnings": list(spectrum.warnings),
-            "lines": [_line_json(line) for line in spectrum.lines],
+            "lines": line_dicts(*columns),
         }, conf)
     return 0
 
@@ -308,10 +297,11 @@ def _cmd_multiplicity(conf: dict) -> int:
         line = multiplicity_enumeration(value, s2)
     else:
         line = multiplicity_enumeration((conf["lin"], conf["quad"]), s2)
+    columns = line_columns(line)
     if conf["format"] == "csv":
-        _emit_csv(_LINE_HEADER, [_line_row(line)], conf)
+        _emit_csv(LINE_HEADER, line_rows(*columns), conf)
         return 0
-    payload = {"s2": render_exact_scalar(s2), **_line_json(line)}
+    payload = {"s2": render_exact_scalar(s2), **line_dicts(*columns)[0]}
     if s2.is_rational and s2.rational == 0 and value.denominator == 1:
         payload["factorization_mult"] = multiplicity_factorization(int(value))
     _emit_json(payload, conf)

@@ -9,10 +9,10 @@ Rayleigh quotient of the 2x2 Hermitian Gram matrix of {e^{iky}, e^{-iky}} on
     ((b - a) - |sin(k (b - a))| / |k|) / (2 pi),
 
 which tends to (b - a)/(2 pi) as |k| grows, and ``concentration_certificate``
-takes the smallest of these minima over an assembled spectrum. Exact
-assembly groups the spectrum's levels by one stable sort of int64 keys
-(``assembler``); the certificate checks every line's multiplicity and
-evaluates ``min_ratio`` once per distinct |k|.
+takes the smallest of these minima over an assembled spectrum. It reads the
+spectrum's columns (``assembler``), not its lines: the multiplicities
+diff(starts), and the |k| of each line's first contributor, the row at
+starts[i]. It evaluates ``min_ratio`` once per distinct |k|.
 """
 
 from __future__ import annotations
@@ -75,19 +75,22 @@ def concentration_certificate(spectrum, w: Strip) -> Certificate:
 
     Every line must have multiplicity exactly 2 (a single |k|); otherwise the
     factorized form does not span the eigenspace and the certificate fails
-    with the offending line named. The minimum depends on the line only
-    through |k|, so it is evaluated once per distinct |k|; on a tie the
-    witness is the |k| of the first such line.
+    with the first offending line named. The minimum depends on a line only
+    through |k|, so it is evaluated once per distinct |k| of the lines' first
+    contributors; on a tie the witness is the |k| of the first such line. The
+    spectrum's columns are read directly; no line object is built.
     """
-    if not spectrum.lines:
+    starts = spectrum.starts
+    mult = starts[1:] - starts[:-1]
+    if not len(mult):
         raise MultiplicityError("empty spectrum; nothing to certify")
-    for line in spectrum.lines:
-        if line.multiplicity != 2:
-            raise MultiplicityError(
-                f"line at value {line.value!r} has multiplicity {line.multiplicity}, "
-                "certificate needs multiplicity 2")
+    if (mult != 2).any():
+        i = int((mult != 2).argmax())
+        raise MultiplicityError(
+            f"line at value {float(spectrum.values[i])!r} has multiplicity {int(mult[i])}, "
+            "certificate needs multiplicity 2")
     # every distinct |k|, in the order of its first line
-    ks = dict.fromkeys(abs(line.contributors[0][0]) for line in spectrum.lines)
+    ks = dict.fromkeys(abs(spectrum.contributors[starts[:-1], 0]).tolist())
     ratios = {k: min_ratio(k, w) for k in ks}
     witness_k = min(ratios, key=ratios.__getitem__)
     return Certificate(
@@ -96,5 +99,5 @@ def concentration_certificate(spectrum, w: Strip) -> Certificate:
         c_min=ratios[witness_k],
         witness_k=witness_k,
         limit_value=w.width / (2.0 * math.pi),
-        lines_checked=len(spectrum.lines),
+        lines_checked=len(mult),
     )

@@ -80,6 +80,13 @@ def _check_cap(e_max) -> None:
         raise PreconditionError("e_max must be finite")
 
 
+def _readonly(array, dtype=None) -> np.ndarray:
+    """``array`` as an ndarray whose elements refuse writes (ValueError)."""
+    out = np.asarray(array, dtype=dtype)
+    out.flags.writeable = False
+    return out
+
+
 class IntegerOverflowError(GrushinError):
     """Exact integer arithmetic would exceed the 64-bit guard."""
 

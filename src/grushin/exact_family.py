@@ -15,7 +15,8 @@ arrays of (k, n), guarded so that no product wraps. A rational level's value
 is the Python-int quotient key / q, exact to the last bit; int64 true
 division rounds twice once a key passes 2^53. A ``SpectrumLine`` carries the
 key (no Fraction) beside its value and contributors, whose count is its
-multiplicity.
+multiplicity; ``multiplicity_enumeration`` returns one, and an assembled
+spectrum builds them only as its ``lines`` view.
 
 One per-mode table, ``_modes``, decides which levels lie below a cap for
 counting, enumeration, multiplicities and assembly, and refuses s2 < 0. For
@@ -24,8 +25,10 @@ integer c = floor(qE), and level n of mode k lies below it exactly when
 (2n+1) qk <= c - pk^2: 64-bit-guarded integers, no Fractions. Only the cap
 test of a tagged irrational goes through its float approximation.
 ``enumerate_exact_pairs`` turns the table into one int64 array of (k, n);
-exact assembly keys that array with ``_level_keys`` and groups equal keys by
-one stable sort of the int64 keys.
+exact assembly keys that array with ``_level_keys``, groups equal keys by
+one stable sort of the int64 keys, and fills the spectrum's columns (line
+values, contributor offsets, (k, n) rows and keys; see ``assembler``)
+straight from the sorted arrays, with no per-line object.
 """
 
 from __future__ import annotations

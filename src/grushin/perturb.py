@@ -28,6 +28,7 @@ from .core import (
     Potential,
     PreconditionError,
     Tolerances,
+    _readonly,
     base_factor,
     eval_potential,
 )
@@ -104,7 +105,7 @@ class Branch:
     undeformed operator, with its eigenvectors on the fixed tracking grid.
     ``lambdas`` are Richardson extrapolants across the tracking grid and its
     coarsening, like ``EigenPair.lam``, and ``err_ests`` their error
-    estimates."""
+    estimates. Every array is read-only."""
 
     k: int
     level: int
@@ -113,6 +114,11 @@ class Branch:
     err_ests: np.ndarray
     vectors: tuple[np.ndarray, ...]
     grid: Grid
+
+    def __post_init__(self):
+        for name in ("t_grid", "lambdas", "err_ests"):
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
+        object.__setattr__(self, "vectors", tuple(map(_readonly, self.vectors)))
 
 
 def track_branches(potential: Potential, w: Perturbation, k: int, levels,

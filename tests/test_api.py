@@ -6,6 +6,7 @@ import importlib
 
 import pytest
 
+from grushin.assembler import assemble
 from grushin.core import Perturbation, parse_potential
 from grushin.perturb import track_branches
 
@@ -18,7 +19,8 @@ GONE_FROM_MODULES = {
                 "exact_eigenvalue", "k_cutoff", "mollified_indicator"],
     "grushin.exact_family": ["ExactEigenvalue", "exact_eigenvalue"],
     "grushin.assembler": ["ExactEigenvalue", "exact_eigenvalue", "_exact_level", "k_cutoff",
-                          "_ground_constant"],
+                          "_ground_constant", "_sorted_contributors"],
+    "grushin.cli": ["_line_row", "_line_json"],
     "grushin.concentration": ["ModeCoefficients", "kappa_coefficients",
                               "ratio_closed_form", "min_ratio_witness", "cmath"],
     "grushin.schrod1d": ["hermite_eigenfunction"],
@@ -65,3 +67,21 @@ def test_branch_is_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         branch.t_grid = branch.t_grid[:1]
     assert isinstance(branch.vectors, tuple)
+    for array in (branch.t_grid, branch.lambdas, branch.err_ests, *branch.vectors):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 99.0
+
+
+@pytest.mark.parametrize("potential, mode", [("shifted:s2=1", "exact"),
+                                             ("shifted:s2=irr:sqrt2", "exact"),
+                                             ("power:gamma=1", "numeric")])
+def test_spectrum_is_frozen(potential, mode):
+    spectrum = assemble(parse_potential(potential), 8.0, mode=mode)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spectrum.values = spectrum.values[:1]
+    columns = [spectrum.values, spectrum.starts, spectrum.contributors]
+    if mode == "exact":
+        columns.append(spectrum.keys)
+    for column in columns:
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 99

@@ -5,10 +5,11 @@ import pytest
 from helpers import brute_property_p, weighted_power
 
 from grushin import assembler, schrod1d
-from grushin.assembler import assemble, check_property_p
+from grushin.assembler import AssembledSpectrum, assemble, check_property_p
 from grushin.core import (
     SEPARATION,
     ExactScalar,
+    InvariantViolation,
     Perturbation,
     Potential,
     PreconditionError,
@@ -16,7 +17,12 @@ from grushin.core import (
     Tolerances,
     parse_potential,
 )
-from grushin.exact_family import counting_function, enumerate_exact_pairs, weyl_residual
+from grushin.exact_family import (
+    SpectrumLine,
+    counting_function,
+    enumerate_exact_pairs,
+    weyl_residual,
+)
 from grushin.schrod1d import solve_eigen, solve_levels_below, truncation_length
 
 POWER1 = parse_potential("power:gamma=1")
@@ -200,6 +206,8 @@ def test_assemble_numeric_matches_exact():
         assert a.value == pytest.approx(b.value, abs=1e-4)
         assert a.multiplicity == b.multiplicity
         assert set(a.contributors) == set(b.contributors)
+        assert a.key is None
+    assert num.keys is None
     assert num.warnings == ()
 
 
@@ -208,12 +216,50 @@ def test_cluster_chain_that_joins_distinct_levels_warns():
     err = 1.0
     a, b, c = 10.0, 10.0 + 1.5 * SEPARATION * err, 10.0 + 3.0 * SEPARATION * err
     entries = [(lam, err, sign * k, 0) for lam, k in ((a, 1), (b, 2), (c, 3)) for sign in (1, -1)]
-    lines, warnings = assembler._cluster(entries)
-    assert [line.contributors for line in lines] == [
-        ((-1, 0), (1, 0), (-2, 0), (2, 0), (-3, 0), (3, 0))]
-    assert lines[0].key is None
+    values, starts, contributors, warnings = assembler._cluster(entries)
+    assert values.tolist() == [(a + b + c) / 3]
+    assert starts.tolist() == [0, 6]
+    assert contributors.tolist() == [[-1, 0], [1, 0], [-2, 0], [2, 0], [-3, 0], [3, 0]]
     assert warnings == [f"line at {(a + b + c) / 3!r} joins levels (k, n) = (-1, 0) and "
                         "(-3, 0), which are certified distinct"]
+
+
+def _numeric_spectrum(values, lines):
+    """A numeric spectrum whose line i has the value values[i] and the
+    contributors lines[i]."""
+    starts = [0]
+    for line in lines:
+        starts.append(starts[-1] + len(line))
+    return AssembledSpectrum(e_max=10.0, values=values, starts=starts,
+                             contributors=[kn for line in lines for kn in line],
+                             k_cut=3, mode="numeric")
+
+
+def test_spectrum_check_accepts_two_levels_of_one_mode():
+    # near-degenerate levels n = 0, 1 of mode 1 form one numeric line, whose
+    # rows (-1, 0), (-1, 1) do not pair up with their neighbours
+    two_levels = ((-1, 0), (-1, 1), (1, 0), (1, 1))
+    spec = _numeric_spectrum([2.0, 3.0], [((-2, 0), (2, 0)), two_levels])
+    assert spec.lines[1] == SpectrumLine(3.0, two_levels)
+    assert spec.contributors.tolist() == [[-2, 0], [2, 0], *map(list, two_levels)]
+
+
+@pytest.mark.parametrize("values, lines, match", [
+    ([1.0], [((-1, 0), (1, 0), (2, 0))], "even"),
+    ([1.0], [((-1, 0), (2, 0))], "closed"),
+    ([1.0], [((-1, 0), (-1, 1), (1, 0), (2, 1))], "closed"),
+    # closed over the whole spectrum, but not within each line
+    ([1.0, 2.0], [((-1, 0), (2, 0)), ((-2, 0), (1, 0))], "closed"),
+    ([1.0, 2.0], [((-1, 0), (1, 0)), ((-1, 1), (-1, 1))], "closed"),
+    ([2.0, 1.0], [((-1, 0), (1, 0)), ((-2, 0), (2, 0))], "order"),
+], ids=["odd", "unpaired", "unpaired-two-levels", "split-across-lines", "one-sign", "order"])
+def test_spectrum_check_rejects_what_a_line_rejects(values, lines, match):
+    with pytest.raises(InvariantViolation, match=match):
+        _numeric_spectrum(values, lines)
+    if match != "order":  # each of these lines also fails its own check
+        with pytest.raises(InvariantViolation, match=match):
+            for value, line in zip(values, lines):
+                SpectrumLine(value, line)
 
 
 def test_assemble_multiplicities_even_and_counts():

@@ -680,6 +680,29 @@ _PINNED_EXACT_REPORTS = [
      "1a9f2c1097c4a6484b22078e80d520045a625a561ecb43c72b40d53add18a048"),
     (["concentration", "--s2", "irr:golden", "--emax", "1000", "--a", "0", "--b", "pi/3"],
      "d63246a46fb6fcb8f1c3ec26c86c5f4f745db18bbbbf7695d8559845c3750f18"),
+    # spectra written from their columns: JSON beside the CSV above, and an
+    # empty spectrum
+    (["spectrum", "--potential", "shifted:s2=0", "--emax", "1000", "--mode", "exact"],
+     "3f2e73e663a7f25ec1f3349379bebf4fd48f5726ae62cfc1428374b4f8c6f52a"),
+    (["spectrum", "--potential", "shifted:s2=irr:sqrt2", "--emax", "700", "--mode", "exact"],
+     "315964ed52c68d165985b0ece6c47e9d4aa0ccfdf8e75f507e9bc2791bfa864d"),
+    (["spectrum", "--potential", "shifted:s2=5/4", "--emax", "2000", "--mode", "exact",
+      "--format", "csv"], "4eb20bbb3883af9f149b852510bcad9ace12949631330a1acaff2c9749f00b59"),
+    (["spectrum", "--potential", "shifted:s2=5/4", "--emax", "2000", "--mode", "exact"],
+     "5aaf483e5911b83b9f9b042dc60037bf6caea60c8c8169c14685d7b378dc03b4"),
+    (["spectrum", "--potential", "shifted:s2=0", "--emax", "0.5", "--mode", "exact",
+      "--format", "csv"], "af489f6b5d28b07a4d4591c7da1e4205a27fa95d9d45dcbe756ad3b5a240568b"),
+    (["spectrum", "--potential", "shifted:s2=0", "--emax", "0.5", "--mode", "exact"],
+     "67ab254392a45c2b23798e67f0d30cb8c7b598ae9c5e2c8fee9e0f4c6ea57215"),
+    # multiplicity rows, through the spectrum's row formatter
+    (["multiplicity", "--s2", "0", "--value", "945", "--format", "csv"],
+     "25768156d16300b072a6dd0186aa5c88b84c5d72c274f37defc59ebb5afa506f"),
+    (["multiplicity", "--s2", "0", "--value", "1155", "--format", "csv"],
+     "72bf91fdd93863b37289ab5b200557d2e4f58f6ef8ada9881412f167a92e9809"),
+    (["multiplicity", "--s2", "5/4", "--value", "6", "--format", "csv"],  # no contributors
+     "3217954ab53d99fa7f630261c6841d1bd2533b9a79cd9836875c549add331458"),
+    (["multiplicity", "--s2", "irr:sqrt2", "--lin", "9", "--quad", "9", "--format", "csv"],
+     "972bf232c3002c489ff17fddab7286b883f1535d38bc22ac41a3aaee476ec9b3"),
 ]
 
 

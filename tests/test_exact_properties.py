@@ -4,9 +4,10 @@ lattice oracles."""
 
 import hashlib
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import brute_count, brute_exact_lines
@@ -94,6 +95,9 @@ def test_exact_assembly_beyond_64_bits_raises(p, q, extra):
                  .map(ExactScalar.irrational)),
        st.one_of(st.integers(1, 150), st.fractions(Fraction(1, 12), 150, max_denominator=12),
                  st.floats(0.01, 150.0)))
+@example(ExactScalar.from_rational(0), 0.5)  # caps below the first level
+@example(ExactScalar.from_rational(3, 11398895185373143), Fraction(1, 2))
+@example(ExactScalar.irrational("sqrt2"), 0.5)
 def test_exact_assembly_matches_brute_grouping(s2, e):
     # a tagged irrational's levels lie within rounding of none of these caps,
     # so the oracle's float cap test agrees with the library's
@@ -102,6 +106,17 @@ def test_exact_assembly_matches_brute_grouping(s2, e):
     want = brute_exact_lines(s2, e)
     assert got == want
     assert spectrum.k_cut == max((abs(k) for _, kn, *_ in want for k, _ in kn), default=0)
+    # the columns, which the lines view above is built from
+    assert spectrum.values.tolist() == [value for value, *_ in want]
+    assert spectrum.starts.tolist() == [0, *accumulate(mult for _, _, mult, _ in want)]
+    assert spectrum.contributors.shape == (spectrum.starts[-1], 2)
+    assert spectrum.contributors.tolist() == [list(kn) for _, kns, _, _ in want for kn in kns]
+    if s2.is_rational:
+        assert spectrum.keys.shape == (len(want),)
+        assert spectrum.keys.tolist() == [key for *_, key in want]
+    else:
+        assert spectrum.keys.shape == (len(want), 2)
+        assert spectrum.keys.tolist() == [list(key) for *_, key in want]
 
 
 def test_values_past_2_53_are_correctly_rounded_quotients(capsys):
