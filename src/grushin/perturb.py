@@ -33,7 +33,15 @@ from .core import (
     eval_potential,
 )
 from .exact_family import multiplicity_enumeration
-from .schrod1d import Grid, _err_floor, _extrapolate, solve_eigen, solve_on_grid
+from .schrod1d import (
+    Grid,
+    _err_floor,
+    _extrapolate,
+    _fix_signs,
+    _seeded,
+    solve_eigen,
+    solve_on_grid,
+)
 
 __all__ = [
     "perturbed_potential",
@@ -74,12 +82,11 @@ def perturbed_potential(potential: Potential, w: Perturbation, t: float) -> Pote
                      profile=CallableProfile(fn=fn))
 
 
-def _weighted_density(potential: Potential, w: Perturbation, k: int, n: int,
-                      grid: Grid) -> float:
-    # h * sum(base W u_n^2) for the discrete eigenvector u_n on grid
-    _, vecs = solve_on_grid(potential, k, n + 1, grid)
+def _weighted_density(potential: Potential, w: Perturbation, grid: Grid,
+                      u: np.ndarray) -> float:
+    # h * sum(base W u^2) for the discrete eigenvector u on grid
     x = grid.points()
-    return grid.h * float(np.sum(base_factor(potential, x) * w(x) * vecs[:, n] * vecs[:, n]))
+    return grid.h * float(np.sum(base_factor(potential, x) * w(x) * u * u))
 
 
 def hellmann_feynman(potential: Potential, w: Perturbation, k: int, n: int,
@@ -91,11 +98,16 @@ def hellmann_feynman(potential: Potential, w: Perturbation, k: int, n: int,
     with u_n the normalized n-th eigenfunction. The quadrature is evaluated on
     the solver's final grid and its 2h coarsening and Richardson
     extrapolated, so the result is accurate beyond the O(h^2) vector error.
+    On the line the vectors are the refinement's own, from its certified
+    seeded solves of those two grids (schrod1d._seeded); the circle's
+    refinement keeps none, and both grids are bisected with vectors.
     """
     w.check_fits(potential)
-    grid = solve_eigen(potential, k, n + 1, tol)[n].grid
-    i_fine = _weighted_density(potential, w, k, n, grid)
-    i_coarse = _weighted_density(potential, w, k, n, grid.coarsened())
+    pairs = solve_eigen(potential, k, n + 1, tol)
+    grid = pairs[n].grid
+    grids = (grid.coarsened(), grid)
+    vecs = pairs.vectors or [solve_on_grid(potential, k, n + 1, g)[1] for g in grids]
+    i_coarse, i_fine = (_weighted_density(potential, w, g, v[:, n]) for g, v in zip(grids, vecs))
     return k * k * (4.0 * i_fine - i_coarse) / 3.0
 
 
@@ -145,7 +157,12 @@ def track_branches(potential: Potential, w: Perturbation, k: int, levels,
     The steps solve levels 0..max(levels) only, the levels they read. The
     base solve keeps max(levels) + 3: kappa needs the level above the top
     tracked one, and the spare level stays because that solve sets the
-    truncation domain and the tracking grid.
+    truncation domain and the tracking grid. On the line each step solves
+    the tracking grid and its coarsening from the previous step's vectors on
+    the same grid, starting from the base solve's own, by certified
+    Rayleigh-quotient iteration (schrod1d._seeded), which bisects a grid
+    whose certificate fails; the certificate also proves the sorted order
+    above on each grid. On the circle every step is bisected.
 
     Precondition: t_max * k^2 * sup(base W) < kappa/2.
     """
@@ -168,25 +185,30 @@ def track_branches(potential: Potential, w: Perturbation, k: int, levels,
             f"kappa/2 = {kappa / 2.0!r}")
 
     grid = base[0].grid
-    grid_coarse = grid.coarsened()
+    grids = (grid.coarsened(), grid)
     t_grid = np.linspace(0.0, t_max, steps + 1)
     # levels 0..max(levels) along t_grid: eigenvalues and error estimates, and
-    # the eigenvectors of the tracked levels
+    # the eigenvectors of the tracked levels; seeds are the last vectors on
+    # the coarsening and on the tracking grid (the circle keeps none of the
+    # coarsening's)
     m_track = levels[-1] + 1
     lams, errs = [lams0[:m_track]], [np.array([p.err_est for p in base[:m_track]])]
-    _, vecs0 = solve_on_grid(potential, k, m_track, grid)
-    vectors = {n: [vecs0[:, n].copy()] for n in levels}
+    seeds = base.vectors or (None, solve_on_grid(potential, k, m_track, grid)[1])
+    vecs0 = _fix_signs(seeds[1][:, :m_track].copy())
+    vectors = {n: [vecs0[:, n]] for n in levels}
     for t in t_grid[1:]:
         # the extrapolant of the two tracking grids, as base[n].lam is at t = 0
         pert = perturbed_potential(potential, w, float(t))
-        lams_f, vecs_f = solve_on_grid(pert, k, m_track, grid)
-        lams_c, _ = solve_on_grid(pert, k, m_track, grid_coarse, vectors=False)
+        (lams_c, vecs_c), (lams_f, vecs_f) = (_seeded(pert, k, m_track, g, s)
+                                              for g, s in zip(grids, seeds))
+        seeds = (vecs_c, vecs_f)
         extrap, raw = _extrapolate(None, lams_c, lams_f)
         lams.append(extrap)
         errs.append(np.maximum(raw, _err_floor(grid, float(np.max(np.abs(extrap))))))
         for n, vecs in vectors.items():
+            # a copy: the next step overwrites its seeds
             vec = vecs_f[:, n]
-            vecs.append(-vec if np.dot(vecs[-1], vec) < 0 else vec)
+            vecs.append(vec * (-1.0 if np.dot(vecs[-1], vec) < 0 else 1.0))
     lams, errs = np.array(lams), np.array(errs)
     return [Branch(k=k, level=n, t_grid=t_grid.copy(), lambdas=lams[:, n].copy(),
                    err_ests=errs[:, n].copy(), vectors=tuple(vecs), grid=grid)

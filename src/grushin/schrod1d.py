@@ -2,12 +2,19 @@
 (Dirichlet) and on the circle (periodic).
 
 Discretization is second-order central differences. On the line the matrix is
-symmetric tridiagonal and the lowest m eigenvalues come from Sturm-sequence
-bisection with inverse-iteration eigenvectors (LAPACK stebz/stein). On the
-circle the grid is closed under x -> -x, so for an even potential (every
-StructuredProfile) the periodic matrix splits exactly into an even and an odd
-tridiagonal problem on [0, pi]; any other circle potential takes a dense
-solve at N <= 4096.
+symmetric tridiagonal. The first grid of a solve, and any fixed grid asked of
+solve_on_grid, takes its lowest m eigenvalues from Sturm-sequence bisection
+with inverse-iteration eigenvectors (LAPACK stebz/stein). Each refined line
+grid is instead solved from the answer next to it: the grid 2h coarser carries
+its eigenvectors over (coarse node i is fine node 2i + 1, an even fine node the
+mean of its neighbours), and Rayleigh-quotient iteration from those seeds is
+accepted only with a certificate that each value is the level it claims
+(residual intervals that are disjoint and one Sturm count; proof in _rqi);
+where the certificate fails the grid is bisected. On the circle the grid is
+closed under x -> -x, so for an even potential (every StructuredProfile) the
+periodic matrix splits exactly into an even and an odd tridiagonal problem on
+[0, pi], each bisected on every grid without vectors; any other circle
+potential takes a dense solve at N <= 4096.
 
 The line is cut to [-L, L] by the Agmon action (truncation_length): a level
 at E decays like exp(-S), S = int sqrt(k^2 V - E) dx, past its turning point,
@@ -23,8 +30,9 @@ when the remainder is of order 2 or more (4 for smooth V, about 2.5 for
 |x|^1.5), once three grids show an observed order log2((lambda_{2h} -
 lambda_h) / (lambda_h - lambda_{h/2})) within ORDER_SLACK of 2; otherwise the
 plain |lambda_h - lambda_{h/2}| / 3, which also bounds it, is used.
-Eigenvectors come from solve_on_grid on the final grid: O(h^2) accurate, with
-that grid's discrete eigenvalues.
+Eigenvectors of the final grid are O(h^2) accurate, with that grid's discrete
+eigenvalues; on the line solve_eigen's list also keeps the refinement's own
+vectors of the final grid and its coarsening (_Levels).
 """
 
 from __future__ import annotations
@@ -46,6 +54,7 @@ from .core import (
     _check_cap,
     eval_potential,
 )
+from ._rqi import certified_eigh, prolong, sturm_count
 
 __all__ = [
     "Grid",
@@ -114,10 +123,14 @@ class Grid:
         return Grid("circle", 2 * self.npoints, self.length)
 
     def coarsened(self) -> "Grid":
-        """The grid with spacing exactly 2h (inverse of refined)."""
-        if self.kind == "line":
-            return Grid("line", (self.npoints - 1) // 2, self.length)
-        return Grid("circle", self.npoints // 2, self.length)
+        """The grid with spacing exactly 2h (inverse of refined): a line of 2n
+        + 1 nodes, or a circle of N nodes with N/2 even; InvariantViolation
+        for any other grid."""
+        n = self.npoints
+        if not (n % 2 == 1 if self.kind == "line" else n % 4 == 0):
+            raise InvariantViolation(f"no exact 2h coarsening exists for a {self.kind} grid "
+                                     f"of {n} nodes")
+        return Grid(self.kind, n // 2, self.length)
 
 
 @dataclass(frozen=True)
@@ -197,6 +210,10 @@ def _diagonal(potential: Potential, k: int, x: np.ndarray, grid: Grid) -> np.nda
     return diag
 
 
+def _offdiag(grid: Grid) -> np.ndarray:
+    return np.full(grid.npoints - 1, -1.0 / (grid.h * grid.h))
+
+
 def _tridiagonal(diag: np.ndarray, off: np.ndarray, m: int, vectors: bool):
     return scipy.linalg.eigh_tridiagonal(
         diag, off, eigvals_only=not vectors, select="i", select_range=(0, m - 1),
@@ -204,15 +221,27 @@ def _tridiagonal(diag: np.ndarray, off: np.ndarray, m: int, vectors: bool):
 
 
 def _count_below(potential: Potential, k: int, cap: float, grid: Grid) -> int:
-    """Sturm count of the discrete eigenvalues <= cap, by bisection on the
-    value range (LAPACK stebz); on the circle, among its N/2 lowest."""
+    """Count of the discrete eigenvalues below cap: one Sturm count on the
+    line (_rqi.sturm_count); on the circle, among its N/2 lowest."""
     if grid.kind == "circle":
         return int(np.sum(solve_on_grid(potential, k, grid.npoints // 2, grid,
                                         vectors=False)[0] <= cap))
-    off = np.full(grid.npoints - 1, -1.0 / (grid.h * grid.h))
-    return scipy.linalg.eigh_tridiagonal(
-        _diagonal(potential, k, grid.points(), grid), off, eigvals_only=True, select="v",
-        select_range=(-np.inf, cap), lapack_driver="stebz").size
+    return sturm_count(_diagonal(potential, k, grid.points(), grid), _offdiag(grid), cap)
+
+
+def _seeded(potential: Potential, k: int, m: int, grid: Grid, seeds: np.ndarray | None):
+    """Levels 0..m-1 on ``grid`` and their vectors, normalized as by
+    solve_on_grid but unsigned. On the line, certified Rayleigh-quotient
+    iteration from the first m columns of ``seeds`` (_rqi), which it
+    overwrites, with bisection where the certificate fails; on the circle, or
+    with no seeds, solve_on_grid, which computes vectors only when seeds are
+    given."""
+    if seeds is None or grid.kind == "circle":
+        return solve_on_grid(potential, k, m, grid, vectors=seeds is not None)
+    diag, off = _diagonal(potential, k, grid.points(), grid), _offdiag(grid)
+    lams, vecs = certified_eigh(diag, off, seeds[:, :m]) or _tridiagonal(diag, off, m, True)
+    vecs /= math.sqrt(grid.h)
+    return lams, vecs
 
 
 def _solve_even_circle(potential: Potential, k: int, m: int, grid: Grid, vectors: bool):
@@ -269,7 +298,7 @@ def solve_on_grid(potential: Potential, k: int, m: int, grid: Grid, *,
     h = grid.h
     diag = _diagonal(potential, k, grid.points(), grid)
     if grid.kind == "line":
-        out = _tridiagonal(diag, np.full(grid.npoints - 1, -1.0 / (h * h)), m, vectors)
+        out = _tridiagonal(diag, _offdiag(grid), m, vectors)
     else:
         if grid.npoints > CIRCLE_MAX_NODES:
             raise PreconditionError(f"circle grids are capped at {CIRCLE_MAX_NODES} nodes")
@@ -288,8 +317,10 @@ def solve_on_grid(potential: Potential, k: int, m: int, grid: Grid, *,
 
 def _err_floor(grid: Grid, lam: float) -> float:
     # roundoff floor of the extrapolant: bisection resolves each discrete
-    # eigenvalue to about eps * ||T|| ~ 4 eps / h^2, and (4 lam_{h/2} - lam_h)/3
-    # adds the errors of both grids with weights 4/3 and 1/3
+    # eigenvalue to about eps * ||T|| ~ 4 eps / h^2, and a certified Rayleigh
+    # quotient (_rqi) to rho^2 / gap plus its rounding, no worse for a residual
+    # rho of a few eps ||T||; (4 lam_{h/2} - lam_h)/3 adds the errors of both
+    # grids with weights 4/3 and 1/3
     return 6.0 * _EPS / (grid.h * grid.h) + 4.0 * _EPS * abs(lam)
 
 
@@ -312,15 +343,17 @@ def _extrapolate(coarser: np.ndarray | None, coarse: np.ndarray,
 
 
 def _refine(potential: Potential, k: int, m: int, grid: Grid, tol: Tolerances,
-            lams: np.ndarray | None = None):
-    """Halve h from ``grid`` (whose eigenvalues are ``lams`` if the caller has
-    them) until every level meets err_est <= eig_rel * lambda, and return the
-    extrapolants, their error estimates and the final grid. ConvergenceError,
-    with the best estimates attached, when the node budget runs out or the
-    roundoff floor already exceeds the target."""
+            first: tuple | None = None):
+    """Halve h from ``grid`` (whose solve_on_grid eigenpairs are ``first`` if
+    the caller has them; vectors on the line only) until every level meets
+    err_est <= eig_rel * lambda, and return the extrapolants, their error
+    estimates, the final grid and, on the line, the vectors of the final
+    grid's coarsening and of the final grid. Each refined grid is solved by
+    _seeded from its coarsening's vectors, carried over by _rqi.prolong.
+    ConvergenceError, with the best estimates attached, when the node budget
+    runs out or the roundoff floor already exceeds the target."""
     max_nodes = CIRCLE_MAX_NODES if _dense_circle(potential, grid) else LINE_MAX_NODES
-    if lams is None:
-        lams, _ = solve_on_grid(potential, k, m, grid, vectors=False)
+    lams, vecs = first or solve_on_grid(potential, k, m, grid, vectors=grid.kind == "line")
     visited = [grid.npoints]
     coarser = None
     extrap, err, best_rel = lams, np.full(m, math.inf), math.inf
@@ -336,7 +369,8 @@ def _refine(potential: Potential, k: int, m: int, grid: Grid, tol: Tolerances,
         fine = grid.refined()
         if fine.npoints > max_nodes:
             raise failure(f"refinement budget of {max_nodes} nodes exhausted")
-        lams_fine, _ = solve_on_grid(potential, k, m, fine, vectors=False)
+        kept = vecs
+        lams_fine, vecs = _seeded(potential, k, m, fine, None if kept is None else prolong(kept))
         visited.append(fine.npoints)
         extrap, raw = _extrapolate(coarser, lams, lams_fine)
         floor = _err_floor(fine, float(np.max(np.abs(extrap))))
@@ -346,7 +380,7 @@ def _refine(potential: Potential, k: int, m: int, grid: Grid, tol: Tolerances,
         target = tol.eig_rel * scale
         coarser, lams, grid = lams, lams_fine, fine
         if np.all(err <= target):
-            return extrap, err, grid
+            return extrap, err, grid, None if vecs is None else (kept, vecs)
         hopeless = (floor > target) & (raw <= floor)
         if np.all((err <= target) | hopeless):
             raise failure(f"target sits below the roundoff floor "
@@ -360,10 +394,20 @@ def _initial_line_grid(length: float, m: int) -> Grid:
     return Grid("line", n, length)
 
 
+class _Levels(list):
+    """solve_eigen's list of EigenPairs. On the line ``vectors`` holds the
+    refinement's own eigenvectors (normalized as by solve_on_grid, unsigned)
+    of the final grid's coarsening and of the final grid; None on the circle."""
+
+    vectors = None
+
+
 def _pairs(potential: Potential, k: int, m: int, grid: Grid, tol: Tolerances,
-           lams: np.ndarray | None = None) -> list[EigenPair]:
-    lams, err, grid = _refine(potential, k, m, grid, tol, lams)
-    return [EigenPair(float(lams[i]), k, i, float(err[i]), grid) for i in range(m)]
+           first: tuple | None = None) -> _Levels:
+    lams, err, grid, vectors = _refine(potential, k, m, grid, tol, first)
+    out = _Levels(EigenPair(float(lams[i]), k, i, float(err[i]), grid) for i in range(m))
+    out.vectors = vectors
+    return out
 
 
 def solve_eigen(potential: Potential, k: int, m: int,
@@ -383,13 +427,13 @@ def solve_eigen(potential: Potential, k: int, m: int,
     length = truncation_length(potential, k, energy, tol)
     while True:
         grid = _initial_line_grid(length, m)
-        lams, _ = solve_on_grid(potential, k, m, grid, vectors=False)
+        lams, vecs = solve_on_grid(potential, k, m, grid)
         if lams[-1] > energy:  # cut for the top level; a cut that does not grow holds it
             energy, last = float(lams[-1]), length
             length = truncation_length(potential, k, energy, tol)
             if length > last:
                 continue
-        return _pairs(potential, k, m, grid, tol, lams)
+        return _pairs(potential, k, m, grid, tol, (lams, vecs))
 
 
 def solve_levels_below(potential: Potential, k: int, e_max: float,

@@ -109,8 +109,10 @@ def test_track_branches_slopes_and_lipschitz():
 
 def test_track_branches_steps_solve_only_the_tracked_levels(monkeypatch):
     # the base solve keeps two levels above the top tracked one; every step
-    # solves levels 0..max(levels) and nothing more
-    asked = {"solve_eigen": [], "solve_on_grid": []}
+    # solves levels 0..max(levels) and nothing more, on the tracking grid and
+    # its coarsening, each seeded from the step before; the t = 0 vectors are
+    # the base solve's own, so nothing is bisected outside it
+    asked = {"solve_eigen": [], "solve_on_grid": [], "_seeded": []}
 
     def spy(name, fn):
         def wrapped(potential, k, m, *args, **kwargs):
@@ -118,13 +120,14 @@ def test_track_branches_steps_solve_only_the_tracked_levels(monkeypatch):
             return fn(potential, k, m, *args, **kwargs)
         monkeypatch.setattr(perturb, name, wrapped)
 
-    spy("solve_eigen", perturb.solve_eigen)
-    spy("solve_on_grid", perturb.solve_on_grid)
+    for name in asked:
+        spy(name, getattr(perturb, name))
     levels, steps = [1, 2], 3
     branches = track_branches(HARMONIC, BUMP, 1, levels, 0.1, steps=steps)
     monkeypatch.undo()
     assert asked["solve_eigen"] == [5]
-    assert asked["solve_on_grid"] == [3] * (1 + 2 * steps)
+    assert asked["_seeded"] == [3] * (2 * steps)
+    assert asked["solve_on_grid"] == []
     # the same extrapolants as a solve with the base solve's spare levels
     grid = branches[0].grid
     for i, t in enumerate(branches[0].t_grid[1:], start=1):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from helpers import (
     RankDeficientBasis,
     eigenvector,
@@ -12,7 +13,10 @@ from helpers import (
 )
 from numpy.testing import assert_allclose
 
-from grushin import schrod1d
+from hypothesis import given
+from hypothesis import strategies as st
+
+from grushin import _rqi, schrod1d
 from grushin.assembler import assemble
 from grushin.cli import run
 from grushin.core import (
@@ -344,13 +348,32 @@ def test_order_fallback_engages_on_nonsmooth_potentials(gamma, engages):
     assert plain_used == engages
 
 
-def test_lam_is_extrapolant_of_final_grid_and_its_coarsening():
+def test_lam_is_extrapolant_of_final_grid_and_its_coarsening(monkeypatch):
+    # the refinement's own discrete eigenvalues, from bisection on the first
+    # grid and seeded solves after it, keyed by node count
+    solved = {}
+
+    def spy(name):
+        original = getattr(schrod1d, name)
+
+        def wrapped(potential, k, m, grid, *args, **kwargs):
+            out = original(potential, k, m, grid, *args, **kwargs)
+            solved[grid.npoints] = out[0].copy()
+            return out
+        monkeypatch.setattr(schrod1d, name, wrapped)
+
+    spy("solve_on_grid")
+    spy("_seeded")
     pair = solve_eigen(HARMONIC, 1, 1)[0]
-    fine, _ = solve_on_grid(HARMONIC, 1, 1, pair.grid, vectors=False)
-    coarse, _ = solve_on_grid(HARMONIC, 1, 1, pair.grid.coarsened(), vectors=False)
+    monkeypatch.undo()
+    fine, coarse = solved[pair.grid.npoints][0], solved[pair.grid.coarsened().npoints][0]
+    assert pair.lam == (4.0 * fine - coarse) / 3.0
+    # each agrees with bisection on its grid to within the roundoff floor
+    for grid, lam in ((pair.grid, fine), (pair.grid.coarsened(), coarse)):
+        bisected, _ = solve_on_grid(HARMONIC, 1, 1, grid, vectors=False)
+        assert abs(lam - bisected[0]) <= _err_floor(grid, lam)
     lam_grid, _ = solve_on_grid(HARMONIC, 1, 1, pair.grid)
-    assert lam_grid[0] == fine[0]
-    assert pair.lam == (4.0 * fine[0] - coarse[0]) / 3.0
+    assert lam_grid[0] == solve_on_grid(HARMONIC, 1, 1, pair.grid, vectors=False)[0][0]
     # the grid value carries the O(h^2) bias that the extrapolant removes
     assert abs(lam_grid[0] - 1.0) > 100.0 * abs(pair.lam - 1.0)
 
@@ -363,21 +386,36 @@ def test_eigenvalues_only_matches_full_solve():
     assert_allclose(only, lams, rtol=0, atol=0)
 
 
-def test_refinement_computes_no_eigenvectors(monkeypatch):
-    # eigenvalue solves never ask for vectors, on the line or on the circle
-    calls = []
-    original = schrod1d.solve_on_grid
+def test_refinement_bisects_only_the_first_line_grid(monkeypatch):
+    # a line solve bisects its first grid, with vectors, and seeds every
+    # refined grid from them; the circle bisects every grid, without vectors
+    bisected, seeded = [], []
+    solve, seed = schrod1d.solve_on_grid, schrod1d._seeded
 
-    def spy(*args, vectors=True, **kwargs):
-        calls.append(vectors)
-        return original(*args, vectors=vectors, **kwargs)
+    def spy_solve(potential, k, m, grid, vectors=True):
+        bisected.append((grid.kind, grid.npoints, vectors))
+        return solve(potential, k, m, grid, vectors=vectors)
 
-    monkeypatch.setattr(schrod1d, "solve_on_grid", spy)
-    solve_eigen(HARMONIC, 1, 3)
+    def spy_seed(potential, k, m, grid, seeds):
+        seeded.append((grid.kind, grid.npoints, seeds is not None))
+        return seed(potential, k, m, grid, seeds)
+
+    monkeypatch.setattr(schrod1d, "solve_on_grid", spy_solve)
+    monkeypatch.setattr(schrod1d, "_seeded", spy_seed)
+    pairs = solve_eigen(HARMONIC, 1, 3)
+    assert bisected == [("line", 255, True)]
+    assert seeded == [("line", 511, True), ("line", 1023, True)]
+    assert pairs[0].grid.npoints == 1023
+    bisected.clear(), seeded.clear()
     solve_eigen(parse_potential("torus:gamma=1"), 1, 2, Tolerances(eig_rel=1e-5))
+    assert bisected and not any(vectors for _, _, vectors in bisected)
+    assert seeded and not any(given for _, _, given in seeded)
+    bisected.clear(), seeded.clear()
     solve_levels_below(HARMONIC, 2, 13.0)
     assemble(HARMONIC, 6.0, mode="numeric")
-    assert calls and not any(calls)
+    # every bisection is a first grid, of 255 nodes
+    assert bisected and set(bisected) == {("line", 255, True)}
+    assert seeded and all(kind == "line" and given for kind, _, given in seeded)
 
 
 def test_solve_levels_below():
@@ -564,6 +602,123 @@ def test_coarsened_inverts_refined_at_twice_the_spacing(grid):
     # the Richardson step pairs a grid with its coarsening, so h' = 2h exactly
     assert grid.refined().coarsened() == grid
     assert grid.coarsened().h == 2 * grid.h
+
+
+@pytest.mark.parametrize("grid", [Grid("line", 64, 1.0), Grid("circle", 66)],
+                         ids=["line-64", "circle-66"])
+def test_coarsened_refuses_a_grid_without_an_exact_2h_coarsening(grid):
+    # an even line count has no coarsening at spacing 2h (64 nodes would give
+    # h = 0.0625, not 2 * 2 / 65), and half of 66 circle nodes is odd
+    with pytest.raises(InvariantViolation, match="no exact 2h coarsening exists"):
+        grid.coarsened()
+
+
+# --- seeded line solves ------------------------------------------------------
+# A refined line grid, and each branch step, is solved by Rayleigh-quotient
+# iteration from nearby vectors, accepted only under a certificate (_rqi);
+# bisection on the same grid is the reference.
+
+_SEEDED_POTENTIALS = {
+    **{f"power:gamma={g}": parse_potential(f"power:gamma={g}") for g in ("0.5", "0.75", "1", "2")},
+    "shifted:s2=2": parse_potential("shifted:s2=2"),
+    "bumped gamma=1": perturbed_potential(HARMONIC, Perturbation(-1.0, 1.0, 0.2), 0.3),
+    "bumped gamma=0.5": perturbed_potential(parse_potential("power:gamma=0.5"),
+                                            Perturbation(0.2, 2.0, 0.2), 0.5),
+}
+
+
+def _line_grid(pot, k: int, m: int, npoints: int) -> Grid:
+    # the solver's own cut for m levels
+    energy = abs(k) * (2.0 * m + 1.0) + k * k * float(eval_potential(pot, 0.0))
+    return Grid("line", npoints, truncation_length(pot, k, energy))
+
+
+def _matrix(pot, k: int, grid: Grid):
+    return schrod1d._diagonal(pot, k, grid.points(), grid), schrod1d._offdiag(grid)
+
+
+@given(spec=st.sampled_from(sorted(_SEEDED_POTENTIALS)), k=st.integers(1, 3),
+       m=st.integers(1, 8), npoints=st.sampled_from([255, 511, 1023, 2047]))
+def test_seeded_solve_matches_bisection(spec, k, m, npoints):
+    # seeds carried over from bisection on the grid 2h coarser, as the
+    # refinement carries them: the certificate holds, the values agree with
+    # bisection within the roundoff floor and the vectors to 1e-10
+    pot = _SEEDED_POTENTIALS[spec]
+    grid = _line_grid(pot, k, m, npoints)
+    _, coarse = solve_on_grid(pot, k, m, grid.coarsened())
+    diag, off = _matrix(pot, k, grid)
+    out = _rqi.certified_eigh(diag, off, _rqi.prolong(coarse))
+    assert out is not None
+    lams, vecs = out
+    ref, ref_vecs = schrod1d._tridiagonal(diag, off, m, True)
+    for lam, lam_ref in zip(lams, ref):
+        assert abs(lam - lam_ref) <= _err_floor(grid, lam_ref)
+    assert np.all(np.abs(np.sum(vecs * ref_vecs, axis=0)) >= 1.0 - 1e-10)
+    # through _seeded, normalized as solve_on_grid normalizes
+    lams_s, vecs_s = schrod1d._seeded(pot, k, m, grid, _rqi.prolong(coarse))
+    assert np.array_equal(lams_s, lams)
+    assert_allclose(grid.h * np.sum(vecs_s * vecs_s, axis=0), 1.0, rtol=1e-12)
+
+
+def _exact_seeds(columns):
+    # bisection's own vectors on the grid, as seeds for the given levels
+    pot, k = HARMONIC, 1
+    grid = _line_grid(pot, k, 4, 511)
+    diag, off = _matrix(pot, k, grid)
+    _, vecs = schrod1d._tridiagonal(diag, off, max(columns) + 1, True)
+    return pot, k, grid, diag, off, np.asfortranarray(vecs[:, columns])
+
+
+@pytest.mark.parametrize("columns", [[0, 0, 2], [0, 2], [1, 0]],
+                         ids=["repeated", "skipped", "swapped"])
+def test_certificate_refuses_seeds_that_miss_a_level(columns):
+    # converging exactly to the levels seeded, [0, 0, 2] passes the count at
+    # its top (3) but not disjointness; [0, 2] is disjoint but counts 3 below
+    # its top, not 2; [1, 0] is out of order
+    _, _, _, diag, off, seeds = _exact_seeds(columns)
+    assert _rqi.certified_eigh(diag, off, seeds) is None
+
+
+def test_certificate_accepts_exact_seeds():
+    _, _, grid, diag, off, seeds = _exact_seeds([0, 1, 2])
+    lams, _ = _rqi.certified_eigh(diag, off, seeds)
+    for lam, lam_ref in zip(lams, schrod1d._tridiagonal(diag, off, 3, False)):
+        assert abs(lam - lam_ref) <= _err_floor(grid, lam_ref)
+
+
+def test_failed_certificate_falls_back_to_bisection_bit_for_bit(monkeypatch):
+    # every column seeded with level 0: the certificate fails, and _seeded
+    # returns exactly what bisection on the same grid returns
+    pot, k, grid, diag, off, _ = _exact_seeds([0])
+    _, seed = solve_on_grid(pot, k, 1, grid.coarsened())
+    seeds = np.repeat(_rqi.prolong(seed), 4, axis=1)
+    assert _rqi.certified_eigh(diag, off, seeds.copy(order="F")) is None
+    lams, vecs = schrod1d._seeded(pot, k, 4, grid, seeds)
+    ref, ref_vecs = schrod1d._tridiagonal(diag, off, 4, True)
+    assert np.array_equal(lams, ref)
+    assert np.array_equal(vecs, ref_vecs / math.sqrt(grid.h))
+
+
+@pytest.mark.parametrize("spec", ["power:gamma=0.5", "power:gamma=1", "power:gamma=2",
+                                  "bumped gamma=1"])
+@pytest.mark.parametrize("npoints", [255, 1023, 4095])
+def test_sturm_count_equals_bisection_count(spec, npoints):
+    # the count below a cap is the very integer that bisection by value
+    # returns, also at caps on and next to computed eigenvalues
+    pot = _SEEDED_POTENTIALS[spec]
+    grid = _line_grid(pot, 1, 6, npoints)
+    diag, off = _matrix(pot, 1, grid)
+    lams = schrod1d._tridiagonal(diag, off, 8, False)
+    caps = [0.0, 0.5 * lams[0], 13.7]
+    for lam in lams:
+        caps += [lam, np.nextafter(lam, -np.inf), np.nextafter(lam, np.inf), lam + 1e-9]
+    for cap in caps:
+        ref = scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True, select="v",
+                                            select_range=(-np.inf, cap),
+                                            lapack_driver="stebz").size
+        assert _rqi.sturm_count(diag, off, float(cap)) == ref, cap
+        assert schrod1d._count_below(pot, 1, float(cap), grid) == ref, cap
+    assert _rqi.sturm_count(diag, off, 1e9) == npoints  # above every eigenvalue
 
 
 # --- the parity split of even circles --------------------------------------
