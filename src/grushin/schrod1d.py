@@ -1,26 +1,32 @@
 """Finite-difference eigensolver for -u'' + k^2 V(x) u on the truncated line
 (Dirichlet) and on the circle (periodic).
 
-Discretization is second-order central differences. On the line the matrix is
-symmetric tridiagonal. The first grid of a solve, and any fixed grid asked of
-solve_on_grid, takes its lowest m eigenvalues from Sturm-sequence bisection
-with inverse-iteration eigenvectors (LAPACK stebz/stein). Each refined line
-grid is instead solved from the answer next to it: the grid 2h coarser carries
-its eigenvectors over (coarse node i is fine node 2i + 1, an even fine node the
-mean of its neighbours), and Rayleigh-quotient iteration from those seeds is
-accepted only with a certificate that each value is the level it claims
-(residual intervals that are disjoint and one Sturm count; proof in _rqi);
-where the certificate fails the grid is bisected. On the circle the grid is
-closed under x -> -x, so for an even potential (every StructuredProfile) the
-periodic matrix splits exactly into an even and an odd tridiagonal problem on
-[0, pi], each bisected on every grid without vectors; any other circle
-potential takes a dense solve at N <= 4096.
+Discretization is second-order central differences. The line and the even
+circle are one kind of problem: a list of symmetric tridiagonal matrices, all
+built by _tridiagonals. The line has one. The circle grid is closed under
+x -> -x, so for an even potential (every StructuredProfile) the periodic
+matrix splits exactly into an even and an odd problem on [0, pi]. The
+levels below a cap are counted by one Sturm count per matrix, without a
+solve, and solve_levels_below drives both geometries through one refinement
+loop. Any other circle potential takes a dense solve at N <= 4096, and counts
+by solving.
+
+The first grid of a solve, and any fixed grid asked of solve_on_grid, takes
+its lowest m eigenvalues from Sturm-sequence bisection with inverse-iteration
+eigenvectors (LAPACK stebz/stein). Each refined line grid is instead solved
+from the answer next to it: the grid 2h coarser carries its eigenvectors over
+(coarse node i is fine node 2i + 1, an even fine node the mean of its
+neighbours), and Rayleigh-quotient iteration from those seeds is accepted only
+with a certificate that each value is the level it claims (residual intervals
+that are disjoint and one Sturm count; proof in _rqi); where the certificate
+fails the grid is bisected. Every circle grid is bisected, without vectors.
 
 The line is cut to [-L, L] by the Agmon action (truncation_length): a level
 at E decays like exp(-S), S = int sqrt(k^2 V - E) dx, past its turning point,
 and L is where S reaches ln(1/eig_rel)/2 + DECAY_MARGIN on both sides.
-solve_levels_below takes E = its cap and m = 1 + the Sturm count below the
-cap on the first grid; solve_eigen takes E = the top level of a probe solve.
+solve_levels_below takes E = its cap and m = 1 + the count below the cap on
+the one-level first grid (_first_grid); solve_eigen takes E = the top level of
+a probe solve.
 
 The grid is halved until every requested level meets err_est <= eig_rel *
 lambda. Each grid after the first yields the Richardson extrapolant R_{h/2} =
@@ -147,6 +153,14 @@ class EigenPair:
     grid: Grid
 
 
+def _check_mode(k: int, m: int = 1) -> None:
+    # the entry points' checks, made before any truncation, count or solve
+    if k == 0:
+        raise PreconditionError("k must be nonzero")
+    if m < 1:
+        raise PreconditionError("m must be >= 1")
+
+
 def truncation_length(potential: Potential, k: int, energy: float,
                       tol: Tolerances = Tolerances()) -> float:
     """Smallest ladder L where, on each side, the action int sqrt(k^2 V -
@@ -156,6 +170,7 @@ def truncation_length(potential: Potential, k: int, energy: float,
     only as far out as needed. Bisection resolves eigenvalues only to about eps
     times the largest matrix entry, so ConvergenceError if eps * k^2 V(+-L)
     passes both eig_rel * energy and the first grid's roundoff floor."""
+    _check_mode(k)
     if potential.geometry == "torus":
         raise PreconditionError("circle problems need no truncation")
     _check_cap(energy)
@@ -174,7 +189,7 @@ def truncation_length(potential: Potential, k: int, energy: float,
         reached = np.flatnonzero(np.min(total, axis=0) >= target)
         if reached.size:
             length, noise = float(x[reached[0]]), _EPS * float(np.max(kv[:, reached[0]]))
-            allowed = max(tol.eig_rel * energy, _err_floor(_initial_line_grid(length, 1), energy))
+            allowed = max(tol.eig_rel * energy, _err_floor(_first_grid(1, length), energy))
             if not noise <= allowed:  # nan and inf fail too
                 raise ConvergenceError(f"cannot truncate: at L = {length!r}, eps k^2 V = {noise!r} "
                                        f"passes eig_rel * E and the grid's floor {allowed!r}")
@@ -210,8 +225,23 @@ def _diagonal(potential: Potential, k: int, x: np.ndarray, grid: Grid) -> np.nda
     return diag
 
 
-def _offdiag(grid: Grid) -> np.ndarray:
-    return np.full(grid.npoints - 1, -1.0 / (grid.h * grid.h))
+def _tridiagonals(potential: Potential, k: int, grid: Grid) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The symmetric tridiagonal problems (diag, off) of a line or even-circle
+    grid: one on the line; on the circle the even and the odd problem on the
+    half-grid x_i = i h, i = 0..N/2 (circle node N/2 + i; its mirror is node
+    N/2 - i, or node 0 for i = N/2). Even vectors live on all N/2 + 1 nodes,
+    with u_{-1} = u_1 at x = 0 and u_{N/2+1} = u_{N/2-1} at x = pi; in the
+    unknowns w_i = sqrt(2) u_i (interior) and w_i = u_i (ends) the matrix is
+    symmetric, its first and last off-diagonals scaled by sqrt(2). Odd vectors
+    solve the Dirichlet problem on nodes 1..N/2-1."""
+    x = grid.points() if grid.kind == "line" else grid.h * np.arange(grid.npoints // 2 + 1)
+    diag = _diagonal(potential, k, x, grid)
+    off = np.full(x.size - 1, -1.0 / (grid.h * grid.h))
+    if grid.kind == "line":
+        return [(diag, off)]
+    off_even = off.copy()
+    off_even[[0, -1]] *= math.sqrt(2.0)
+    return [(diag, off_even), (diag[1:-1], off[1:-1])]
 
 
 def _tridiagonal(diag: np.ndarray, off: np.ndarray, m: int, vectors: bool):
@@ -221,12 +251,13 @@ def _tridiagonal(diag: np.ndarray, off: np.ndarray, m: int, vectors: bool):
 
 
 def _count_below(potential: Potential, k: int, cap: float, grid: Grid) -> int:
-    """Count of the discrete eigenvalues below cap: one Sturm count on the
-    line (_rqi.sturm_count); on the circle, among its N/2 lowest."""
-    if grid.kind == "circle":
+    """Count of the discrete eigenvalues below cap: the sum of one Sturm
+    count (_rqi.sturm_count) per problem of _tridiagonals, with no solve; the
+    dense circle counts among its N/2 lowest, solved."""
+    if _dense_circle(potential, grid):
         return int(np.sum(solve_on_grid(potential, k, grid.npoints // 2, grid,
                                         vectors=False)[0] <= cap))
-    return sturm_count(_diagonal(potential, k, grid.points(), grid), _offdiag(grid), cap)
+    return sum(sturm_count(diag, off, cap) for diag, off in _tridiagonals(potential, k, grid))
 
 
 def _seeded(potential: Potential, k: int, m: int, grid: Grid, seeds: np.ndarray | None):
@@ -238,30 +269,18 @@ def _seeded(potential: Potential, k: int, m: int, grid: Grid, seeds: np.ndarray 
     given."""
     if seeds is None or grid.kind == "circle":
         return solve_on_grid(potential, k, m, grid, vectors=seeds is not None)
-    diag, off = _diagonal(potential, k, grid.points(), grid), _offdiag(grid)
+    [(diag, off)] = _tridiagonals(potential, k, grid)
     lams, vecs = certified_eigh(diag, off, seeds[:, :m]) or _tridiagonal(diag, off, m, True)
     vecs /= math.sqrt(grid.h)
     return lams, vecs
 
 
 def _solve_even_circle(potential: Potential, k: int, m: int, grid: Grid, vectors: bool):
-    """The circle problem for an even V as two tridiagonal problems on the
-    half-grid x_i = i h, i = 0..N/2 (circle node N/2 + i; its mirror is node
-    N/2 - i, or node 0 for i = N/2). Even vectors live on all N/2 + 1 nodes,
-    with u_{-1} = u_1 at x = 0 and u_{N/2+1} = u_{N/2-1} at x = pi; in the
-    unknowns w_i = sqrt(2) u_i (interior) and w_i = u_i (ends) the matrix is
-    symmetric, its first and last off-diagonals scaled by sqrt(2). Odd vectors
-    solve the Dirichlet problem on nodes 1..N/2-1. Both unfold to circle
-    vectors of unit 2-norm."""
-    n = grid.npoints
-    half = n // 2
-    h = grid.h
-    diag = _diagonal(potential, k, h * np.arange(half + 1), grid)
-    off = np.full(half, -1.0 / (h * h))
-    off_even = off.copy()
-    off_even[[0, -1]] *= math.sqrt(2.0)
-    even = _tridiagonal(diag, off_even, min(m, half + 1), vectors)
-    odd = _tridiagonal(diag[1:-1], off[1:-1], min(m, half - 1), vectors)
+    """The circle problem for an even V as the even and the odd problem of
+    _tridiagonals, whose vectors unfold to circle vectors of unit 2-norm."""
+    n, half = grid.npoints, grid.npoints // 2
+    even, odd = (_tridiagonal(diag, off, min(m, diag.size), vectors)
+                 for diag, off in _tridiagonals(potential, k, grid))
     if not vectors:
         return np.sort(np.concatenate([even, odd]))[:m], None
     (lam_e, u_e), (lam_o, w_o) = even, odd
@@ -274,7 +293,7 @@ def _solve_even_circle(potential: Potential, k: int, m: int, grid: Grid, vectors
     lams = np.concatenate([lam_e, lam_o])
     order = np.argsort(lams, kind="stable")[:m]
     vecs = np.concatenate([u_e[fold], sign * u_o[fold]], axis=1)[:, order]
-    return lams[order], _fix_signs(vecs / math.sqrt(h))
+    return lams[order], _fix_signs(vecs / math.sqrt(grid.h))
 
 
 def solve_on_grid(potential: Potential, k: int, m: int, grid: Grid, *,
@@ -287,19 +306,16 @@ def solve_on_grid(potential: Potential, k: int, m: int, grid: Grid, *,
     is solved as its even and odd half-grid problems, whose vectors are
     exactly even or odd under node j -> N - j; any other circle potential
     takes the dense solve, capped at CIRCLE_MAX_NODES nodes."""
-    if k == 0:
-        raise PreconditionError("k must be nonzero")
-    if m < 1:
-        raise PreconditionError("m must be >= 1")
+    _check_mode(k, m)
     if m > grid.npoints // 2:
         raise PreconditionError(f"grid with {grid.npoints} nodes cannot resolve {m} levels")
     if grid.kind == "circle" and not _dense_circle(potential, grid):
         return _solve_even_circle(potential, k, m, grid, vectors)
     h = grid.h
-    diag = _diagonal(potential, k, grid.points(), grid)
     if grid.kind == "line":
-        out = _tridiagonal(diag, _offdiag(grid), m, vectors)
+        out = _tridiagonal(*_tridiagonals(potential, k, grid)[0], m, vectors)
     else:
+        diag = _diagonal(potential, k, grid.points(), grid)
         if grid.npoints > CIRCLE_MAX_NODES:
             raise PreconditionError(f"circle grids are capped at {CIRCLE_MAX_NODES} nodes")
         mat = np.diag(diag)
@@ -387,7 +403,13 @@ def _refine(potential: Potential, k: int, m: int, grid: Grid, tol: Tolerances,
                           f"{float(np.max(floor / scale))!r} of the discretized problem")
 
 
-def _initial_line_grid(length: float, m: int) -> Grid:
+def _first_grid(m: int, length: float | None) -> Grid:
+    """The first grid of an m-level solve: on the line over [-length,
+    length], 255 nodes, doubled to 2n + 1 until there are at least 8m; on the
+    circle (length None), the least multiple of 16 that is at least 2m, and
+    at least 64."""
+    if length is None:
+        return Grid("circle", max(64, 16 * ((2 * m + 15) // 16)))
     n = 255
     while n < 8 * m:
         n = 2 * n + 1
@@ -417,16 +439,13 @@ def solve_eigen(potential: Potential, k: int, m: int,
     the top on the floor V(0), then for the top level of the probe solve on
     the cut until that cut is no wider. An even circle potential takes the
     parity split, any other the dense solve."""
-    if k == 0:
-        raise PreconditionError("k must be nonzero")
-    if m < 1:
-        raise PreconditionError("m must be >= 1")
+    _check_mode(k, m)
     if potential.geometry == "torus":
-        return _pairs(potential, k, m, Grid("circle", max(64, 16 * ((2 * m + 15) // 16))), tol)
+        return _pairs(potential, k, m, _first_grid(m, None), tol)
     energy = abs(k) * (2.0 * m + 1.0) + k * k * float(eval_potential(potential, 0.0))
     length = truncation_length(potential, k, energy, tol)
     while True:
-        grid = _initial_line_grid(length, m)
+        grid = _first_grid(m, length)
         lams, vecs = solve_on_grid(potential, k, m, grid)
         if lams[-1] > energy:  # cut for the top level; a cut that does not grow holds it
             energy, last = float(lams[-1]), length
@@ -439,17 +458,19 @@ def solve_eigen(potential: Potential, k: int, m: int,
 def solve_levels_below(potential: Potential, k: int, e_max: float,
                        tol: Tolerances = Tolerances()) -> list[EigenPair]:
     """All levels with lambda <= e_max (levels within SEPARATION * err_est
-    of e_max are kept). m = 1 + the Sturm count at e_max on the first grid
-    stays fixed along the refinement, and the line is cut for E = e_max. If
-    the top level is not certified above the cap, m is recounted on the final
-    grid, raised by at least one, and the solve repeated: no level is lost."""
+    of e_max are kept), on the line and the circle alike. The line is cut for
+    E = e_max. m = 1 + the count below e_max on the one-level first grid
+    (_count_below: Sturm counts, no solve, except on the dense circle) is
+    solved from the m-level first grid and stays fixed along the refinement.
+    If the top level is not certified above the cap, m is recounted on the
+    final grid, raised by at least one, and the solve repeated: no level is
+    lost."""
+    _check_mode(k)
     _check_cap(e_max)
-    first = (Grid("circle", 64) if potential.geometry == "torus"
-             else _initial_line_grid(truncation_length(potential, k, e_max, tol), 1))
-    m = _count_below(potential, k, e_max, first) + 1
+    length = None if potential.geometry == "torus" else truncation_length(potential, k, e_max, tol)
+    m = _count_below(potential, k, e_max, _first_grid(1, length)) + 1
     while True:
-        pairs = (solve_eigen(potential, k, m, tol) if first.kind == "circle"
-                 else _pairs(potential, k, m, _initial_line_grid(first.length, m), tol))
+        pairs = _pairs(potential, k, m, _first_grid(m, length), tol)
         if pairs[-1].lam > e_max + SEPARATION * pairs[-1].err_est:
             return [p for p in pairs if p.lam <= e_max + SEPARATION * p.err_est]
         m = max(m + 1, _count_below(potential, k, e_max, pairs[-1].grid) + 1)

@@ -86,15 +86,15 @@ def test_table_below_the_scaling_bound_keeps_every_mode():
 
 
 def test_torus_assembly_solves_each_mode_once(monkeypatch):
+    # _pairs is the refinement of one mode's levels, for every geometry
     calls = []
-    real = schrod1d.solve_eigen
+    real = schrod1d._pairs
 
-    def spy(potential, k, m, tol=Tolerances()):
+    def spy(potential, k, m, grid, tol, first=None):
         calls.append((k, tol.eig_rel))
-        return real(potential, k, m, tol)
+        return real(potential, k, m, grid, tol, first)
 
-    for module in (assembler, schrod1d):
-        monkeypatch.setattr(module, "solve_eigen", spy)
+    monkeypatch.setattr(schrod1d, "_pairs", spy)
     spec = assemble(TORUS1, 16.0)
     assert [k for k, _ in calls] == list(range(1, spec.k_cut + 2))
     assert all(eig_rel == Tolerances().eig_rel for _, eig_rel in calls)

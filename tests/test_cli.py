@@ -800,10 +800,14 @@ def _readme_section(title: str) -> str:
     return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
 
 
+def _readme_commands() -> list[str]:
+    block = _readme_section("Command line").split("```sh\n", 1)[1].split("```", 1)[0]
+    return block.replace("\\\n", " ").splitlines()
+
+
 def test_readme_commands_parse():
     # every command line the README shows is accepted, required flags included
-    block = _readme_section("Command line").split("```sh\n", 1)[1].split("```", 1)[0]
-    lines = block.replace("\\\n", " ").splitlines()
+    lines = _readme_commands()
     assert len(lines) >= len(_DECLARED)
     parser = _build_parser()
     seen = set()
@@ -814,6 +818,14 @@ def test_readme_commands_parse():
         cli._resolve(parser, argv[1:], args)
         seen.add(" ".join(argv[1:3 if args.command in ("perturb", "check") else 2]))
     assert seen == _DECLARED.keys()
+
+
+def test_readme_commands_run(capsys):
+    # and every one of them answers
+    for line in _readme_commands():
+        code, out, err = run_capture(capsys, shlex.split(line)[1:])
+        assert (code, err) == (0, ""), line
+        assert out, line
 
 
 def test_readme_perturb_table_lists_the_declared_flags():

@@ -447,6 +447,42 @@ def test_levels_below_recounts_when_the_count_falls_short(monkeypatch):
     assert counts == [7, 7]
 
 
+@pytest.mark.parametrize("spec", ["power:gamma=1", "torus:gamma=1"])
+def test_levels_below_refuses_mode_zero(monkeypatch, spec):
+    # refused before any count or truncation, with solve_eigen's message
+    def count(*args):
+        raise AssertionError("counted for k = 0")
+
+    monkeypatch.setattr(schrod1d, "_count_below", count)
+    with pytest.raises(PreconditionError, match="k must be nonzero"):
+        solve_levels_below(parse_potential(spec), 0, 5.0)
+    with pytest.raises(PreconditionError, match="k must be nonzero"):
+        solve_eigen(parse_potential(spec), 0, 1)
+    with pytest.raises(PreconditionError, match="k must be nonzero"):
+        truncation_length(HARMONIC, 0, 5.0)
+
+
+def test_torus_levels_below_solve_once_from_the_first_count(monkeypatch):
+    # the first count sees every level below the cap, past the first grid's
+    # N/2: one refinement, whose solves all ask for its m levels
+    pairs_calls, grid_calls = [], []
+    real_pairs, real_grid = schrod1d._pairs, schrod1d.solve_on_grid
+
+    def spy_pairs(potential, k, m, grid, tol, first=None):
+        pairs_calls.append(m)
+        return real_pairs(potential, k, m, grid, tol, first)
+
+    def spy_grid(potential, k, m, grid, **kwargs):
+        grid_calls.append(m)
+        return real_grid(potential, k, m, grid, **kwargs)
+
+    monkeypatch.setattr(schrod1d, "_pairs", spy_pairs)
+    monkeypatch.setattr(schrod1d, "solve_on_grid", spy_grid)
+    pairs = solve_levels_below(parse_potential("torus:gamma=1"), 1, 300.0)
+    assert len(pairs_calls) == 1 and pairs_calls[0] > len(pairs) > 32
+    assert grid_calls and set(grid_calls) == set(pairs_calls)
+
+
 def test_kinked_power_spectrum_answers(capsys):
     # V = |x|: 70 levels of mode 1 lie below 30; a sample, top levels
     # included, agrees with shooting within err_est
@@ -634,7 +670,8 @@ def _line_grid(pot, k: int, m: int, npoints: int) -> Grid:
 
 
 def _matrix(pot, k: int, grid: Grid):
-    return schrod1d._diagonal(pot, k, grid.points(), grid), schrod1d._offdiag(grid)
+    [block] = schrod1d._tridiagonals(pot, k, grid)
+    return block
 
 
 @given(spec=st.sampled_from(sorted(_SEEDED_POTENTIALS)), k=st.integers(1, 3),
@@ -699,26 +736,57 @@ def test_failed_certificate_falls_back_to_bisection_bit_for_bit(monkeypatch):
     assert np.array_equal(vecs, ref_vecs / math.sqrt(grid.h))
 
 
-@pytest.mark.parametrize("spec", ["power:gamma=0.5", "power:gamma=1", "power:gamma=2",
-                                  "bumped gamma=1"])
-@pytest.mark.parametrize("npoints", [255, 1023, 4095])
-def test_sturm_count_equals_bisection_count(spec, npoints):
+# (spec, k, npoints): line grids cut for 6 levels of mode 1, and even circles
+_COUNT_CASES = ([(spec, 1, n) for n in (255, 1023, 4095)
+                 for spec in ("power:gamma=0.5", "power:gamma=1", "power:gamma=2",
+                              "bumped gamma=1")]
+                + [(f"torus:gamma={g}", k, n) for g in ("0.5", "1", "2")
+                   for k, n in ((1, 64), (2, 128), (3, 256), (4, 512))])
+
+
+@pytest.mark.parametrize("spec, k, npoints", _COUNT_CASES,
+                         ids=[f"{n}-{s}" if s in _SEEDED_POTENTIALS else f"{n}-k{k}-{s}"
+                              for s, k, n in _COUNT_CASES])
+def test_sturm_count_equals_bisection_count(spec, k, npoints):
     # the count below a cap is the very integer that bisection by value
-    # returns, also at caps on and next to computed eigenvalues
-    pot = _SEEDED_POTENTIALS[spec]
-    grid = _line_grid(pot, 1, 6, npoints)
-    diag, off = _matrix(pot, 1, grid)
-    lams = schrod1d._tridiagonal(diag, off, 8, False)
+    # returns, also at caps on and next to computed eigenvalues, and i + 1
+    # between levels i and i + 1; an even circle sums the counts of its even
+    # and odd problems
+    if spec in _SEEDED_POTENTIALS:
+        pot = _SEEDED_POTENTIALS[spec]
+        grid = _line_grid(pot, k, 6, npoints)
+    else:
+        pot, grid = parse_potential(spec), Grid("circle", npoints)
+    blocks = schrod1d._tridiagonals(pot, k, grid)
+    lams = solve_on_grid(pot, k, 8, grid, vectors=False)[0]
     caps = [0.0, 0.5 * lams[0], 13.7]
     for lam in lams:
         caps += [lam, np.nextafter(lam, -np.inf), np.nextafter(lam, np.inf), lam + 1e-9]
     for cap in caps:
-        ref = scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True, select="v",
-                                            select_range=(-np.inf, cap),
-                                            lapack_driver="stebz").size
-        assert _rqi.sturm_count(diag, off, float(cap)) == ref, cap
-        assert schrod1d._count_below(pot, 1, float(cap), grid) == ref, cap
-    assert _rqi.sturm_count(diag, off, 1e9) == npoints  # above every eigenvalue
+        refs = [scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True, select="v",
+                                              select_range=(-np.inf, cap),
+                                              lapack_driver="stebz").size
+                for diag, off in blocks]
+        assert [_rqi.sturm_count(diag, off, float(cap)) for diag, off in blocks] == refs, cap
+        assert schrod1d._count_below(pot, k, float(cap), grid) == sum(refs), cap
+    for i, (lo, hi) in enumerate(zip(lams, lams[1:])):
+        if hi - lo > 1e-8 * hi:
+            assert schrod1d._count_below(pot, k, 0.5 * (lo + hi), grid) == i + 1
+    # above every eigenvalue
+    assert sum(_rqi.sturm_count(diag, off, 1e9) for diag, off in blocks) == npoints
+
+
+def test_circle_count_reaches_past_half_the_nodes():
+    # 41 of the 64 levels of a 64-node circle lie below 300, which only a
+    # count over both whole parity problems sees; the reference is the
+    # dense periodic matrix
+    pot, grid = parse_potential("torus:gamma=1"), Grid("circle", 64)
+    h2 = grid.h * grid.h
+    ring = np.roll(np.eye(64), 1, axis=1)
+    mat = np.diag(2.0 / h2 + eval_potential(pot, grid.points())) - (ring + ring.T) / h2
+    lams = scipy.linalg.eigvalsh(mat)
+    assert np.min(np.abs(lams - 300.0)) > 1.0
+    assert schrod1d._count_below(pot, 1, 300.0, grid) == np.sum(lams <= 300.0) == 41
 
 
 # --- the parity split of even circles --------------------------------------
