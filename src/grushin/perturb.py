@@ -102,6 +102,8 @@ def hellmann_feynman(potential: Potential, w: Perturbation, k: int, n: int,
     seeded solves of those two grids (schrod1d._seeded); the circle's
     refinement keeps none, and both grids are bisected with vectors.
     """
+    if n < 0:
+        raise PreconditionError("n must be >= 0")
     w.check_fits(potential)
     pairs = solve_eigen(potential, k, n + 1, tol)
     grid = pairs[n].grid

@@ -2,12 +2,14 @@
 (Dirichlet) and on the circle (periodic).
 
 Discretization is second-order central differences. The line and the even
-circle are one kind of problem: a list of symmetric tridiagonal matrices, all
-built by _tridiagonals. The line has one. The circle grid is closed under
-x -> -x, so for an even potential (every StructuredProfile) the periodic
-matrix splits exactly into an even and an odd problem on [0, pi]. The
-levels below a cap are counted by one Sturm count per matrix, without a
-solve, and solve_levels_below drives both geometries through one refinement
+circle are one kind of problem: one symmetric tridiagonal matrix per grid,
+built by _tridiagonal_matrix. The circle grid is closed under x -> -x, so for
+an even potential (every StructuredProfile) the periodic matrix splits exactly
+into an even and an odd problem on [0, pi], whose direct sum, joined by a zero
+off-diagonal, is the circle's matrix; bisection splits it there and takes the
+lowest levels across both blocks (Demmel, Applied Numerical Linear Algebra,
+1997, 5.3.4). The levels below a cap are counted by one Sturm count, without
+a solve, and solve_levels_below drives both geometries through one refinement
 loop. Any other circle potential takes a dense solve at N <= 4096, and counts
 by solving.
 
@@ -225,23 +227,24 @@ def _diagonal(potential: Potential, k: int, x: np.ndarray, grid: Grid) -> np.nda
     return diag
 
 
-def _tridiagonals(potential: Potential, k: int, grid: Grid) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The symmetric tridiagonal problems (diag, off) of a line or even-circle
-    grid: one on the line; on the circle the even and the odd problem on the
-    half-grid x_i = i h, i = 0..N/2 (circle node N/2 + i; its mirror is node
-    N/2 - i, or node 0 for i = N/2). Even vectors live on all N/2 + 1 nodes,
-    with u_{-1} = u_1 at x = 0 and u_{N/2+1} = u_{N/2-1} at x = pi; in the
-    unknowns w_i = sqrt(2) u_i (interior) and w_i = u_i (ends) the matrix is
-    symmetric, its first and last off-diagonals scaled by sqrt(2). Odd vectors
-    solve the Dirichlet problem on nodes 1..N/2-1."""
+def _tridiagonal_matrix(potential: Potential, k: int, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """The symmetric tridiagonal matrix (diag, off) of a line or even-circle
+    grid. On the circle it is the direct sum of the even and the odd problem
+    on the half-grid x_i = i h, i = 0..N/2 (circle node N/2 + i; its mirror
+    is node N/2 - i, or node 0 for i = N/2), joined by a zero off-diagonal:
+    N rows in all. Even vectors live on all N/2 + 1 nodes, with u_{-1} = u_1
+    at x = 0 and u_{N/2+1} = u_{N/2-1} at x = pi; in the unknowns w_i =
+    sqrt(2) u_i (interior) and w_i = u_i (ends) the block is symmetric, its
+    first and last off-diagonals scaled by sqrt(2). Odd vectors solve the
+    Dirichlet problem on nodes 1..N/2-1, in the unknowns sqrt(2) u_i."""
     x = grid.points() if grid.kind == "line" else grid.h * np.arange(grid.npoints // 2 + 1)
     diag = _diagonal(potential, k, x, grid)
     off = np.full(x.size - 1, -1.0 / (grid.h * grid.h))
     if grid.kind == "line":
-        return [(diag, off)]
+        return diag, off
     off_even = off.copy()
     off_even[[0, -1]] *= math.sqrt(2.0)
-    return [(diag, off_even), (diag[1:-1], off[1:-1])]
+    return np.concatenate([diag, diag[1:-1]]), np.concatenate([off_even, [0.0], off[1:-1]])
 
 
 def _tridiagonal(diag: np.ndarray, off: np.ndarray, m: int, vectors: bool):
@@ -251,13 +254,13 @@ def _tridiagonal(diag: np.ndarray, off: np.ndarray, m: int, vectors: bool):
 
 
 def _count_below(potential: Potential, k: int, cap: float, grid: Grid) -> int:
-    """Count of the discrete eigenvalues below cap: the sum of one Sturm
-    count (_rqi.sturm_count) per problem of _tridiagonals, with no solve; the
-    dense circle counts among its N/2 lowest, solved."""
+    """Count of the discrete eigenvalues below cap: one Sturm count
+    (_rqi.sturm_count) of _tridiagonal_matrix, with no solve; the dense
+    circle counts among its N/2 lowest, solved."""
     if _dense_circle(potential, grid):
         return int(np.sum(solve_on_grid(potential, k, grid.npoints // 2, grid,
                                         vectors=False)[0] <= cap))
-    return sum(sturm_count(diag, off, cap) for diag, off in _tridiagonals(potential, k, grid))
+    return sturm_count(*_tridiagonal_matrix(potential, k, grid), cap)
 
 
 def _seeded(potential: Potential, k: int, m: int, grid: Grid, seeds: np.ndarray | None):
@@ -269,31 +272,23 @@ def _seeded(potential: Potential, k: int, m: int, grid: Grid, seeds: np.ndarray 
     given."""
     if seeds is None or grid.kind == "circle":
         return solve_on_grid(potential, k, m, grid, vectors=seeds is not None)
-    [(diag, off)] = _tridiagonals(potential, k, grid)
+    diag, off = _tridiagonal_matrix(potential, k, grid)
     lams, vecs = certified_eigh(diag, off, seeds[:, :m]) or _tridiagonal(diag, off, m, True)
     vecs /= math.sqrt(grid.h)
     return lams, vecs
 
 
-def _solve_even_circle(potential: Potential, k: int, m: int, grid: Grid, vectors: bool):
-    """The circle problem for an even V as the even and the odd problem of
-    _tridiagonals, whose vectors unfold to circle vectors of unit 2-norm."""
-    n, half = grid.npoints, grid.npoints // 2
-    even, odd = (_tridiagonal(diag, off, min(m, diag.size), vectors)
-                 for diag, off in _tridiagonals(potential, k, grid))
-    if not vectors:
-        return np.sort(np.concatenate([even, odd]))[:m], None
-    (lam_e, u_e), (lam_o, w_o) = even, odd
-    u_e[1:-1] /= math.sqrt(2.0)
-    u_o = np.zeros((half + 1, lam_o.size))
-    u_o[1:-1] = w_o / math.sqrt(2.0)
-    # circle node j sits at |x| = fold[j] h, on the negative side for j < N/2
+def _unfold(vecs: np.ndarray, n: int) -> np.ndarray:
+    """Vectors of the even circle's joined matrix on its n circle nodes, of
+    unit 2-norm. Each stein vector vanishes outside its own block, so circle
+    node j, at |x| = f h, adds row f (even) to row n/2 + f (odd, signed; none
+    for f = 0 or n/2) and the vector comes out exactly even or exactly odd."""
+    half = n // 2
     fold = np.abs(np.arange(n) - half)
-    sign = np.where(np.arange(n) < half, -1.0, 1.0)[:, None]
-    lams = np.concatenate([lam_e, lam_o])
-    order = np.argsort(lams, kind="stable")[:m]
-    vecs = np.concatenate([u_e[fold], sign * u_o[fold]], axis=1)[:, order]
-    return lams[order], _fix_signs(vecs / math.sqrt(grid.h))
+    interior = (fold > 0) & (fold < half)
+    even = np.where(interior, math.sqrt(0.5), 1.0)
+    odd = interior * np.sign(np.arange(n) - half) * math.sqrt(0.5)
+    return even[:, None] * vecs[fold] + odd[:, None] * vecs[(half + fold) % n]
 
 
 def solve_on_grid(potential: Potential, k: int, m: int, grid: Grid, *,
@@ -302,18 +297,18 @@ def solve_on_grid(potential: Potential, k: int, m: int, grid: Grid, *,
     (lams, vecs) with vecs of shape (npoints, m), L2-normalized in the
     discrete inner product h * <u, v>, each with its first significant
     component positive; with ``vectors=False`` only the eigenvalues are
-    computed and vecs is None. A circle with a StructuredProfile (an even V)
-    is solved as its even and odd half-grid problems, whose vectors are
-    exactly even or odd under node j -> N - j; any other circle potential
-    takes the dense solve, capped at CIRCLE_MAX_NODES nodes."""
+    computed and vecs is None. The line and a circle with a StructuredProfile
+    (an even V) are one bisection of _tridiagonal_matrix; the circle's vectors
+    unfold to be exactly even or odd under node j -> N - j. Any other circle
+    potential takes the dense solve, capped at CIRCLE_MAX_NODES nodes."""
     _check_mode(k, m)
     if m > grid.npoints // 2:
         raise PreconditionError(f"grid with {grid.npoints} nodes cannot resolve {m} levels")
-    if grid.kind == "circle" and not _dense_circle(potential, grid):
-        return _solve_even_circle(potential, k, m, grid, vectors)
     h = grid.h
-    if grid.kind == "line":
-        out = _tridiagonal(*_tridiagonals(potential, k, grid)[0], m, vectors)
+    if not _dense_circle(potential, grid):
+        out = _tridiagonal(*_tridiagonal_matrix(potential, k, grid), m, vectors)
+        if vectors and grid.kind == "circle":
+            out = out[0], _unfold(out[1], grid.npoints)
     else:
         diag = _diagonal(potential, k, grid.points(), grid)
         if grid.npoints > CIRCLE_MAX_NODES:

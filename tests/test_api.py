@@ -23,7 +23,8 @@ GONE_FROM_MODULES = {
     "grushin.cli": ["_line_row", "_line_json"],
     "grushin.concentration": ["ModeCoefficients", "kappa_coefficients",
                               "ratio_closed_form", "min_ratio_witness", "cmath"],
-    "grushin.schrod1d": ["hermite_eigenfunction", "_offdiag", "_initial_line_grid"],
+    "grushin.schrod1d": ["hermite_eigenfunction", "_offdiag", "_initial_line_grid",
+                         "_solve_even_circle", "_tridiagonals"],
     "grushin.core": ["render_potential", "validate_potential", "SUP_SAMPLES",
                      "mollified_indicator"],
     "grushin.perturb": ["_match", "ConvergenceError"],

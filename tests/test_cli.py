@@ -296,6 +296,13 @@ def test_non_finite_bump_is_single_line_exit_1(capsys, argv):
     assert err == f'error: code=PreconditionError msg="{message}"\n'
 
 
+def test_hf_negative_level_names_n(capsys):
+    code, out, err = run_capture(capsys, ["perturb", "hf", "--potential", "power:gamma=1",
+                                          "--k", "1", "--n", "-1", "--bump=-1,1,0.2"])
+    assert (code, out) == (1, "")
+    assert err == 'error: code=PreconditionError msg="n must be >= 0"\n'
+
+
 # V = exp(1000 x^2) on the circle overflows to inf on the grid away from x = 0
 _OVERFLOWING = Potential("torus", 1.0, CallableProfile(lambda x: np.exp(1e3 * np.asarray(x) ** 2)))
 

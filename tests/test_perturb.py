@@ -63,6 +63,15 @@ def test_hf_zero_perturbation():
     assert hellmann_feynman(HARMONIC, BUMP.scaled(0.0), 1, 0) == 0.0
 
 
+def test_hf_refuses_a_negative_level_before_solving(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking n")
+
+    monkeypatch.setattr(perturb, "solve_eigen", no_solve)
+    with pytest.raises(PreconditionError, match=r"^n must be >= 0$"):
+        hellmann_feynman(HARMONIC, BUMP, 1, -1)
+
+
 @pytest.mark.parametrize("pot,k,n", [
     (HARMONIC, 1, 0),
     (HARMONIC, 2, 1),

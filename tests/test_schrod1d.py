@@ -669,11 +669,6 @@ def _line_grid(pot, k: int, m: int, npoints: int) -> Grid:
     return Grid("line", npoints, truncation_length(pot, k, energy))
 
 
-def _matrix(pot, k: int, grid: Grid):
-    [block] = schrod1d._tridiagonals(pot, k, grid)
-    return block
-
-
 @given(spec=st.sampled_from(sorted(_SEEDED_POTENTIALS)), k=st.integers(1, 3),
        m=st.integers(1, 8), npoints=st.sampled_from([255, 511, 1023, 2047]))
 def test_seeded_solve_matches_bisection(spec, k, m, npoints):
@@ -683,7 +678,7 @@ def test_seeded_solve_matches_bisection(spec, k, m, npoints):
     pot = _SEEDED_POTENTIALS[spec]
     grid = _line_grid(pot, k, m, npoints)
     _, coarse = solve_on_grid(pot, k, m, grid.coarsened())
-    diag, off = _matrix(pot, k, grid)
+    diag, off = schrod1d._tridiagonal_matrix(pot, k, grid)
     out = _rqi.certified_eigh(diag, off, _rqi.prolong(coarse))
     assert out is not None
     lams, vecs = out
@@ -701,7 +696,7 @@ def _exact_seeds(columns):
     # bisection's own vectors on the grid, as seeds for the given levels
     pot, k = HARMONIC, 1
     grid = _line_grid(pot, k, 4, 511)
-    diag, off = _matrix(pot, k, grid)
+    diag, off = schrod1d._tridiagonal_matrix(pot, k, grid)
     _, vecs = schrod1d._tridiagonal(diag, off, max(columns) + 1, True)
     return pot, k, grid, diag, off, np.asfortranarray(vecs[:, columns])
 
@@ -750,43 +745,61 @@ _COUNT_CASES = ([(spec, 1, n) for n in (255, 1023, 4095)
 def test_sturm_count_equals_bisection_count(spec, k, npoints):
     # the count below a cap is the very integer that bisection by value
     # returns, also at caps on and next to computed eigenvalues, and i + 1
-    # between levels i and i + 1; an even circle sums the counts of its even
-    # and odd problems
+    # between levels i and i + 1; an even circle's matrix joins its even and
+    # odd problems by a zero off-diagonal
     if spec in _SEEDED_POTENTIALS:
         pot = _SEEDED_POTENTIALS[spec]
         grid = _line_grid(pot, k, 6, npoints)
     else:
         pot, grid = parse_potential(spec), Grid("circle", npoints)
-    blocks = schrod1d._tridiagonals(pot, k, grid)
+    diag, off = schrod1d._tridiagonal_matrix(pot, k, grid)
     lams = solve_on_grid(pot, k, 8, grid, vectors=False)[0]
     caps = [0.0, 0.5 * lams[0], 13.7]
     for lam in lams:
         caps += [lam, np.nextafter(lam, -np.inf), np.nextafter(lam, np.inf), lam + 1e-9]
     for cap in caps:
-        refs = [scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True, select="v",
-                                              select_range=(-np.inf, cap),
-                                              lapack_driver="stebz").size
-                for diag, off in blocks]
-        assert [_rqi.sturm_count(diag, off, float(cap)) for diag, off in blocks] == refs, cap
-        assert schrod1d._count_below(pot, k, float(cap), grid) == sum(refs), cap
+        ref = scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True, select="v",
+                                            select_range=(-np.inf, cap),
+                                            lapack_driver="stebz").size
+        assert _rqi.sturm_count(diag, off, float(cap)) == ref, cap
+        assert schrod1d._count_below(pot, k, float(cap), grid) == ref, cap
     for i, (lo, hi) in enumerate(zip(lams, lams[1:])):
         if hi - lo > 1e-8 * hi:
             assert schrod1d._count_below(pot, k, 0.5 * (lo + hi), grid) == i + 1
     # above every eigenvalue
-    assert sum(_rqi.sturm_count(diag, off, 1e9) for diag, off in blocks) == npoints
+    assert _rqi.sturm_count(diag, off, 1e9) == npoints
+
+
+def _dense_circle_levels(pot, k: int, grid: Grid) -> np.ndarray:
+    # every eigenvalue of the dense periodic matrix, built independently of
+    # the parity split
+    n, h2 = grid.npoints, grid.h * grid.h
+    ring = np.roll(np.eye(n), 1, axis=1)
+    mat = np.diag(2.0 / h2 + k * k * eval_potential(pot, grid.points())) - (ring + ring.T) / h2
+    return scipy.linalg.eigvalsh(mat)
 
 
 def test_circle_count_reaches_past_half_the_nodes():
     # 41 of the 64 levels of a 64-node circle lie below 300, which only a
-    # count over both whole parity problems sees; the reference is the
-    # dense periodic matrix
+    # count over the whole joined matrix sees; the reference is the dense
+    # periodic matrix
     pot, grid = parse_potential("torus:gamma=1"), Grid("circle", 64)
-    h2 = grid.h * grid.h
-    ring = np.roll(np.eye(64), 1, axis=1)
-    mat = np.diag(2.0 / h2 + eval_potential(pot, grid.points())) - (ring + ring.T) / h2
-    lams = scipy.linalg.eigvalsh(mat)
+    lams = _dense_circle_levels(pot, 1, grid)
     assert np.min(np.abs(lams - 300.0)) > 1.0
     assert schrod1d._count_below(pot, 1, 300.0, grid) == np.sum(lams <= 300.0) == 41
+    # a cap midway between dense levels i and i + 1 counts i + 1, over every
+    # level of the grid, and one above them all counts every node
+    for gamma in ("0.5", "1", "2"):
+        pot = parse_potential(f"torus:gamma={gamma}")
+        for k in (1, 2, 4):
+            for n in (64, 128, 256):
+                grid = Grid("circle", n)
+                lams = _dense_circle_levels(pot, k, grid)
+                for i, (lo, hi) in enumerate(zip(lams, lams[1:])):
+                    if hi - lo > 1e-8 * abs(hi):
+                        cap = 0.5 * (lo + hi)
+                        assert schrod1d._count_below(pot, k, cap, grid) == i + 1, (gamma, k, n, i)
+                assert schrod1d._count_below(pot, k, 2.0 * lams[-1], grid) == n
 
 
 # --- the parity split of even circles --------------------------------------
@@ -824,6 +837,26 @@ def test_parity_split_matches_dense_solve(k, n, gamma):
             dist = min(math.sqrt(h * np.sum((vecs[:, j] - s * ref_vecs[:, j]) ** 2))
                        for s in (1.0, -1.0))
             assert dist <= 4.0 * _EPS * norm / gap, (j, dist, gap)
+
+
+@pytest.mark.parametrize("vectors", [True, False], ids=["vectors", "values"])
+@pytest.mark.parametrize("k, m, n", [(1, 1, 64), (2, 9, 256), (4, 40, 1024)])
+def test_even_circle_grid_is_one_bisection(monkeypatch, k, m, n, vectors):
+    # the even and the odd problem are one joined matrix: a single bisection
+    # asked for the m levels, not one per parity problem
+    calls = []
+    original = schrod1d._tridiagonal
+
+    def spy(diag, off, m_asked, vectors_asked):
+        calls.append((diag.size, m_asked, vectors_asked))
+        return original(diag, off, m_asked, vectors_asked)
+
+    monkeypatch.setattr(schrod1d, "_tridiagonal", spy)
+    lams, vecs = solve_on_grid(parse_potential("torus:gamma=1"), k, m, Grid("circle", n),
+                               vectors=vectors)
+    assert calls == [(n, m, vectors)]
+    assert lams.shape == (m,)
+    assert vecs is None if not vectors else vecs.shape == (n, m)
 
 
 def test_grammar_torus_never_calls_dense_eigh(monkeypatch, capsys):
