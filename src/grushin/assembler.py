@@ -6,24 +6,29 @@ An ``AssembledSpectrum`` is columns, not line objects. Line i has the value
 ``values[i]`` and the contributors ``contributors[starts[i]:starts[i+1]]``,
 rows (k, n) of one (N, 2) int64 array in (|k|, k, n) order, so its
 multiplicity is ``diff(starts)[i]``. Exact spectra also carry each line's
-``level_key`` key: an int64 column for rational s2, an (L, 2) int64 array of
-(lin, quad) for a tagged irrational; numeric spectra carry none. The spectrum
-checks its lines once, vectorised: even multiplicities, contributors closed
-under k -> -k within each line, values in order. Every column is read-only,
-and ``lines`` is a view that builds the ``SpectrumLine``s on demand for the
-library; the CLI's writers and the certificate read the columns.
+exact key (``exact_family._level_keys``): an int64 column for rational s2, an
+(L, 2) int64 array of (lin, quad) for a tagged irrational; numeric spectra
+carry none. The spectrum checks its lines once, vectorised: even
+multiplicities, contributors closed under k -> -k within each line, values in
+order. Every column is read-only, and ``lines`` is a view that builds the
+``SpectrumLine``s on demand for the library; the CLI's writers and the
+certificate read the columns.
 
 Numeric assembly chains sorted 1D eigenvalues into lines until a gap is
 certified (core.SEPARATION), the rule the numeric property-P check uses.
-Exact assembly (shifted parabolas) groups levels by the key of
-``exact_family.level_key``, and the exact property-P check compares those
-same keys. It keys the int64 array of every (k, n) below the cap at once
-(``exact_family._level_keys``) and groups equal rational keys by one stable
-sort, which keeps each line's members in (k, n) order; an irrational key is
-injective in (k, n), so each of its lines is one pair +-k. A rational line's
-value is the correctly rounded quotient key / q: one float64 division where
-key and q are both below 2^53 and so exact in float64, the Python-int
-quotient elsewhere, since int64 true division rounds twice past 2^53.
+Exact assembly (shifted parabolas) keys the int64 array of every (k, n) below
+the cap at once (``exact_family._level_keys``) and groups equal rational keys
+by one stable sort, which keeps each line's members in (k, n) order; an
+irrational key is injective in (k, n), so each of its lines is one pair +-k.
+Line values are ``exact_family._key_values`` of the keys: for rational s2 the
+correctly rounded quotient key / q.
+
+The property-P check builds each mode's first n levels once, as arrays: keys
+and their values for the exact family, one ``solve_eigen`` per mode
+otherwise. It compares each mode with all later modes in blocks of at most
+_PAIR_BLOCK level pairs, taken in record order (k, l, i, j), so memory stays
+bounded for any n and k_range. An exact gap is ``_key_values`` of the
+difference of two keys, and only equal keys are a FAIL.
 
 Numeric assembly takes modes k = 1, 2, ... upward and stops at the first
 mode with no level below the cap: with V >= 0 every level of -u'' + k^2 V u
@@ -54,7 +59,7 @@ from .core import (
     _check_cap,
     _readonly,
 )
-from .exact_family import SpectrumLine, _level_keys, enumerate_exact_pairs, level_key
+from .exact_family import SpectrumLine, _key_values, _level_keys, enumerate_exact_pairs
 from .schrod1d import solve_eigen, solve_levels_below
 
 __all__ = [
@@ -64,6 +69,8 @@ __all__ = [
     "PropertyPReport",
     "PropertyPPair",
 ]
+
+_PAIR_BLOCK = 2**14  # level pairs per property-P block: its arrays stay near 1 MiB
 
 
 def _check_lines(values: np.ndarray, starts: np.ndarray, contributors: np.ndarray) -> None:
@@ -133,14 +140,6 @@ class AssembledSpectrum:
                      for value, a, b, key in zip(self.values.tolist(), bounds, bounds[1:], keys))
 
 
-def _quotients(keys: np.ndarray, q: int) -> np.ndarray:
-    """The correctly rounded key / q of each int64 key >= 0."""
-    values = keys / float(q)  # one rounding where key and q are exact in float64
-    inexact = keys > 2**53 if q <= 2**53 else slice(None)
-    values[inexact] = [key / q for key in keys[inexact].tolist()]
-    return values
-
-
 def _assemble_exact(potential: Potential, e_max: float) -> AssembledSpectrum:
     s2 = potential.profile.s2
     kn = enumerate_exact_pairs(s2, e_max)
@@ -156,12 +155,11 @@ def _assemble_exact(potential: Potential, e_max: float) -> AssembledSpectrum:
         k, n, keys = k[order], n[order], keys[order]
         first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
         keys = keys[first]
-        values = _quotients(keys, s2.rational.denominator)
     else:
         # (lin, quad) is injective in (k, n): each line is one pair +-k
         first = np.arange(len(k))
-        lin, quad = keys
-        values = lin + quad * s2.approx
+    values = _key_values(keys, s2)
+    if not s2.is_rational:
         keys = np.column_stack(keys)
     # (value, contributors) order: distinct lines differ in their first contributor
     order = np.lexsort((n[first], -k[first], values))
@@ -315,32 +313,43 @@ def check_property_p(potential: Potential, n: int, k_range: int,
         raise PreconditionError("n must be >= 1")
     if k_range < 2:
         raise PreconditionError("k_range must be >= 2")
-    # per mode, the first n levels as (i, value, exact key or None, err)
-    q = None  # the denominator of a rational s2, whose keys are q * level
+    # row k - 1 holds mode k's first n levels: values, error estimates, and the
+    # keys that decide equality (None where no two can be equal)
+    keys = None
     if isinstance(potential.profile, ExactFamilyProfile):
-        mode = "exact"
-        s2 = potential.profile.s2
-        if s2.is_rational:
-            q = s2.rational.denominator
-        levels = [[(i, *level_key(k, i, s2), 0.0) for i in range(n)]
-                  for k in range(1, k_range + 1)]
+        mode, s2 = "exact", potential.profile.s2
+        levels = _level_keys(np.arange(1, k_range + 1)[:, None], np.arange(n), s2)
+        lams, errs = _key_values(levels, s2), np.zeros((k_range, n))
+        if s2.is_rational:  # irrational keys of distinct modes differ in k^2
+            keys = levels
     else:
         mode = "numeric"
-        levels = [[(p.n, p.lam, None, p.err_est) for p in solve_eigen(potential, k, n, tol)]
+        levels = [[(p.lam, p.err_est) for p in solve_eigen(potential, k, n, tol)]
                   for k in range(1, k_range + 1)]
+        lams, errs = np.moveaxis(np.array(levels), 2, 0)
+    # blocks of at most _PAIR_BLOCK level pairs, in record order (k, l, i, j):
+    # rows i of mode k against whole later modes l, several at a time if n^2 fits
+    rows, modes = max(1, _PAIR_BLOCK // n), max(1, _PAIR_BLOCK // (n * n))
     records: list[PropertyPPair] = []
-    for k, l in combinations(range(1, k_range + 1), 2):
-        for i, vi, key_i, ei in levels[k - 1]:
-            for j, vj, key_j, ej in levels[l - 1]:
-                if key_i is not None and key_i == key_j:
-                    records.append(PropertyPPair(k, l, i, j, vi, vj, 0.0, 0.0, "FAIL"))
-                    continue
-                gap = abs(key_i - key_j) / q if q else abs(vi - vj)
-                err_bound = SEPARATION * (ei + ej)
-                if gap <= max(cluster_abs, err_bound):
-                    # distinct exact keys certify the gap on their own
-                    status = "PASS" if key_i is not None or gap > err_bound else "UNDECIDED"
-                    records.append(PropertyPPair(k, l, i, j, vi, vj, gap, err_bound, status))
+    for k in range(k_range - 1):
+        for l in range(k + 1, k_range, modes):
+            for i in range(0, n, rows):
+                a, b = np.s_[k, i:i + rows, None], np.s_[l:l + modes, None, :]
+                err_bound = SEPARATION * (errs[a] + errs[b])
+                if keys is None:
+                    gap = np.abs(lams[a] - lams[b])
+                else:
+                    # |key_a - key_b| < 2^64: exact in uint64 even where int64 wraps
+                    hi, lo = np.maximum(keys[a], keys[b]), np.minimum(keys[a], keys[b])
+                    gap = _key_values(hi.view(np.uint64) - lo.view(np.uint64), s2)
+                hit = dl, di, dj = np.nonzero(gap <= np.maximum(cluster_abs, err_bound))
+                columns = (l + 1 + dl, i + di, dj, lams[k, i + di], lams[l + dl, dj],
+                           gap[hit], err_bound[hit])
+                for kl, ii, jj, lam_k, lam_l, g, e in zip(*(c.tolist() for c in columns)):
+                    # a zero exact gap is an equal key; a nonzero one is certified
+                    status = ("FAIL" if keys is not None and g == 0 else
+                              "PASS" if mode == "exact" or g > e else "UNDECIDED")
+                    records.append(PropertyPPair(k + 1, kl, ii, jj, lam_k, lam_l, g, e, status))
     statuses = {r.status for r in records}
     verdict = next((v for v in ("FAIL", "UNDECIDED") if v in statuses), "PASS")
     return PropertyPReport(n=n, k_range=k_range, mode=mode,

@@ -6,17 +6,18 @@ so its levels are (2n+1)|k| + k^2 s2. That makes every spectral question below
 a question about integers: multiplicities count lattice points, and the
 eigenvalue counting function is an exact divisor-style sum.
 
-``level_key`` is the one definition of an exact level: it maps (k, n) to its
-float value and the key that decides equality. For rational s2 = p/q the key
-is the integer q * level = q (2n+1)|k| + p k^2; for a tagged irrational it is
-the pair (lin, quad) = ((2n+1)|k|, k^2), so no float comparison ever decides
-equality. ``_level_keys`` is its array form: the same formula over int64
-arrays of (k, n), guarded so that no product wraps. A rational level's value
-is the Python-int quotient key / q, exact to the last bit; int64 true
-division rounds twice once a key passes 2^53. A ``SpectrumLine`` carries the
-key (no Fraction) beside its value and contributors, whose count is its
-multiplicity; ``multiplicity_enumeration`` returns one, and an assembled
-spectrum builds them only as its ``lines`` view.
+``_level_keys`` is the one definition of an exact level: it maps int64
+arrays of (k, n) to the keys that decide equality, guarded so that no product
+wraps. For rational s2 = p/q the key is the integer q * level =
+q (2n+1)|k| + p k^2; for a tagged irrational it is the pair (lin, quad) =
+((2n+1)|k|, k^2), so no float comparison ever decides equality.
+``_key_values`` is the one way back to floats: a rational key, or a
+difference of keys, becomes the correctly rounded quotient key / q (int64
+true division rounds twice once a key passes 2^53), and a pair becomes
+lin + quad * s2. A ``SpectrumLine`` carries the key (no Fraction) beside its
+value and contributors, whose count is its multiplicity;
+``multiplicity_enumeration`` returns one, and an assembled spectrum builds
+them only as its ``lines`` view.
 
 One per-mode table, ``_modes``, decides which levels lie below a cap for
 counting, enumeration, multiplicities and assembly, and refuses s2 < 0. For
@@ -28,7 +29,8 @@ test of a tagged irrational goes through its float approximation.
 exact assembly keys that array with ``_level_keys``, groups equal keys by
 one stable sort of the int64 keys, and fills the spectrum's columns (line
 values, contributor offsets, (k, n) rows and keys; see ``assembler``)
-straight from the sorted arrays, with no per-line object.
+straight from the sorted arrays, with no per-line object. The property-P
+check compares the same keys, mode against mode.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from .core import (
 
 __all__ = [
     "SpectrumLine",
-    "level_key",
     "multiplicity_factorization",
     "multiplicity_enumeration",
     "counting_function",
@@ -74,8 +75,9 @@ def _check64(value: int, what: str) -> int:
 @dataclass(frozen=True)
 class SpectrumLine:
     """An assembled eigenvalue of the two-dimensional operator: its numeric
-    value, the contributing Fourier/level pairs, and their ``level_key`` key
-    (None for a numeric line). The multiplicity is the contributor count."""
+    value, the contributing Fourier/level pairs, and their exact key, as
+    ``_level_keys`` forms it (None for a numeric line). The multiplicity is
+    the contributor count."""
 
     value: float
     contributors: tuple[tuple[int, int], ...]
@@ -93,43 +95,13 @@ class SpectrumLine:
         return len(self.contributors)
 
 
-def _sorted_contributors(pairs) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted(pairs, key=lambda kn: (abs(kn[0]), kn[0], kn[1])))
-
-
-def _key(lin, quad, s2: ExactScalar):
-    """The key of the level with lin = (2n+1)|k| and quad = k^2, from Python
-    ints or elementwise from int64 arrays: q lin + p quad for rational
-    s2 = p/q, otherwise the pair (lin, quad)."""
-    if s2.is_rational:
-        return s2.rational.denominator * lin + s2.rational.numerator * quad
-    return lin, quad
-
-
-def level_key(k: int, n: int, s2: ExactScalar) -> tuple[float, int | tuple[int, int]]:
-    """Level n of Fourier mode k as (value, key). The key decides equality in
-    exact arithmetic: the integer q * level = q (2n+1)|k| + p k^2 for rational
-    s2 = p/q, otherwise the pair ((2n+1)|k|, k^2). The value is its float."""
-    if k == 0 or n < 0:
-        raise PreconditionError("a level needs k != 0 and n >= 0")
-    lin = _check64((2 * n + 1) * abs(k), "(2n+1)|k|")
-    quad = _check64(k * k, "k^2")
-    key = _key(lin, quad, s2)
-    if s2.is_rational:
-        # the guard of _level_keys: each term within 64 bits, then their sum
-        p, q = s2.rational.numerator, s2.rational.denominator
-        _check64(q * lin, "q(2n+1)|k|")
-        _check64(p * quad, "p k^2")
-        return _check64(key, "q(2n+1)|k| + p k^2") / q, key
-    return float(lin + quad * s2.approx), key
-
-
 def _level_keys(k: np.ndarray, n: np.ndarray, s2: ExactScalar):
-    """The keys of ``level_key`` for int64 arrays k and n, elementwise: an
-    int64 array for rational s2, the arrays (lin, quad) for a tagged
-    irrational. IntegerOverflowError wherever level_key raises, and wherever a
-    rational key passes 64 bits, so no product wraps. Values are left to the
-    caller: a rational value is the Python-int quotient key / q."""
+    """The keys of level n of mode k for int64 arrays k and n, elementwise
+    (broadcast): the int64 array q (2n+1)|k| + p k^2 for rational s2 = p/q,
+    the arrays (lin, quad) = ((2n+1)|k|, k^2) for a tagged irrational.
+    PreconditionError unless every k != 0 and n >= 0; IntegerOverflowError
+    wherever a term or a rational key passes 64 bits, checked before any
+    product is formed, so none wraps."""
     if np.any(k == 0) or np.any(n < 0):
         raise PreconditionError("a level needs k != 0 and n >= 0")
     ak = np.abs(k)  # |-2^63| wraps to -2^63, which fails the bound on n
@@ -138,13 +110,29 @@ def _level_keys(k: np.ndarray, n: np.ndarray, s2: ExactScalar):
     if np.any(ak > _INT64_ISQRT):
         raise IntegerOverflowError("k^2 exceeds the 64-bit guard")
     lin, quad = (2 * n + 1) * ak, ak * ak
-    if s2.is_rational:
-        p, q = s2.rational.numerator, s2.rational.denominator
-        # each term within 64 bits, then their sum
-        if (np.any(lin > _INT64_MAX // q) or np.any(quad > _INT64_MAX // max(abs(p), 1))
-                or np.any(p * quad > _INT64_MAX - q * lin)):
-            raise IntegerOverflowError("q(2n+1)|k| + p k^2 exceeds the 64-bit guard")
-    return _key(lin, quad, s2)
+    if not s2.is_rational:
+        return lin, quad
+    p, q = s2.rational.numerator, s2.rational.denominator
+    # each term within 64 bits, then their sum
+    if (np.any(lin > _INT64_MAX // q) or np.any(quad > _INT64_MAX // max(abs(p), 1))
+            or np.any(p * quad > _INT64_MAX - q * lin)):
+        raise IntegerOverflowError("q(2n+1)|k| + p k^2 exceeds the 64-bit guard")
+    return q * lin + p * quad
+
+
+def _key_values(keys, s2: ExactScalar):
+    """The float of each key of ``_level_keys``, or of each difference of
+    rational keys (int64 or uint64): the correctly rounded key / q for
+    rational s2 = p/q, lin + quad * s2 for a pair (lin, quad) of a tagged
+    irrational, which may also be Python ints within 64 bits."""
+    if not s2.is_rational:
+        lin, quad = keys
+        return lin + quad * s2.approx
+    q = s2.rational.denominator
+    values = keys / float(q)  # one rounding where key and q are exact in float64
+    inexact = (np.abs(keys) > 2**53) | (q > 2**53)
+    values[inexact] = [key / q for key in keys[inexact].tolist()]  # Python ints: one rounding
+    return values
 
 
 def factorize(value: int) -> dict[int, int]:
@@ -197,10 +185,12 @@ def multiplicity_enumeration(target, s2: ExactScalar) -> SpectrumLine:
     Rational s2 = p/q: the target is an exact rational (int, Fraction, or
     float taken at face value); only targets on the 1/q lattice have
     contributors, and equality is tested in integers on the ``_modes`` table.
-    Irrational s2: the target is a pair (lin, quad), the key of ``level_key``,
+    Irrational s2: the target is a pair (lin, quad), the key of
+    ``_level_keys``, each within 64 bits (IntegerOverflowError otherwise),
     and equality is pair equality; no float comparison ever happens. A pair
     with no (k, n) preimage has no contributors. The line's key is the pair,
-    or for rational s2 the int q * target (None off the lattice).
+    or for rational s2 the int q * target (None off the lattice). Each mode
+    has at most one level at the target, so contributors come in |k| order.
     """
     if s2.is_rational:
         t = Fraction(target)
@@ -215,19 +205,19 @@ def multiplicity_enumeration(target, s2: ExactScalar) -> SpectrumLine:
             odd = r // d
             hit = (r % d == 0) & (odd % 2 == 1)
             for kk, n in zip(k[hit].tolist(), (odd[hit] // 2).tolist()):
-                contributors.extend([(kk, n), (-kk, n)])
-        return SpectrumLine(value=float(t), contributors=_sorted_contributors(contributors),
+                contributors.extend([(-kk, n), (kk, n)])
+        return SpectrumLine(value=float(t), contributors=tuple(contributors),
                             key=int(key) if on_lattice else None)
 
-    lin, quad = target
+    lin, quad = _check64(target[0], "lin"), _check64(target[1], "quad")
     k = math.isqrt(max(quad, 0))
     valid = quad >= 1 and k * k == quad and lin >= k and lin % k == 0 and (lin // k) % 2 == 1
-    contributors: list[tuple[int, int]] = []
+    contributors = ()
     if valid:
         n = ((lin // k) - 1) // 2
-        contributors = [(k, n), (-k, n)]
-    return SpectrumLine(value=float(lin + quad * s2.approx),
-                        contributors=_sorted_contributors(contributors), key=(lin, quad))
+        contributors = ((-k, n), (k, n))
+    return SpectrumLine(value=_key_values((lin, quad), s2), contributors=contributors,
+                        key=(lin, quad))
 
 
 def _modes(s2: ExactScalar, e_max):

@@ -11,7 +11,7 @@ lowest levels across both blocks (Demmel, Applied Numerical Linear Algebra,
 1997, 5.3.4). The levels below a cap are counted by one Sturm count, without
 a solve, and solve_levels_below drives both geometries through one refinement
 loop. Any other circle potential takes a dense solve at N <= 4096, and counts
-by solving.
+the eigenvalues of its dense periodic matrix up to the cap.
 
 The first grid of a solve, and any fixed grid asked of solve_on_grid, takes
 its lowest m eigenvalues from Sturm-sequence bisection with inverse-iteration
@@ -253,13 +253,25 @@ def _tridiagonal(diag: np.ndarray, off: np.ndarray, m: int, vectors: bool):
         lapack_driver="stebz")
 
 
+def _periodic_matrix(potential: Potential, k: int, grid: Grid) -> np.ndarray:
+    """The dense periodic matrix of a circle grid of at most CIRCLE_MAX_NODES
+    nodes."""
+    diag = _diagonal(potential, k, grid.points(), grid)
+    if grid.npoints > CIRCLE_MAX_NODES:
+        raise PreconditionError(f"circle grids are capped at {CIRCLE_MAX_NODES} nodes")
+    mat = np.diag(diag)
+    idx = np.arange(grid.npoints)  # node 0 neighbours node N - 1
+    mat[idx, idx - 1] = mat[idx - 1, idx] = -1.0 / (grid.h * grid.h)
+    return mat
+
+
 def _count_below(potential: Potential, k: int, cap: float, grid: Grid) -> int:
-    """Count of the discrete eigenvalues below cap: one Sturm count
-    (_rqi.sturm_count) of _tridiagonal_matrix, with no solve; the dense
-    circle counts among its N/2 lowest, solved."""
+    """Count of the discrete eigenvalues below cap, over every level of the
+    grid: one Sturm count (_rqi.sturm_count) of _tridiagonal_matrix, with no
+    solve; on the dense circle the eigenvalues of _periodic_matrix up to cap."""
     if _dense_circle(potential, grid):
-        return int(np.sum(solve_on_grid(potential, k, grid.npoints // 2, grid,
-                                        vectors=False)[0] <= cap))
+        return len(scipy.linalg.eigh(_periodic_matrix(potential, k, grid), eigvals_only=True,
+                                     subset_by_value=(-np.inf, cap)))
     return sturm_count(*_tridiagonal_matrix(potential, k, grid), cap)
 
 
@@ -310,16 +322,8 @@ def solve_on_grid(potential: Potential, k: int, m: int, grid: Grid, *,
         if vectors and grid.kind == "circle":
             out = out[0], _unfold(out[1], grid.npoints)
     else:
-        diag = _diagonal(potential, k, grid.points(), grid)
-        if grid.npoints > CIRCLE_MAX_NODES:
-            raise PreconditionError(f"circle grids are capped at {CIRCLE_MAX_NODES} nodes")
-        mat = np.diag(diag)
-        idx = np.arange(grid.npoints - 1)
-        mat[idx, idx + 1] = -1.0 / (h * h)
-        mat[idx + 1, idx] = -1.0 / (h * h)
-        mat[0, -1] += -1.0 / (h * h)
-        mat[-1, 0] += -1.0 / (h * h)
-        out = scipy.linalg.eigh(mat, eigvals_only=not vectors, subset_by_index=(0, m - 1))
+        out = scipy.linalg.eigh(_periodic_matrix(potential, k, grid), eigvals_only=not vectors,
+                                subset_by_index=(0, m - 1))
     if not vectors:
         return out, None
     lams, vecs = out

@@ -177,8 +177,9 @@ def brute_exact_lines(s2: ExactScalar, e_max) -> list[tuple]:
     (+-k, n): by Fraction equality of (2n+1)k + k^2 s2 for rational s2 >= 0,
     by equality of the pair ((2n+1)k, k^2) for a tagged irrational, whose cap
     test uses its float value. Lines are (value, contributors, multiplicity,
-    key) in (value, contributors) order, with the key of ``level_key``: the
-    integer q * level for rational s2 = p/q, the pair for an irrational."""
+    key) in (value, contributors) order, with the exact key that
+    ``exact_family._level_keys`` forms: the integer q * level for rational
+    s2 = p/q, the pair for an irrational."""
     groups: dict = {}
     k = 1
     while True:

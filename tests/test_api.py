@@ -17,9 +17,10 @@ GONE_FROM_MODULES = {
     "grushin": ["ModeCoefficients", "kappa_coefficients", "ratio_closed_form",
                 "hermite_eigenfunction", "render_potential", "ExactEigenvalue",
                 "exact_eigenvalue", "k_cutoff", "mollified_indicator"],
-    "grushin.exact_family": ["ExactEigenvalue", "exact_eigenvalue"],
+    "grushin.exact_family": ["ExactEigenvalue", "exact_eigenvalue", "level_key", "_key",
+                             "_sorted_contributors"],
     "grushin.assembler": ["ExactEigenvalue", "exact_eigenvalue", "_exact_level", "k_cutoff",
-                          "_ground_constant", "_sorted_contributors"],
+                          "_ground_constant", "_sorted_contributors", "_quotients"],
     "grushin.cli": ["_line_row", "_line_json"],
     "grushin.concentration": ["ModeCoefficients", "kappa_coefficients",
                               "ratio_closed_form", "min_ratio_witness", "cmath"],

@@ -1,13 +1,17 @@
 import math
 import time
+import tracemalloc
 
 import pytest
 from helpers import brute_property_p, weighted_power
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from grushin import assembler, schrod1d
 from grushin.assembler import AssembledSpectrum, assemble, check_property_p
 from grushin.core import (
     SEPARATION,
+    ExactFamilyProfile,
     ExactScalar,
     InvariantViolation,
     Perturbation,
@@ -392,6 +396,40 @@ def test_property_p_records_match_pair_oracle(s2, n, k_range, cluster_abs, verdi
     assert list(report.collisions) == expected
     assert report.verdict == verdict
     assert sum(r.status == verdict for r in report.collisions) == count
+
+
+@settings(max_examples=25)
+@given(st.one_of(st.tuples(st.integers(0, 60), st.integers(1, 60)),
+                 # keys q * level pass 2^53 = 9007199254740992
+                 st.tuples(st.integers(0, 3), st.integers(2**53 // 4, 7**19)))
+       .map(lambda pq: ExactScalar.from_rational(*pq))
+       | st.sampled_from(["sqrt2", "sqrt3", "sqrt5", "golden", "pi"]).map(ExactScalar.irrational),
+       st.integers(1, 30), st.integers(2, 20), st.sampled_from([1e-3, 1e-2, 0.5]),
+       st.sampled_from([3, 64, 1000, 2**14]))
+@example(ExactScalar.irrational("golden"), 30, 20, 1e-2, 1000)
+@example(ExactScalar.from_rational(0), 12, 12, 1e-3, 7)
+# keys of both signs, two of which lie more than 2^63 apart; every pair is a record
+@example(ExactScalar.from_rational(-(2**61 - 1), (2**63 - 1) // 10), 3, 2, 1e300, 2**14)
+def test_property_p_matches_pair_oracle_in_any_blocks(s2, n, k_range, cluster_abs, block):
+    # small blocks split one mode's rows across blocks and later modes; the
+    # records still come in (k, l, i, j) order
+    pot = Potential("cylinder", 1.0, ExactFamilyProfile(s2=s2))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(assembler, "_PAIR_BLOCK", block)
+        report = check_property_p(pot, n, k_range, cluster_abs=cluster_abs)
+    assert list(report.collisions) == brute_property_p(s2, n, k_range, cluster_abs)
+
+
+def test_property_p_memory_stays_bounded():
+    # 64 million level pairs of two modes; an n x n float64 array would be 488 MiB
+    tracemalloc.start()
+    try:
+        report = check_property_p(SHIFT0, 8000, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.verdict == "PASS" and report.collisions == ()
+    assert peak < 8 * 2**20
 
 
 def test_property_p_validation():

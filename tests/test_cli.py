@@ -137,6 +137,18 @@ def test_multiplicity_csv(capsys, argv, rows):
     assert out.splitlines() == ["value,multiplicity,contributors"] + rows
 
 
+@pytest.mark.parametrize("flags, error", [
+    (["--lin", "99999999999999999999999", "--quad", "1"],
+     "lin = 99999999999999999999999 exceeds the 64-bit guard"),
+    (["--lin", "3", "--quad", str(10**38)], f"quad = {10**38} exceeds the 64-bit guard"),
+], ids=["lin", "quad"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_multiplicity_pair_past_64_bits_is_single_line_exit_1(capsys, flags, error, fmt):
+    code, out, err = run_capture(capsys, ["multiplicity", "--s2", "irr:sqrt2", *flags,
+                                          "--format", fmt])
+    assert (code, out, err) == (1, "", f'error: code=IntegerOverflowError msg="{error}"\n')
+
+
 def test_solve1d_csv(capsys):
     # V = x^2, mode 2: the levels are 2 (2n + 1)
     code, out, err = run_capture(capsys, [
@@ -710,6 +722,12 @@ _PINNED_EXACT_REPORTS = [
      "3217954ab53d99fa7f630261c6841d1bd2533b9a79cd9836875c549add331458"),
     (["multiplicity", "--s2", "irr:sqrt2", "--lin", "9", "--quad", "9", "--format", "csv"],
      "972bf232c3002c489ff17fddab7286b883f1535d38bc22ac41a3aaee476ec9b3"),
+    # property P with keys past 2^53 (q = 7^19), and a wide window
+    (["check", "property-p", "--potential", "shifted:s2=1/11398895185373143", "--n", "12",
+      "--krange", "12"], "c0a78ba01199d30875245dbe9438d811d906944c032ab12fdee7231c4e838d13"),
+    (["check", "property-p", "--potential", "shifted:s2=irr:sqrt2", "--n", "12", "--krange",
+      "12", "--cluster-abs", "0.5"],
+     "af7856ae7c106d9047e92eb2b603d9c2b095c0fe7fb12832b54da0923954af0b"),
 ]
 
 

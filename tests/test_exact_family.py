@@ -18,10 +18,10 @@ from grushin.core import (
 )
 from grushin.exact_family import (
     SpectrumLine,
+    _key_values,
     _level_keys,
     counting_function,
     enumerate_exact_pairs,
-    level_key,
     multiplicity_enumeration,
     multiplicity_factorization,
     weyl_residual,
@@ -32,25 +32,31 @@ S1 = ExactScalar.from_rational(1)
 SQRT2 = ExactScalar.irrational("sqrt2")
 
 
+def _level(k: int, n: int, s2: ExactScalar) -> tuple[float, int | tuple[int, int]]:
+    """(value, key) of level n of mode k, through the array path."""
+    keys = _level_keys(np.array([k], dtype=np.int64), np.array([n], dtype=np.int64), s2)
+    value = float(_key_values(keys, s2)[0])
+    return value, int(keys[0]) if s2.is_rational else (int(keys[0][0]), int(keys[1][0]))
+
+
 def test_exact_eigenvalue_examples():
     # level n of mode k is (2n+1)|k| + k^2 s2, keyed by q * level for s2 = p/q
-    assert level_key(1, 0, S0) == (1.0, 1)
-    assert level_key(-2, 3, S0) == (14.0, 14)
-    assert level_key(2, 0, S1) == (6.0, 6)
-    value, key = level_key(1, 1, ExactScalar.from_rational(1, 2))
-    assert (value, key) == (3.5, 7)
-    assert level_key(-3, 2, SQRT2) == (15.0 + 9.0 * math.sqrt(2.0), (15, 9))
+    assert _level(1, 0, S0) == (1.0, 1)
+    assert _level(-2, 3, S0) == (14.0, 14)
+    assert _level(2, 0, S1) == (6.0, 6)
+    assert _level(1, 1, ExactScalar.from_rational(1, 2)) == (3.5, 7)
+    assert _level(-3, 2, SQRT2) == (15.0 + 9.0 * math.sqrt(2.0), (15, 9))
 
 
 def test_exact_eigenvalue_guards():
     with pytest.raises(PreconditionError):
-        level_key(0, 1, S0)
+        _level(0, 1, S0)
     with pytest.raises(PreconditionError):
-        level_key(1, -1, S0)
+        _level(1, -1, S0)
     with pytest.raises(IntegerOverflowError):
-        level_key(2**40, 2**40, S0)
+        _level(2**40, 2**40, S0)
     with pytest.raises(IntegerOverflowError):
-        level_key(2**32, 0, SQRT2)  # k^2 passes 64 bits while (2n+1)|k| does not
+        _level(2**32, 0, SQRT2)  # k^2 passes 64 bits while (2n+1)|k| does not
 
 
 @pytest.mark.parametrize("k, n, s2", [(2**40, 2**40, S0), (2**32, 0, SQRT2),
@@ -58,21 +64,47 @@ def test_exact_eigenvalue_guards():
                                       (2, 0, ExactScalar.from_rational(2**62)),
                                       (3, 0, ExactScalar.from_rational(1, 2**62))])
 def test_level_keys_raise_where_level_key_raises(k, n, s2):
-    # the array form checks before it multiplies, so no int64 product wraps
-    with pytest.raises(IntegerOverflowError):
-        level_key(k, n, s2)
+    # each key passes 64 bits in Python ints; the keys are checked before
+    # they are multiplied out, so no int64 product wraps
+    lin, quad = (2 * n + 1) * abs(k), k * k
+    assert max(lin, quad, s2.rational.denominator * lin + s2.rational.numerator * quad
+               if s2.is_rational else 0) > 2**63 - 1
     fine = np.array([1, 3], dtype=np.int64)
     with pytest.raises(IntegerOverflowError):
         _level_keys(np.r_[fine, k], np.r_[fine, n], s2)
 
 
 def test_level_keys_match_level_key_elementwise():
+    # the keys and values of the array path against Python-int arithmetic:
+    # q (2n+1)|k| + p k^2 and its Fraction, or the pair and its float
     k = np.array([1, -2, 3, 10**9, -5], dtype=np.int64)
     n = np.array([0, 3, 7, 0, 2], dtype=np.int64)
-    for s2 in (S0, S1, ExactScalar.from_rational(7, 3), SQRT2):
+    # at s2 = 1/(2^32 + 1) the key of k = 10^9 passes 2^53
+    for s2 in (S0, S1, ExactScalar.from_rational(7, 3), ExactScalar.from_rational(1, 2**32 + 1),
+               SQRT2):
         keys = _level_keys(k, n, s2)
-        got = keys.tolist() if s2.is_rational else list(zip(keys[0].tolist(), keys[1].tolist()))
-        assert got == [level_key(kk, nn, s2)[1] for kk, nn in zip(k.tolist(), n.tolist())]
+        values = _key_values(keys, s2)
+        for j, (kk, nn) in enumerate(zip(k.tolist(), n.tolist())):
+            lin, quad = (2 * nn + 1) * abs(kk), kk * kk
+            if s2.is_rational:
+                level = lin + quad * s2.rational
+                assert keys[j] == level * s2.rational.denominator
+                assert values[j] == float(level)
+            else:
+                assert (keys[0][j], keys[1][j]) == (lin, quad)
+                assert values[j] == float(lin + quad * s2.approx)
+
+
+@pytest.mark.parametrize("q", [3, 7**19, 2**53 + 1, 2**63 - 1])
+def test_key_values_round_keys_and_their_differences_once(q):
+    # keys and differences of keys past 2^53, of either sign and up to 2^64 - 1
+    # (a difference of two int64 keys in uint64): the correctly rounded key / q
+    s2 = ExactScalar.from_rational(1, q)
+    keys = [0, 1, 2**53 + 1, 3 * 2**60 + 7, 2**63 - 1]
+    signed = np.array(keys + [-key for key in keys], dtype=np.int64)
+    assert _key_values(signed, s2).tolist() == [key / q for key in signed.tolist()]
+    wide = np.array(keys + [2**64 - 1, 2**63 + 2**53 + 1], dtype=np.uint64)
+    assert _key_values(wide, s2).tolist() == [key / q for key in wide.tolist()]
 
 
 def test_level_keys_guard_the_rational_key_itself():
@@ -80,7 +112,6 @@ def test_level_keys_guard_the_rational_key_itself():
     # 64 bits the key still fits
     one = np.array([1], dtype=np.int64)
     s2 = ExactScalar.from_rational(2**62, 3)
-    assert level_key(1, 0, s2)[1] == 3 + 2**62
     assert _level_keys(one, 0 * one, s2).tolist() == [3 + 2**62]
     with pytest.raises(IntegerOverflowError):
         _level_keys(2 * one, 0 * one, s2)
@@ -105,6 +136,23 @@ def test_exact_eigenvalue_pair_invariants():
     line = multiplicity_enumeration((15, 9), SQRT2)
     assert line.contributors == ((-3, 2), (3, 2))
     assert line.key == (15, 9)
+
+
+@pytest.mark.parametrize("lin, quad", [
+    (99999999999999999999999, 1),  # an odd multiple of k = 1: a preimage past 64 bits
+    (3, 10**38),
+    (-2**63, 1),
+])
+def test_pair_past_64_bits_raises(lin, quad):
+    # the guard of _level_keys on (2n+1)|k| and k^2, on the pair given
+    big = ("lin", lin) if abs(lin) > 2**63 - 1 else ("quad", quad)
+    with pytest.raises(IntegerOverflowError, match="^%s = %d exceeds the 64-bit guard$" % big):
+        multiplicity_enumeration((lin, quad), SQRT2)
+
+
+def test_pair_on_the_64_bit_edge_has_its_preimage():
+    line = multiplicity_enumeration((2**63 - 1, 1), SQRT2)
+    assert line.contributors == ((-1, 2**62 - 1), (1, 2**62 - 1))
 
 
 def test_spectrum_line_invariants():
@@ -168,7 +216,7 @@ def test_unbounded_multiplicity_witness():
 
 def test_irrational_rigidity_small_range():
     for k, n in enumerate_exact_pairs(SQRT2, 60.0).tolist():
-        value, key = level_key(k, n, SQRT2)
+        value, key = _level(k, n, SQRT2)
         line = multiplicity_enumeration(key, SQRT2)
         assert line.multiplicity == 2
         assert line.contributors == ((-k, n), (k, n)) and line.value == value
@@ -288,5 +336,6 @@ def test_enumerate_exact_pairs_bounds():
     pairs = enumerate_exact_pairs(S1, 6)
     assert pairs.dtype == np.int64 and pairs.shape == (4, 2)
     assert pairs.tolist() == [[1, 0], [1, 1], [1, 2], [2, 0]]
-    assert [level_key(k, n, S1) for k, n in pairs.tolist()] == [(2.0, 2), (4.0, 4), (6.0, 6),
-                                                                (6.0, 6)]
+    keys = _level_keys(*pairs.T, S1)
+    assert keys.tolist() == [2, 4, 6, 6]
+    assert _key_values(keys, S1).tolist() == [2.0, 4.0, 6.0, 6.0]

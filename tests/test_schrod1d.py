@@ -802,6 +802,20 @@ def test_circle_count_reaches_past_half_the_nodes():
                 assert schrod1d._count_below(pot, k, 2.0 * lams[-1], grid) == n
 
 
+def test_dense_circle_count_reaches_past_half_the_nodes():
+    # a bump off x = 0 breaks evenness, so the circle takes the dense solve;
+    # its count covers every level of the grid too, not only the lowest N/2
+    pot = perturbed_potential(parse_potential("torus:gamma=1"), Perturbation(0.5, 1.5, 0.2), 1.0)
+    grid = Grid("circle", 64)
+    lams = _dense_circle_levels(pot, 1, grid)
+    assert np.min(np.abs(lams - 300.0)) > 1.0
+    assert schrod1d._count_below(pot, 1, 300.0, grid) == np.sum(lams <= 300.0) == 41
+    for i, (lo, hi) in enumerate(zip(lams, lams[1:])):
+        if hi - lo > 1e-8 * abs(hi):
+            assert schrod1d._count_below(pot, 1, 0.5 * (lo + hi), grid) == i + 1, i
+    assert schrod1d._count_below(pot, 1, 2.0 * lams[-1], grid) == 64
+
+
 # --- the parity split of even circles --------------------------------------
 # A torus:gamma=g potential is even, so its circle problem is solved as an
 # even and an odd tridiagonal problem on [0, pi]. The same potential wrapped in
