@@ -341,7 +341,13 @@ def check_property_p(potential: Potential, n: int, k_range: int,
                 else:
                     # |key_a - key_b| < 2^64: exact in uint64 even where int64 wraps
                     hi, lo = np.maximum(keys[a], keys[b]), np.minimum(keys[a], keys[b])
-                    gap = _key_values(hi.view(np.uint64) - lo.view(np.uint64), s2)
+                    diff = hi.view(np.uint64) - lo.view(np.uint64)
+                    # diff / q in floats is within 2^-50 of the gap, so only a
+                    # gap it puts below cluster_abs (1 + 2^-48) can round to a
+                    # record; those take the correctly rounded quotient
+                    gap = diff / float(s2.rational.denominator)
+                    near = gap <= cluster_abs * (1.0 + 2.0**-48)
+                    gap[near] = _key_values(diff[near], s2)
                 hit = dl, di, dj = np.nonzero(gap <= np.maximum(cluster_abs, err_bound))
                 columns = (l + 1 + dl, i + di, dj, lams[k, i + di], lams[l + dl, dj],
                            gap[hit], err_bound[hit])

@@ -367,8 +367,7 @@ def _perturb_branch(conf, inputs, tol, potential, s2, bump) -> dict:
                               conf["tmax"], conf["steps"], tol)
     return {"t_grid": [float(t) for t in branches[0].t_grid],
             "lambdas": [[float(v) for v in br.lambdas] for br in branches],
-            "slopes": [hellmann_feynman(potential, bump, conf["k"], br.level, tol)
-                       for br in branches]}
+            "slopes": [br.slope for br in branches]}
 
 
 def _perturb_split(conf, inputs, tol, potential, s2, bump) -> dict:

@@ -24,11 +24,13 @@ from .core import (
     CallableProfile,
     ExactFamilyProfile,
     ExactScalar,
+    InvariantViolation,
     Perturbation,
     Potential,
     PreconditionError,
     Tolerances,
     _readonly,
+    _wrap_angle,
     base_factor,
     eval_potential,
 )
@@ -82,11 +84,35 @@ def perturbed_potential(potential: Potential, w: Perturbation, t: float) -> Pote
                      profile=CallableProfile(fn=fn))
 
 
-def _weighted_density(potential: Potential, w: Perturbation, grid: Grid,
-                      u: np.ndarray) -> float:
-    # h * sum(base W u^2) for the discrete eigenvector u on grid
+def _node_terms(potential: Potential, w: Perturbation, grid: Grid) -> tuple:
+    """V, base and W at the nodes where the matrix of a deformed potential on
+    ``grid`` samples it (a torus node wrapped into [-pi, pi], as
+    eval_potential wraps it before the profile sees it)."""
     x = grid.points()
-    return grid.h * float(np.sum(base_factor(potential, x) * w(x) * u * u))
+    if potential.geometry == "torus":
+        x = _wrap_angle(x)
+    return eval_potential(potential, x), base_factor(potential, x), w(x)
+
+
+def _on_nodes(potential: Potential, values: np.ndarray) -> Potential:
+    """A potential known at the nodes of one grid only, as ``values`` there:
+    the matrix of that grid is all that may be built from it."""
+    def fn(x):
+        if np.shape(x) != values.shape:
+            raise InvariantViolation("a potential known at grid nodes only, evaluated elsewhere")
+        return values
+
+    return Potential(geometry=potential.geometry, gamma=potential.gamma,
+                     profile=CallableProfile(fn=fn))
+
+
+def _slope(k: int, grids, weights, vecs, n: int) -> float:
+    """k^2 times the Richardson extrapolant of h * sum(base W u_n^2) over the
+    coarsening and the grid in ``grids``, for base * W (``weights``) and the
+    discrete eigenvectors ``vecs`` of each."""
+    i_coarse, i_fine = (g.h * float(np.sum(bw * v[:, n] * v[:, n]))
+                        for g, bw, v in zip(grids, weights, vecs))
+    return k * k * (4.0 * i_fine - i_coarse) / 3.0
 
 
 def hellmann_feynman(potential: Potential, w: Perturbation, k: int, n: int,
@@ -109,8 +135,8 @@ def hellmann_feynman(potential: Potential, w: Perturbation, k: int, n: int,
     grid = pairs[n].grid
     grids = (grid.coarsened(), grid)
     vecs = pairs.vectors or [solve_on_grid(potential, k, n + 1, g)[1] for g in grids]
-    i_coarse, i_fine = (_weighted_density(potential, w, g, v[:, n]) for g, v in zip(grids, vecs))
-    return k * k * (4.0 * i_fine - i_coarse) / 3.0
+    weights = [base_factor(potential, x) * w(x) for x in (g.points() for g in grids)]
+    return _slope(k, grids, weights, vecs, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,7 +145,9 @@ class Branch:
     undeformed operator, with its eigenvectors on the fixed tracking grid.
     ``lambdas`` are Richardson extrapolants across the tracking grid and its
     coarsening, like ``EigenPair.lam``, and ``err_ests`` their error
-    estimates. Every array is read-only."""
+    estimates. ``slope`` is d(lambda)/dt at t = 0, the Hellmann-Feynman
+    quadrature of hellmann_feynman on the tracking grid and its coarsening.
+    Every array is read-only."""
 
     k: int
     level: int
@@ -128,6 +156,7 @@ class Branch:
     err_ests: np.ndarray
     vectors: tuple[np.ndarray, ...]
     grid: Grid
+    slope: float
 
     def __post_init__(self):
         for name in ("t_grid", "lambdas", "err_ests"):
@@ -159,12 +188,18 @@ def track_branches(potential: Potential, w: Perturbation, k: int, levels,
     The steps solve levels 0..max(levels) only, the levels they read. The
     base solve keeps max(levels) + 3: kappa needs the level above the top
     tracked one, and the spare level stays because that solve sets the
-    truncation domain and the tracking grid. On the line each step solves
-    the tracking grid and its coarsening from the previous step's vectors on
-    the same grid, starting from the base solve's own, by certified
-    Rayleigh-quotient iteration (schrod1d._seeded), which bisects a grid
-    whose certificate fails; the certificate also proves the sorted order
-    above on each grid. On the circle every step is bisected.
+    truncation domain and the tracking grid. V, base and W are evaluated
+    once on each of the two grids, and each step's diagonal is 2/h^2 + k^2
+    (V + (t base) W), in perturbed_potential's order of operations, so every
+    step matrix is the one perturbed_potential gives. On the line each step
+    solves the tracking grid and its coarsening from the previous step's
+    vectors on the same grid, starting from the base solve's own, by
+    certified Rayleigh-quotient iteration (schrod1d._seeded), which bisects a
+    grid whose certificate fails; the certificate also proves the sorted
+    order above on each grid. On the circle every step is bisected. The
+    slopes take the t = 0 vectors of both grids: the base solve's own on the
+    line; on the circle, whose refinement keeps none, both grids are
+    bisected with vectors.
 
     Precondition: t_max * k^2 * sup(base W) < kappa/2.
     """
@@ -188,21 +223,25 @@ def track_branches(potential: Potential, w: Perturbation, k: int, levels,
 
     grid = base[0].grid
     grids = (grid.coarsened(), grid)
+    terms = [_node_terms(potential, w, g) for g in grids]
     t_grid = np.linspace(0.0, t_max, steps + 1)
     # levels 0..max(levels) along t_grid: eigenvalues and error estimates, and
     # the eigenvectors of the tracked levels; seeds are the last vectors on
-    # the coarsening and on the tracking grid (the circle keeps none of the
-    # coarsening's)
+    # the coarsening and on the tracking grid (the circle's steps solve the
+    # coarsening without vectors)
     m_track = levels[-1] + 1
     lams, errs = [lams0[:m_track]], [np.array([p.err_est for p in base[:m_track]])]
-    seeds = base.vectors or (None, solve_on_grid(potential, k, m_track, grid)[1])
-    vecs0 = _fix_signs(seeds[1][:, :m_track].copy())
-    vectors = {n: [vecs0[:, n]] for n in levels}
+    vecs0 = base.vectors or tuple(solve_on_grid(potential, k, m_track, g)[1] for g in grids)
+    weights = [b * wx for _, b, wx in terms]
+    slopes = {n: _slope(k, grids, weights, vecs0, n) for n in levels}
+    seeds = vecs0 if base.vectors else (None, vecs0[1])
+    start = _fix_signs(seeds[1][:, :m_track].copy())
+    vectors = {n: [start[:, n]] for n in levels}
     for t in t_grid[1:]:
         # the extrapolant of the two tracking grids, as base[n].lam is at t = 0
-        pert = perturbed_potential(potential, w, float(t))
-        (lams_c, vecs_c), (lams_f, vecs_f) = (_seeded(pert, k, m_track, g, s)
-                                              for g, s in zip(grids, seeds))
+        (lams_c, vecs_c), (lams_f, vecs_f) = (
+            _seeded(_on_nodes(potential, v + (t * b) * wx), k, m_track, g, s)
+            for (v, b, wx), g, s in zip(terms, grids, seeds))
         seeds = (vecs_c, vecs_f)
         extrap, raw = _extrapolate(None, lams_c, lams_f)
         lams.append(extrap)
@@ -213,7 +252,8 @@ def track_branches(potential: Potential, w: Perturbation, k: int, levels,
             vecs.append(vec * (-1.0 if np.dot(vecs[-1], vec) < 0 else 1.0))
     lams, errs = np.array(lams), np.array(errs)
     return [Branch(k=k, level=n, t_grid=t_grid.copy(), lambdas=lams[:, n].copy(),
-                   err_ests=errs[:, n].copy(), vectors=tuple(vecs), grid=grid)
+                   err_ests=errs[:, n].copy(), vectors=tuple(vecs), grid=grid,
+                   slope=slopes[n])
             for n, vecs in vectors.items()]
 
 

@@ -27,8 +27,8 @@ GONE_FROM_MODULES = {
     "grushin.schrod1d": ["hermite_eigenfunction", "_offdiag", "_initial_line_grid",
                          "_solve_even_circle", "_tridiagonals"],
     "grushin.core": ["render_potential", "validate_potential", "SUP_SAMPLES",
-                     "mollified_indicator"],
-    "grushin.perturb": ["_match", "ConvergenceError"],
+                     "mollified_indicator", "_bump_mass", "_bump", "_GL_NODES"],
+    "grushin.perturb": ["_match", "ConvergenceError", "_weighted_density"],
 }
 
 # (module, class) -> attributes and fields that were deleted

@@ -410,6 +410,11 @@ def test_property_p_records_match_pair_oracle(s2, n, k_range, cluster_abs, verdi
 @example(ExactScalar.from_rational(0), 12, 12, 1e-3, 7)
 # keys of both signs, two of which lie more than 2^63 apart; every pair is a record
 @example(ExactScalar.from_rational(-(2**61 - 1), (2**63 - 1) // 10), 3, 2, 1e300, 2**14)
+# the gap (q + 3p)/q of levels (1, 0) and (2, 0) rounds to this cluster_abs, while
+# float(q + 3p) / float(q) lands one ulp above it: still a record; one ulp
+# lower, none
+@example(ExactScalar.from_rational(8454518695147911, 7**19), 1, 2, 3.2250889821313375, 2**14)
+@example(ExactScalar.from_rational(8454518695147911, 7**19), 1, 2, 3.225088982131337, 2**14)
 def test_property_p_matches_pair_oracle_in_any_blocks(s2, n, k_range, cluster_abs, block):
     # small blocks split one mode's rows across blocks and later modes; the
     # records still come in (k, l, i, j) order

@@ -229,6 +229,30 @@ def test_mollifier_cdf_scalar_path_matches_array_path(z):
     assert scalar.hex() == float(standard_mollifier_cdf(np.array([z]))[0]).hex()
 
 
+def test_mollifier_cdf_matches_a_40_digit_reference():
+    # in-repo reference: the bump integrated at 40 digits between consecutive
+    # sweep points (mpmath tanh-sinh), summed and divided by its total; the
+    # sweep covers (-1, 1) and comes within 1e-12 of both ends
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+
+    def bump(u):
+        return mp.exp(-1 / (1 - u * u)) if abs(u) < 1 else mp.mpf(0)
+
+    edges = [1e-3, 3e-4, 1e-4, 1e-5, 1e-6, 1e-8, 1e-12]
+    zs = sorted({*np.linspace(-1.0, 1.0, 402)[1:-1].tolist(),
+                 *(-1.0 + e for e in edges), *(1.0 - e for e in edges)})
+    ends = [mp.mpf(-1), *map(mp.mpf, zs), mp.mpf(1)]
+    masses = [mp.quad(bump, [a, b]) for a, b in zip(ends, ends[1:])]
+    total = mp.fsum(masses)
+    got = standard_mollifier_cdf(np.array(zs))
+    reference = (mp.fsum(masses[:i + 1]) / total for i in range(len(zs)))
+    assert max(abs(float(mp.mpf(g) - r)) for g, r in zip(got.tolist(), reference)) <= 4.4e-16
+    assert np.all(np.diff(got) >= 0.0)
+    assert standard_mollifier_cdf(math.nextafter(1.0, 0.0)) == 1.0
+
+
 def test_mollifier_preconditions():
     with pytest.raises(PreconditionError):
         Perturbation(2.0, 0.0, 0.1)

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 
 from helpers import branch_overlaps, central_difference_slope
 
-from grushin import perturb
+from grushin import perturb, schrod1d
 from grushin.cli import run
 from grushin.core import (
     SEPARATION,
@@ -146,6 +146,64 @@ def test_track_branches_steps_solve_only_the_tracked_levels(monkeypatch):
         extrap = (4.0 * fine - coarse) / 3.0
         for br in branches:
             assert abs(br.lambdas[i] - extrap[br.level]) <= 1e-10 * abs(extrap[br.level])
+
+
+@pytest.mark.parametrize("spec", ["power:gamma=1", "torus:gamma=1"])
+def test_track_branches_evaluate_the_bump_once_per_grid(monkeypatch, spec):
+    # W is evaluated once on each tracking grid, and every step matrix is the
+    # one perturbed_potential gives, bit for bit: the line's tridiagonal
+    # matrix, the perturbed circle's dense periodic one
+    pot, t_max, steps = parse_potential(spec), 0.1, 8
+    sizes, matrices = [], []
+    call = Perturbation.__call__
+
+    def counted(self, x):
+        sizes.append(np.size(x))
+        return call(self, x)
+
+    build = "_tridiagonal_matrix" if pot.geometry == "cylinder" else "_periodic_matrix"
+    built = getattr(schrod1d, build)
+
+    def spied(potential, k, grid):
+        out = built(potential, k, grid)
+        matrices.append((grid, out))
+        return out
+
+    monkeypatch.setattr(Perturbation, "__call__", counted)
+    monkeypatch.setattr(schrod1d, build, spied)
+    branches = track_branches(pot, BUMP, 1, [0, 1], t_max, steps=steps)
+    monkeypatch.undo()
+    grid = branches[0].grid
+    grids = (grid.coarsened(), grid)
+    assert sorted(sizes) == sorted(g.npoints for g in grids)
+    # the steps build the last matrices, the coarsening's then the tracking
+    # grid's at each t
+    assert len(matrices) >= 2 * steps
+    step_matrices = iter(matrices[-2 * steps:])
+
+    def as_bytes(matrix):  # (diag, off) on the line, one dense array on the circle
+        return [a.tobytes() for a in (matrix if isinstance(matrix, tuple) else (matrix,))]
+
+    for t in branches[0].t_grid[1:]:
+        for g in grids:
+            got_grid, got = next(step_matrices)
+            want = built(perturbed_potential(pot, BUMP, float(t)), 1, g)
+            assert got_grid == g
+            assert as_bytes(got) == as_bytes(want)
+
+
+def test_track_branches_slopes_are_hellmann_feynman_on_the_tracking_grid():
+    # the branch slopes come from the base solve's vectors on the tracking
+    # grid and its coarsening; they agree with hellmann_feynman at a tenth of
+    # the default tolerance, which solves for its own grid, far inside the
+    # benchmark's 1e-4 derivative oracle (at the default tolerance the torus
+    # slopes differ by 1.1e-5 relative, the hellmann_feynman ones being off)
+    for pot in (HARMONIC, QUARTIC, _TORUS):
+        w = _TORUS_BUMP if pot is _TORUS else BUMP
+        for br in track_branches(pot, w, 1, [0, 1], 0.01, steps=1):
+            hf = hellmann_feynman(pot, w, 1, br.level, Tolerances(1e-8))
+            assert type(br.slope) is float
+            assert abs(br.slope - hf) <= 5e-6 * abs(hf)
 
 
 def test_track_branches_precondition():
