@@ -27,8 +27,9 @@ The property-P check builds each mode's first n levels once, as arrays: keys
 and their values for the exact family, one ``solve_eigen`` per mode
 otherwise. It compares each mode with all later modes in blocks of at most
 _PAIR_BLOCK level pairs, taken in record order (k, l, i, j), so memory stays
-bounded for any n and k_range. An exact gap is ``_key_values`` of the
-difference of two keys, and only equal keys are a FAIL.
+bounded for any n and k_range. An exact gap is ``exact_family._key_gaps``
+of two keys, correctly rounded wherever it can be a record, and only equal
+keys are a FAIL.
 
 Numeric assembly takes modes k = 1, 2, ... upward and stops at the first
 mode with no level below the cap: with V >= 0 every level of -u'' + k^2 V u
@@ -59,7 +60,7 @@ from .core import (
     _check_cap,
     _readonly,
 )
-from .exact_family import SpectrumLine, _key_values, _level_keys, enumerate_exact_pairs
+from .exact_family import SpectrumLine, _key_gaps, _key_values, _level_keys, enumerate_exact_pairs
 from .schrod1d import solve_eigen, solve_levels_below
 
 __all__ = [
@@ -338,16 +339,8 @@ def check_property_p(potential: Potential, n: int, k_range: int,
                 err_bound = SEPARATION * (errs[a] + errs[b])
                 if keys is None:
                     gap = np.abs(lams[a] - lams[b])
-                else:
-                    # |key_a - key_b| < 2^64: exact in uint64 even where int64 wraps
-                    hi, lo = np.maximum(keys[a], keys[b]), np.minimum(keys[a], keys[b])
-                    diff = hi.view(np.uint64) - lo.view(np.uint64)
-                    # diff / q in floats is within 2^-50 of the gap, so only a
-                    # gap it puts below cluster_abs (1 + 2^-48) can round to a
-                    # record; those take the correctly rounded quotient
-                    gap = diff / float(s2.rational.denominator)
-                    near = gap <= cluster_abs * (1.0 + 2.0**-48)
-                    gap[near] = _key_values(diff[near], s2)
+                else:  # exact wherever it can be a record
+                    gap = _key_gaps(keys[a], keys[b], s2, cluster_abs)
                 hit = dl, di, dj = np.nonzero(gap <= np.maximum(cluster_abs, err_bound))
                 columns = (l + 1 + dl, i + di, dj, lams[k, i + di], lams[l + dl, dj],
                            gap[hit], err_bound[hit])

@@ -550,13 +550,13 @@ SEPARATION = 10.0
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Accuracy target shared across the solvers: eig_rel is the relative
-    eigenvalue accuracy the refinement loop must reach. Which numeric levels
-    count as distinct follows from the achieved error estimates (SEPARATION),
-    not from a width."""
+    """Accuracy target shared across the solvers: eig_rel, in (0, 1), is the
+    relative eigenvalue accuracy the refinement loop must reach. Which
+    numeric levels count as distinct follows from the achieved error
+    estimates (SEPARATION), not from a width."""
 
     eig_rel: float = 1e-7
 
     def __post_init__(self):
-        if not (self.eig_rel > 0):
-            raise InvariantViolation("eig_rel must be strictly positive")
+        if not (0 < self.eig_rel < 1):  # nan fails too
+            raise InvariantViolation("eig_rel must lie in (0, 1)")

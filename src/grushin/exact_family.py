@@ -11,13 +11,16 @@ arrays of (k, n) to the keys that decide equality, guarded so that no product
 wraps. For rational s2 = p/q the key is the integer q * level =
 q (2n+1)|k| + p k^2; for a tagged irrational it is the pair (lin, quad) =
 ((2n+1)|k|, k^2), so no float comparison ever decides equality.
-``_key_values`` is the one way back to floats: a rational key, or a
-difference of keys, becomes the correctly rounded quotient key / q (int64
-true division rounds twice once a key passes 2^53), and a pair becomes
-lin + quad * s2. A ``SpectrumLine`` carries the key (no Fraction) beside its
-value and contributors, whose count is its multiplicity;
-``multiplicity_enumeration`` returns one, and an assembled spectrum builds
-them only as its ``lines`` view.
+Keys go back to floats only here. ``_key_values`` turns a rational key,
+or a difference of keys, into the correctly rounded quotient key / q (int64
+true division rounds twice once a key passes 2^53), and a pair into
+lin + quad * s2. ``_key_gaps`` turns two arrays of rational keys into their
+gaps |a - b| / q, correctly rounded wherever a gap is within a window: from
+the float quotient where it already is, through ``_key_values`` elsewhere.
+A ``SpectrumLine`` carries the key (no Fraction) beside its value and
+contributors, whose count is its multiplicity; ``multiplicity_enumeration``
+returns one, and an assembled spectrum builds them only as its ``lines``
+view.
 
 One per-mode table, ``_modes``, decides which levels lie below a cap for
 counting, enumeration, multiplicities and assembly, and refuses s2 < 0. For
@@ -30,7 +33,7 @@ exact assembly keys that array with ``_level_keys``, groups equal keys by
 one stable sort of the int64 keys, and fills the spectrum's columns (line
 values, contributor offsets, (k, n) rows and keys; see ``assembler``)
 straight from the sorted arrays, with no per-line object. The property-P
-check compares the same keys, mode against mode.
+check compares the same keys, mode against mode, through ``_key_gaps``.
 """
 
 from __future__ import annotations
@@ -133,6 +136,23 @@ def _key_values(keys, s2: ExactScalar):
     inexact = (np.abs(keys) > 2**53) | (q > 2**53)
     values[inexact] = [key / q for key in keys[inexact].tolist()]  # Python ints: one rounding
     return values
+
+
+def _key_gaps(a, b, s2: ExactScalar, window: float) -> np.ndarray:
+    """|a - b| / q for int64 keys of rational s2 = p/q (broadcast), correctly
+    rounded wherever it is at most ``window``. The uint64 difference is exact
+    (|a - b| < 2^64, even where int64 wraps), and its float quotient is
+    correctly rounded where q and every difference are at most 2^53;
+    otherwise it is within 2^-50 of the gap, so only a quotient at most
+    window (1 + 2^-48) can belong to a gap at most window, and those take
+    _key_values."""
+    diff = np.maximum(a, b).view(np.uint64) - np.minimum(a, b).view(np.uint64)
+    q = s2.rational.denominator
+    gaps = diff / float(q)
+    if q > 2**53 or diff.max() > 2**53:
+        near = gaps <= window * (1.0 + 2.0**-48)
+        gaps[near] = _key_values(diff[near], s2)
+    return gaps
 
 
 def factorize(value: int) -> dict[int, int]:

@@ -30,7 +30,6 @@ from .core import (
     PreconditionError,
     Tolerances,
     _readonly,
-    _wrap_angle,
     base_factor,
     eval_potential,
 )
@@ -84,16 +83,6 @@ def perturbed_potential(potential: Potential, w: Perturbation, t: float) -> Pote
                      profile=CallableProfile(fn=fn))
 
 
-def _node_terms(potential: Potential, w: Perturbation, grid: Grid) -> tuple:
-    """V, base and W at the nodes where the matrix of a deformed potential on
-    ``grid`` samples it (a torus node wrapped into [-pi, pi], as
-    eval_potential wraps it before the profile sees it)."""
-    x = grid.points()
-    if potential.geometry == "torus":
-        x = _wrap_angle(x)
-    return eval_potential(potential, x), base_factor(potential, x), w(x)
-
-
 def _on_nodes(potential: Potential, values: np.ndarray) -> Potential:
     """A potential known at the nodes of one grid only, as ``values`` there:
     the matrix of that grid is all that may be built from it."""
@@ -106,12 +95,25 @@ def _on_nodes(potential: Potential, values: np.ndarray) -> Potential:
                      profile=CallableProfile(fn=fn))
 
 
-def _slope(k: int, grids, weights, vecs, n: int) -> float:
+def _at_rest(potential: Potential, w: Perturbation, k: int, pairs, m: int) -> tuple:
+    """The t = 0 setup of a deformation, from the solve_eigen answer ``pairs``:
+    the coarsening of its final grid and that grid, (base, W) at the nodes
+    of each, and the vectors of levels 0..m-1 on each. On the line those are
+    the refinement's own, from its certified seeded solves of the two grids
+    (schrod1d._seeded); the circle's refinement keeps none, so both grids
+    are bisected with vectors."""
+    grid = pairs[0].grid
+    grids = (grid.coarsened(), grid)
+    terms = [(base_factor(potential, x), w(x)) for x in (g.points() for g in grids)]
+    vecs = pairs.vectors or tuple(solve_on_grid(potential, k, m, g)[1] for g in grids)
+    return grids, terms, vecs
+
+
+def _slope(k: int, grids, terms, vecs, n: int) -> float:
     """k^2 times the Richardson extrapolant of h * sum(base W u_n^2) over the
-    coarsening and the grid in ``grids``, for base * W (``weights``) and the
-    discrete eigenvectors ``vecs`` of each."""
-    i_coarse, i_fine = (g.h * float(np.sum(bw * v[:, n] * v[:, n]))
-                        for g, bw, v in zip(grids, weights, vecs))
+    two grids of _at_rest, from its node terms and vectors."""
+    i_coarse, i_fine = (g.h * float(np.sum(b * wx * v[:, n] * v[:, n]))
+                        for g, (b, wx), v in zip(grids, terms, vecs))
     return k * k * (4.0 * i_fine - i_coarse) / 3.0
 
 
@@ -122,21 +124,17 @@ def hellmann_feynman(potential: Potential, w: Perturbation, k: int, n: int,
         k^2 * integral( base(x) W(x) |u_n(x)|^2 dx ),
 
     with u_n the normalized n-th eigenfunction. The quadrature is evaluated on
-    the solver's final grid and its 2h coarsening and Richardson
-    extrapolated, so the result is accurate beyond the O(h^2) vector error.
-    On the line the vectors are the refinement's own, from its certified
-    seeded solves of those two grids (schrod1d._seeded); the circle's
-    refinement keeps none, and both grids are bisected with vectors.
+    the final grid of one solve_eigen call and its 2h coarsening, with the
+    vectors and node terms of the t = 0 setup that track_branches also
+    builds from (_at_rest: the refinement's own vectors on the line, both
+    grids bisected with vectors on the circle), and Richardson extrapolated,
+    so the result is accurate beyond the O(h^2) vector error.
     """
     if n < 0:
         raise PreconditionError("n must be >= 0")
     w.check_fits(potential)
-    pairs = solve_eigen(potential, k, n + 1, tol)
-    grid = pairs[n].grid
-    grids = (grid.coarsened(), grid)
-    vecs = pairs.vectors or [solve_on_grid(potential, k, n + 1, g)[1] for g in grids]
-    weights = [base_factor(potential, x) * w(x) for x in (g.points() for g in grids)]
-    return _slope(k, grids, weights, vecs, n)
+    grids, terms, vecs = _at_rest(potential, w, k, solve_eigen(potential, k, n + 1, tol), n + 1)
+    return _slope(k, grids, terms, vecs, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,9 +143,9 @@ class Branch:
     undeformed operator, with its eigenvectors on the fixed tracking grid.
     ``lambdas`` are Richardson extrapolants across the tracking grid and its
     coarsening, like ``EigenPair.lam``, and ``err_ests`` their error
-    estimates. ``slope`` is d(lambda)/dt at t = 0, the Hellmann-Feynman
-    quadrature of hellmann_feynman on the tracking grid and its coarsening.
-    Every array is read-only."""
+    estimates. ``slope`` is d(lambda)/dt at t = 0, hellmann_feynman's
+    quadrature from the same t = 0 setup (_at_rest) of the base solve that
+    set the tracking grid. Every array is read-only."""
 
     k: int
     level: int
@@ -188,18 +186,19 @@ def track_branches(potential: Potential, w: Perturbation, k: int, levels,
     The steps solve levels 0..max(levels) only, the levels they read. The
     base solve keeps max(levels) + 3: kappa needs the level above the top
     tracked one, and the spare level stays because that solve sets the
-    truncation domain and the tracking grid. V, base and W are evaluated
-    once on each of the two grids, and each step's diagonal is 2/h^2 + k^2
-    (V + (t base) W), in perturbed_potential's order of operations, so every
-    step matrix is the one perturbed_potential gives. On the line each step
-    solves the tracking grid and its coarsening from the previous step's
-    vectors on the same grid, starting from the base solve's own, by
-    certified Rayleigh-quotient iteration (schrod1d._seeded), which bisects a
-    grid whose certificate fails; the certificate also proves the sorted
-    order above on each grid. On the circle every step is bisected. The
-    slopes take the t = 0 vectors of both grids: the base solve's own on the
-    line; on the circle, whose refinement keeps none, both grids are
-    bisected with vectors.
+    truncation domain and the tracking grid. The t = 0 setup of that solve
+    (_at_rest), shared with hellmann_feynman, gives the tracking grid and its
+    coarsening, base and W at their nodes, and the t = 0 vectors of both
+    grids: the base solve's own on the line; on the circle, whose refinement
+    keeps none, both grids bisected with vectors. The slopes and the first
+    seeds come from it. V is evaluated once on each grid, and each step's
+    diagonal is 2/h^2 + k^2 (V + (t base) W), in perturbed_potential's order
+    of operations, so every step matrix is the one perturbed_potential
+    gives. On the line each step solves both grids from the previous step's
+    vectors on the same grid by certified Rayleigh-quotient iteration
+    (schrod1d._seeded), which bisects a grid whose certificate fails; the
+    certificate also proves the sorted order above on each grid. On the
+    circle every step is bisected with vectors.
 
     Precondition: t_max * k^2 * sup(base W) < kappa/2.
     """
@@ -221,27 +220,23 @@ def track_branches(potential: Potential, w: Perturbation, k: int, levels,
             f"t_max * k^2 * sup(base*W) = {t_max * rate!r} must stay below "
             f"kappa/2 = {kappa / 2.0!r}")
 
-    grid = base[0].grid
-    grids = (grid.coarsened(), grid)
-    terms = [_node_terms(potential, w, g) for g in grids]
+    m_track = levels[-1] + 1
+    grids, terms, seeds = _at_rest(potential, w, k, base, m_track)
+    grid = grids[1]
+    slopes = {n: _slope(k, grids, terms, seeds, n) for n in levels}
+    values = [eval_potential(potential, g.points()) for g in grids]
     t_grid = np.linspace(0.0, t_max, steps + 1)
     # levels 0..max(levels) along t_grid: eigenvalues and error estimates, and
     # the eigenvectors of the tracked levels; seeds are the last vectors on
-    # the coarsening and on the tracking grid (the circle's steps solve the
-    # coarsening without vectors)
-    m_track = levels[-1] + 1
+    # the coarsening and on the tracking grid
     lams, errs = [lams0[:m_track]], [np.array([p.err_est for p in base[:m_track]])]
-    vecs0 = base.vectors or tuple(solve_on_grid(potential, k, m_track, g)[1] for g in grids)
-    weights = [b * wx for _, b, wx in terms]
-    slopes = {n: _slope(k, grids, weights, vecs0, n) for n in levels}
-    seeds = vecs0 if base.vectors else (None, vecs0[1])
     start = _fix_signs(seeds[1][:, :m_track].copy())
     vectors = {n: [start[:, n]] for n in levels}
     for t in t_grid[1:]:
         # the extrapolant of the two tracking grids, as base[n].lam is at t = 0
         (lams_c, vecs_c), (lams_f, vecs_f) = (
             _seeded(_on_nodes(potential, v + (t * b) * wx), k, m_track, g, s)
-            for (v, b, wx), g, s in zip(terms, grids, seeds))
+            for v, (b, wx), g, s in zip(values, terms, grids, seeds))
         seeds = (vecs_c, vecs_f)
         extrap, raw = _extrapolate(None, lams_c, lams_f)
         lams.append(extrap)
@@ -436,12 +431,12 @@ def splitting_experiment(s2: ExactScalar, collision_value, w: Perturbation,
     """
     if not s2.is_rational:
         raise PreconditionError("splitting experiments run on rational s2")
-    if t < 0:
+    if not (t >= 0):
         raise PreconditionError("t must be >= 0")
     line = multiplicity_enumeration(collision_value, s2)
+    # a mode has at most one level at a value, so these are distinct |k|
     positive = [(k, n) for k, n in line.contributors if k > 0]
-    distinct_k = sorted({k for k, _ in positive})
-    if len(distinct_k) < 2:
+    if len(positive) < 2:
         raise PreconditionError(
             f"value {float(line.value)!r} is not a collision between distinct "
             f"squared modes (contributors: {line.contributors})")
@@ -455,17 +450,15 @@ def splitting_experiment(s2: ExactScalar, collision_value, w: Perturbation,
                 raise PreconditionError(
                     f"t too large for mode k={k}: t*k^2*sup = {t * k * k * sup_w!r} "
                     f"exceeds half the mode spacing {k}")
+    pert = perturbed_potential(potential, w, t)
     contributors = []
     for k, n in positive:
         slope = hellmann_feynman(potential, w, k, n, tol)
-        pert = perturbed_potential(potential, w, t)
         pair = solve_eigen(pert, k, n + 1, tol)[n]
         contributors.append(SplitContributor(
             k=k, n=n, slope=slope, lam_perturbed=pair.lam, err_est=pair.err_est))
     pairs = []
     for a, b in combinations(contributors, 2):
-        if a.k == b.k:
-            continue
         gap = abs(a.lam_perturbed - b.lam_perturbed)
         err_bound = SEPARATION * (a.err_est + b.err_est)
         pairs.append(SplitPair(

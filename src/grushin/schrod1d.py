@@ -176,7 +176,7 @@ def truncation_length(potential: Potential, k: int, energy: float,
     if potential.geometry == "torus":
         raise PreconditionError("circle problems need no truncation")
     _check_cap(energy)
-    target = 0.5 * math.log(1.0 / tol.eig_rel) + DECAY_MARGIN
+    target = -0.5 * math.log(tol.eig_rel) + DECAY_MARGIN
     action, last_x, last_f = np.zeros(2), 0.0, np.zeros(2)
     for start in range(0, _LENGTH_LADDER.size, 256):
         x = _LENGTH_LADDER[start:start + 256]

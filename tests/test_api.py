@@ -28,7 +28,8 @@ GONE_FROM_MODULES = {
                          "_solve_even_circle", "_tridiagonals"],
     "grushin.core": ["render_potential", "validate_potential", "SUP_SAMPLES",
                      "mollified_indicator", "_bump_mass", "_bump", "_GL_NODES"],
-    "grushin.perturb": ["_match", "ConvergenceError", "_weighted_density"],
+    "grushin.perturb": ["_match", "ConvergenceError", "_weighted_density", "_node_terms",
+                        "_wrap_angle"],
 }
 
 # (module, class) -> attributes and fields that were deleted

@@ -308,6 +308,48 @@ def test_non_finite_bump_is_single_line_exit_1(capsys, argv):
     assert err == f'error: code=PreconditionError msg="{message}"\n'
 
 
+# one small run of each subcommand and experiment
+_SMALL_RUNS = {
+    "spectrum": ["spectrum", "--potential", "power:gamma=1", "--emax", "4", "--mode", "numeric"],
+    "weyl": ["weyl", "--s2", "0", "--emax", "100"],
+    "concentration": ["concentration", "--s2", "irr:golden", "--emax", "50", "--a", "0",
+                      "--b", "pi/2"],
+    "solve1d": ["solve1d", "--potential", "power:gamma=1", "--k", "1", "--m", "2"],
+    "check": ["check", "property-p", "--potential", "shifted:s2=1", "--n", "3", "--krange", "3"],
+    "hf": ["perturb", "hf", "--potential", "power:gamma=1", "--k", "1", "--n", "0",
+           "--bump=-1,1,0.2"],
+    "branch": ["perturb", "branch", "--potential", "power:gamma=1", "--k", "1", "--levels", "0",
+               "--tmax", "0.05", "--steps", "2", "--bump=-1,1,0.2"],
+    "split": ["perturb", "split", "--s2", "1", "--value", "6", "--t", "0.05", "--bump=-1,1,0.2"],
+    "gap": ["perturb", "gap", "--potential", "power:gamma=1", "--k", "1", "--m", "1",
+            "--bump=-1,1,0.2,0.2"],
+    "continuity": ["perturb", "continuity", "--potential", "power:gamma=1", "--k", "1", "--m", "1",
+                   "--count", "2", "--bump=-2,2,0.5"],
+}
+
+
+@pytest.mark.parametrize("name, flag, value", [
+    (name, flag, value)
+    for name, (_, flags) in {**cli._COMMANDS, **cli._EXPERIMENTS}.items()
+    for flag, (kind, _) in flags.items() if kind is float
+    for value in ("nan", "inf", "-inf")])
+def test_non_finite_number_flags_never_escape(capsys, name, flag, value):
+    # every float flag of every subcommand and experiment: an exit code and at
+    # most one error line, never a traceback; an infinite report window
+    # reports every pair
+    argv = _SMALL_RUNS[name] + [f"--{flag.replace('_', '-')}={value}"]
+    code, out, err = run_capture(capsys, argv)
+    if (flag, value) == ("cluster_abs", "inf"):
+        assert (code, err) == (0, "")
+        return
+    assert (code, out) == (1, "")
+    assert err.startswith("error: code=") and err.count("\n") == 1
+    if flag == "eig_rel":
+        assert err == 'error: code=InvariantViolation msg="eig_rel must lie in (0, 1)"\n'
+    if flag == "t" and value != "inf":
+        assert err == 'error: code=PreconditionError msg="t must be >= 0"\n'
+
+
 def test_hf_negative_level_names_n(capsys):
     code, out, err = run_capture(capsys, ["perturb", "hf", "--potential", "power:gamma=1",
                                           "--k", "1", "--n", "-1", "--bump=-1,1,0.2"])

@@ -364,7 +364,9 @@ def test_sup_on_interval_accuracy():
 
 def test_tolerances_validated():
     Tolerances()
-    with pytest.raises(InvariantViolation):
-        Tolerances(eig_rel=0.0)
+    Tolerances(eig_rel=1e-320)
+    for eig_rel in (0.0, -1e-7, 1.0, 2.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(InvariantViolation, match=r"^eig_rel must lie in \(0, 1\)$"):
+            Tolerances(eig_rel=eig_rel)
     with pytest.raises(InvariantViolation, match="cluster_abs must be strictly positive"):
         check_property_p(parse_potential("shifted:s2=0"), 3, 3, cluster_abs=-1.0)

@@ -116,21 +116,29 @@ def test_track_branches_slopes_and_lipschitz():
         assert abs(secant - hf) <= 0.05 * max(1.0, abs(hf))
 
 
-def test_track_branches_steps_solve_only_the_tracked_levels(monkeypatch):
-    # the base solve keeps two levels above the top tracked one; every step
-    # solves levels 0..max(levels) and nothing more, on the tracking grid and
-    # its coarsening, each seeded from the step before; the t = 0 vectors are
-    # the base solve's own, so nothing is bisected outside it
+def _spy_solves(monkeypatch) -> dict:
+    """Record the solves that perturb asks for: m of each solve_eigen and
+    _seeded call, and (m, grid, vectors) of each solve_on_grid call."""
     asked = {"solve_eigen": [], "solve_on_grid": [], "_seeded": []}
 
     def spy(name, fn):
         def wrapped(potential, k, m, *args, **kwargs):
-            asked[name].append(m)
+            asked[name].append((m, args[0], kwargs.get("vectors", True))
+                               if name == "solve_on_grid" else m)
             return fn(potential, k, m, *args, **kwargs)
         monkeypatch.setattr(perturb, name, wrapped)
 
     for name in asked:
         spy(name, getattr(perturb, name))
+    return asked
+
+
+def test_track_branches_steps_solve_only_the_tracked_levels(monkeypatch):
+    # the base solve keeps two levels above the top tracked one; every step
+    # solves levels 0..max(levels) and nothing more, on the tracking grid and
+    # its coarsening, each seeded from the step before; the t = 0 vectors are
+    # the base solve's own, so nothing is bisected outside it
+    asked = _spy_solves(monkeypatch)
     levels, steps = [1, 2], 3
     branches = track_branches(HARMONIC, BUMP, 1, levels, 0.1, steps=steps)
     monkeypatch.undo()
@@ -146,6 +154,38 @@ def test_track_branches_steps_solve_only_the_tracked_levels(monkeypatch):
         extrap = (4.0 * fine - coarse) / 3.0
         for br in branches:
             assert abs(br.lambdas[i] - extrap[br.level]) <= 1e-10 * abs(extrap[br.level])
+
+
+def test_torus_track_branches_bisect_the_t0_grids_once_each(monkeypatch):
+    # the circle's refinement keeps no vectors: the t = 0 setup bisects the
+    # tracking grid and its coarsening once each, with vectors, for the
+    # tracked levels; each step then solves both grids, and solve_eigen runs
+    # once
+    asked = _spy_solves(monkeypatch)
+    levels, steps = [0, 1], 3
+    branches = track_branches(_TORUS, _TORUS_BUMP, 1, levels, 0.05, steps=steps)
+    monkeypatch.undo()
+    grid = branches[0].grid
+    assert grid.kind == "circle"
+    assert asked["solve_eigen"] == [4]
+    assert asked["solve_on_grid"] == [(2, grid.coarsened(), True), (2, grid, True)]
+    assert asked["_seeded"] == [2] * (2 * steps)
+
+
+@pytest.mark.parametrize("spec", ["power:gamma=1", "torus:gamma=1"])
+def test_hf_solves_once_and_bisects_only_the_circle(monkeypatch, spec):
+    # hellmann_feynman takes the t = 0 setup of one solve_eigen call: on the
+    # line the refinement's own vectors, on the circle both grids bisected
+    # with vectors for levels 0..n
+    pot, n = parse_potential(spec), 1
+    asked = _spy_solves(monkeypatch)
+    hellmann_feynman(pot, _TORUS_BUMP, 1, n)
+    monkeypatch.undo()
+    grid = solve_eigen(pot, 1, n + 1)[n].grid
+    assert asked["solve_eigen"] == [n + 1]
+    bisected = [(n + 1, grid.coarsened(), True), (n + 1, grid, True)]
+    assert asked["solve_on_grid"] == (bisected if pot.geometry == "torus" else [])
+    assert asked["_seeded"] == []
 
 
 @pytest.mark.parametrize("spec", ["power:gamma=1", "torus:gamma=1"])

@@ -114,6 +114,11 @@ def test_truncation_length_cap_crossing_is_convergence_error():
     with pytest.raises(ConvergenceError, match="cannot truncate: at L = ") as info:
         truncation_length(steep, 1, 10.0, Tolerances(eig_rel=1e-12))
     assert "\n" not in str(info.value)
+    # the smallest eig_rels keep a finite target -ln(eig_rel)/2 + DECAY_MARGIN:
+    # the harmonic cut it reaches is refused by the same check, not taken for
+    # a potential that never confines
+    with pytest.raises(ConvergenceError, match="cannot truncate: at L = 27.79"):
+        truncation_length(HARMONIC, 1, 3.0, Tolerances(eig_rel=1e-320))
     # an overflowing V is refused by the same check, before any grid is built
     overflowing = Potential("cylinder", 1.0, CallableProfile(
         lambda x: np.exp(1e3 * np.asarray(x) ** 2)))
