@@ -24,26 +24,28 @@ Line values are ``exact_family._key_values`` of the keys: for rational s2 the
 correctly rounded quotient key / q.
 
 The property-P check builds each mode's first n levels once, as arrays: keys
-and their values for the exact family, one ``solve_eigen`` per mode
-otherwise. It compares each mode with all later modes in blocks of at most
-_PAIR_BLOCK level pairs, taken in record order (k, l, i, j), so memory stays
-bounded for any n and k_range. An exact gap is ``exact_family._key_gaps``
+and their values for the exact family, ``solve_eigen`` answers otherwise. It
+compares each mode with all later modes in blocks of at most _PAIR_BLOCK
+level pairs, taken in record order (k, l, i, j), so memory stays bounded for
+any n and k_range. An exact gap is ``exact_family._key_gaps``
 of two keys, correctly rounded wherever it can be a record, and only equal
 keys are a FAIL.
 
 Numeric assembly takes modes k = 1, 2, ... upward and stops at the first
 mode with no level below the cap: with V >= 0 every level of -u'' + k^2 V u
-is nondecreasing in |k| (min-max), so no later mode contributes. A pure
-power V = |x|^(2 gamma) on the cylinder is solved once, at k = 1: dilation
-makes mode k exactly k^(2/(gamma+1)) times mode 1, values and error
-estimates alike. Every other potential is solved mode by mode.
+is nondecreasing in |k| (min-max), so no later mode contributes.
+
+Numeric assembly and property P read the levels of mode k from one loop,
+``_mode_levels``. A pure power V = |x|^(2 gamma) on the cylinder is solved
+once, at k = 1, for both: dilation makes mode k exactly k^(2/(gamma+1)) times
+mode 1. Every other potential is solved mode by mode.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, groupby
+from itertools import combinations, count, groupby, islice
 from math import inf, pi
 
 import numpy as np
@@ -221,25 +223,31 @@ def _check_zero_interval(nodes: tuple[tuple[float, float], ...], e_max: float) -
                 f"or below (pi/{xs[-1] - xs[0]!r})^2 = {bound!r} <= e_max = {e_max!r}")
 
 
+def _mode_levels(potential: Potential, solve):
+    """The modes k = 1, 2, ... as (k, pairs, s): mode k's levels are ``pairs``
+    with values and error estimates scaled by s. Every potential is solved
+    mode by mode, ``pairs = solve(k)`` and s = 1, except a pure power
+    V = |x|^(2 gamma) on the cylinder: x = k^(-1/(gamma+1)) y maps mode k onto
+    k^(2/(gamma+1)) times mode 1, values and errors alike, so only solve(1) is
+    called and s = k^(2/(gamma+1))."""
+    if potential.geometry == "cylinder" and isinstance(potential.profile, StructuredProfile):
+        pairs = solve(1)
+        return ((k, pairs, float(k) ** (2.0 / (potential.gamma + 1.0))) for k in count(1))
+    return ((k, solve(k), 1.0) for k in count(1))
+
+
 def _assemble_numeric(potential: Potential, e_max: float, tol: Tolerances) -> AssembledSpectrum:
     if isinstance(potential.profile, SampledProfile):
         _check_zero_interval(potential.profile.nodes, e_max)
-    # V = |x|^(2 gamma): x = k^(-1/(gamma+1)) y maps mode k onto k^(2/(gamma+1))
-    # times mode 1, values and errors alike, so only mode 1 is solved
-    power = potential.geometry == "cylinder" and isinstance(potential.profile, StructuredProfile)
     entries: list[tuple[float, float, int, int]] = []
-    k = 1
-    while True:
-        if k == 1 or not power:
-            pairs = solve_levels_below(potential, k, e_max, tol)
-        s = float(k) ** (2.0 / (potential.gamma + 1.0)) if power else 1.0
+    for k, pairs, s in _mode_levels(potential,
+                                    lambda k: solve_levels_below(potential, k, e_max, tol)):
         # the solver's keep rule, scaled with the levels
         kept = [(s * pr.lam, s * pr.err_est, pr.n) for pr in pairs
                 if s * pr.lam <= e_max + SEPARATION * s * pr.err_est]
         if not kept:
             break
         entries += [(lam, err, sign * k, n) for lam, err, n in kept for sign in (1, -1)]
-        k += 1
     values, starts, contributors, warnings = _cluster(entries)
     return AssembledSpectrum(e_max=float(e_max), values=values, starts=starts,
                              contributors=contributors, k_cut=k - 1, mode="numeric",
@@ -307,6 +315,9 @@ def check_property_p(potential: Potential, n: int, k_range: int,
     definitive FAILs, err_bound is 0); numeric pairs are certified distinct
     only when the gap clears err_bound = SEPARATION * (err_i + err_j), and are
     UNDECIDED otherwise. The window cluster_abs only adds PASS records.
+    Numeric levels come from one solve per mode, except for a pure power on
+    the cylinder: mode 1 is solved once and dilated by k^(2/(gamma+1)), as in
+    assembly.
     """
     if not (cluster_abs > 0):
         raise InvariantViolation("cluster_abs must be strictly positive")
@@ -325,8 +336,8 @@ def check_property_p(potential: Potential, n: int, k_range: int,
             keys = levels
     else:
         mode = "numeric"
-        levels = [[(p.lam, p.err_est) for p in solve_eigen(potential, k, n, tol)]
-                  for k in range(1, k_range + 1)]
+        levels = [[(s * p.lam, s * p.err_est) for p in pairs] for _, pairs, s in islice(
+            _mode_levels(potential, lambda k: solve_eigen(potential, k, n, tol)), k_range)]
         lams, errs = np.moveaxis(np.array(levels), 2, 0)
     # blocks of at most _PAIR_BLOCK level pairs, in record order (k, l, i, j):
     # rows i of mode k against whole later modes l, several at a time if n^2 fits

@@ -35,6 +35,7 @@ from .core import (
     Perturbation,
     Potential,
     Tolerances,
+    _check_cap,
     parse_exact_scalar,
     parse_potential,
     render_exact_scalar,
@@ -268,6 +269,7 @@ def _cmd_weyl(conf: dict) -> int:
     samples = conf["samples"]
     if samples < 1:
         raise _UsageError("samples must be >= 1")
+    _check_cap(conf["emax"])  # before the samples are built from it
     es = [conf["emax"] * 10.0 ** (i - samples + 1) for i in range(samples)]
     out = weyl_residual(es, s2)
     if conf["format"] == "csv":

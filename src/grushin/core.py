@@ -339,8 +339,6 @@ def parse_potential(spec: str) -> Potential:
     offset = len(kind) + 1
     if kind == "power" or kind == "torus":
         kv = _parse_kv(rest.split(","), offset, {"gamma"})
-        if "gamma" not in kv:
-            raise PotentialSyntaxError("missing gamma", offset)
         gamma = _float_field(kv, "gamma")
         if gamma <= 0:
             raise PotentialSyntaxError("gamma must be > 0", kv["gamma"][1])
@@ -348,8 +346,6 @@ def parse_potential(spec: str) -> Potential:
         return Potential(geometry=geometry, gamma=gamma, profile=StructuredProfile())
     if kind == "shifted":
         kv = _parse_kv(rest.split(","), offset, {"s2"})
-        if "s2" not in kv:
-            raise PotentialSyntaxError("missing s2", offset)
         value, pos = kv["s2"]
         try:
             s2 = parse_exact_scalar(value)

@@ -215,7 +215,7 @@ def track_branches(potential: Potential, w: Perturbation, k: int, levels,
     gaps = np.diff(lams0)  # gaps[n] lies between levels n and n + 1
     kappa = float(min(np.min(gaps[max(n - 1, 0):n + 1]) for n in levels))
     rate = k * k * w.sup_weighted(potential)
-    if t_max * rate >= kappa / 2.0:
+    if not (t_max * rate < kappa / 2.0):  # a nan product (inf * 0) is refused too
         raise PreconditionError(
             f"t_max * k^2 * sup(base*W) = {t_max * rate!r} must stay below "
             f"kappa/2 = {kappa / 2.0!r}")
@@ -446,7 +446,7 @@ def splitting_experiment(s2: ExactScalar, collision_value, w: Perturbation,
         sup_w = w.sup_weighted(potential)
         for k, _ in positive:
             # spectrum of one mode is spaced 2k exactly
-            if t * k * k * sup_w >= k:
+            if not (t * k * k * sup_w < k):  # a nan product (inf * 0) is refused too
                 raise PreconditionError(
                     f"t too large for mode k={k}: t*k^2*sup = {t * k * k * sup_w!r} "
                     f"exceeds half the mode spacing {k}")

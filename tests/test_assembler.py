@@ -125,6 +125,43 @@ def test_power_assembly_solves_mode_one_only(monkeypatch):
     assert {k for _, k in calls} == {1}
 
 
+def _spy_solve_eigen(monkeypatch) -> list[int]:
+    calls = []
+    real = schrod1d.solve_eigen
+
+    def spy(potential, k, m, tol=Tolerances()):
+        calls.append(k)
+        return real(potential, k, m, tol)
+
+    monkeypatch.setattr(assembler, "solve_eigen", spy)
+    return calls
+
+
+@pytest.mark.parametrize("gamma", [0.75, 1.0, 2.0])
+def test_power_property_p_solves_mode_one_only(monkeypatch, gamma):
+    # property P reads a pure power's modes from one mode-1 solve, dilated as
+    # in assembly; an infinite window records every level pair
+    calls = _spy_solve_eigen(monkeypatch)
+    pot = parse_potential(f"power:gamma={gamma}")
+    n, k_range = 3, 5
+    report = check_property_p(pot, n, k_range, cluster_abs=math.inf)
+    assert calls == [1]
+    rows = {}
+    for r in report.collisions:
+        rows.setdefault(r.k, {})[r.i] = r.lam_k
+        rows.setdefault(r.l, {})[r.j] = r.lam_l
+    mode1 = [p.lam for p in solve_eigen(pot, 1, n)]
+    for k in range(1, k_range + 1):
+        scale = float(k) ** (2.0 / (gamma + 1.0))
+        assert [rows[k][i] for i in range(n)] == [scale * lam for lam in mode1]
+
+
+def test_torus_property_p_solves_each_mode(monkeypatch):
+    calls = _spy_solve_eigen(monkeypatch)
+    check_property_p(TORUS1, 2, 3)
+    assert calls == [1, 2, 3]
+
+
 @pytest.mark.parametrize("gamma, e_max", [(0.5, 6.0), (0.75, 4.5), (1.5, 12.0), (2.0, 12.0)])
 def test_scaled_power_levels_match_per_mode_solves(monkeypatch, gamma, e_max):
     # every level of mode k > 1 comes from mode 1 by dilation; an independent

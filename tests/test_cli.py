@@ -218,6 +218,83 @@ def test_malformed_inputs_are_single_line_exit_2(tmp_path, capsys, argv, message
     assert err.count("\n") == 1
 
 
+# CSV tables the refusal tests read, by name
+_TABLES = {"header": "x,w\n-1,1\n1,1\n", "columns": "x,v\n-1,1,2\n1,1\n",
+           "number": "x,v\n-1,abc\n1,1\n", "single": "x,v\n0,1\n",
+           "blank": "x,v\n-1,1\n\n1,1\n"}
+
+
+def _solve1d(spec: str) -> list[str]:
+    return ["solve1d", "--potential", spec, "--k", "1", "--m", "1"]
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["solve1d", "--potential", "power:gamma=1", "--k", "1", "--m", "0"],
+     'PreconditionError msg="m must be >= 1"'),
+    (["perturb", "branch", "--potential", "power:gamma=1", "--k", "1", "--levels", "0",
+      "--tmax", "0.05", "--steps", "0", "--bump=-1,1,0.2"],
+     'PreconditionError msg="steps must be >= 1"'),
+    (["perturb", "branch", "--potential", "power:gamma=1", "--k", "1", "--levels=-1,0",
+      "--tmax", "0.05", "--bump=-1,1,0.2"], 'PreconditionError msg="levels must be nonnegative"'),
+    (["perturb", "gap", "--potential", "power:gamma=1", "--k", "1", "--m", "-1",
+      "--bump=-1,1,0.2,0.2"], 'PreconditionError msg="m must be >= 0"'),
+    (["perturb", "continuity", "--potential", "power:gamma=1", "--k", "1", "--m", "-1",
+      "--bump=-2,2,0.5"], 'PreconditionError msg="m must be >= 0"'),
+    (["multiplicity", "--s2", "1", "--value", "0"],
+     'PreconditionError msg="eigenvalues are positive"'),
+    (["multiplicity", "--s2", "1", "--value=-3"],
+     'PreconditionError msg="eigenvalues are positive"'),
+    (_solve1d("shifted:s2=-1"), 'PotentialSyntaxError msg="s2 must be >= 0 (at position 11)"'),
+    (_solve1d("power:gamma"),
+     'PotentialSyntaxError msg="expected key=value, got \'gamma\' (at position 6)"'),
+    (_solve1d("power:"), 'PotentialSyntaxError msg="expected key=value, got \'\' (at position 6)"'),
+    (_solve1d("shifted:"),
+     'PotentialSyntaxError msg="expected key=value, got \'\' (at position 8)"'),
+    (_solve1d("power:gamma=1,gamma=2"),
+     'PotentialSyntaxError msg="duplicate key \'gamma\' (at position 14)"'),
+    (_solve1d("table:"), 'PotentialSyntaxError msg="missing table path (at position 6)"'),
+    (_solve1d("table:{blank}"), 'PotentialSyntaxError msg="missing ext (at position 6)"'),
+    (_solve1d("table:{header},ext=1"),
+     'PotentialSyntaxError msg="table \'{header}\' must start with header \'x,v\' (at position 0)"'),
+    (_solve1d("table:{columns},ext=1"), 'PotentialSyntaxError msg="table \'{columns}\' line 2: '
+     'expected two columns (at position 0)"'),
+    (_solve1d("table:{number},ext=1"),
+     'PotentialSyntaxError msg="table \'{number}\' line 2: bad number (at position 0)"'),
+    (_solve1d("table:{single},ext=1"), 'PotentialSyntaxError msg="sampled potential needs at '
+     'least two nodes (at position 6)"'),
+    *[(["weyl", "--s2", "0", f"--emax={value}"], f'PreconditionError msg="e_max must be {word}"')
+      for value, word in (("nan", "positive"), ("inf", "finite"), ("-inf", "positive"),
+                          ("0", "positive"), ("-1", "positive"))],
+    # inf * 0 is nan, which the step-size preconditions refuse by name
+    (["perturb", "branch", "--potential", "power:gamma=1", "--k", "1", "--levels", "0",
+      "--tmax", "inf", "--steps", "2", "--bump=-1,1,0.2,0"],
+     'PreconditionError msg="t_max * k^2 * sup(base*W) = nan must stay below kappa/2 = '),
+    (["perturb", "split", "--s2", "1", "--value", "6", "--t", "inf", "--bump=-1,1,0.2,0"],
+     'PreconditionError msg="t too large for mode k=1: t*k^2*sup = nan exceeds half the mode '
+     'spacing 1"'),
+], ids=["solve1d-m", "steps", "levels", "gap-m", "continuity-m", "value-0", "value-negative",
+        "s2-negative", "no-value", "power-empty", "shifted-empty", "duplicate", "no-path",
+        "no-ext", "header", "columns", "number", "single-node", "weyl-nan", "weyl-inf",
+        "weyl-minus-inf", "weyl-0", "weyl-negative", "branch-zero-bump", "split-zero-bump"])
+def test_refusals_name_their_cause(tmp_path, capsys, argv, error):
+    # one line, exit 1; a message without its closing quote ends in a solver figure
+    paths = {}
+    for name, text in _TABLES.items():
+        paths[name] = str(tmp_path / f"{name}.csv")
+        Path(paths[name]).write_text(text, encoding="utf-8")
+    code, out, err = run_capture(capsys, [arg.format(**paths) for arg in argv])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: code={error.format(**paths)}") and err.count("\n") == 1
+
+
+def test_table_with_a_blank_row_answers(tmp_path, capsys):
+    path = tmp_path / "blank.csv"
+    path.write_text(_TABLES["blank"], encoding="utf-8")
+    code, out, err = run_capture(capsys, _solve1d(f"table:{path},ext=2"))
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["levels"]) == 1
+
+
 @pytest.mark.parametrize("b, code, error", [
     ("pi/0", 2, 'error: code=usage msg="zero denominator in angle'),
     ("0", 1, 'error: code=InvariantViolation msg="need -pi <= a < b <= pi'),
@@ -893,6 +970,12 @@ def test_readme_commands_run(capsys):
         code, out, err = run_capture(capsys, shlex.split(line)[1:])
         assert (code, err) == (0, ""), line
         assert out, line
+
+
+def test_readme_library_sketch_runs(capsys):
+    block = _readme_section("Library sketch").split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out
 
 
 def test_readme_perturb_table_lists_the_declared_flags():
