@@ -4,8 +4,9 @@ Each subcommand, and each perturb experiment, declares its flags once: type
 or choices, and a default or none (required). The parser, the defaults, the
 required-flag checks and the inputs of perturb reports all follow from that
 declaration. A run resolves its configuration (flags override an optional
-JSON config file, which overrides the declared defaults), runs a pure
-computation, and emits a deterministic report: identical resolved
+JSON config file, which overrides the declared defaults), and every command
+then goes through one runner (_run): it parses the declared inputs, runs a
+pure computation, and writes a deterministic report: identical resolved
 configurations produce byte-identical output files. JSON reports embed the
 resolved configuration and the tool version; CSV output is the plot-ready
 delimited form.
@@ -191,11 +192,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _resolve(parser: _Parser, argv: list[str], args: argparse.Namespace) -> dict:
+def _resolve(parser: _Parser, argv: list[str], args: argparse.Namespace) -> tuple[dict, dict]:
     """Merge flags > config file > declared defaults into one plain dict, then
-    check the required flags. Each config entry must name a flag of the
-    subcommand and is parsed as that flag, ahead of the command-line flags so
-    that those win."""
+    check the required flags; returns that dict and the declared flags. Each
+    config entry must name a flag of the subcommand and is parsed as that
+    flag, ahead of the command-line flags so that those win."""
     _, declared = (_EXPERIMENTS[args.experiment] if args.command == "perturb"
                    else _COMMANDS[args.command])
     config_path = args.config
@@ -226,46 +227,23 @@ def _resolve(parser: _Parser, argv: list[str], args: argparse.Namespace) -> dict
     for flag, (_, default) in declared.items():
         if default is _REQUIRED and conf[flag] is None:
             raise _UsageError(f"missing required --{flag.replace('_', '-')}")
-    return conf
+    return conf, declared
 
 
-def _write(text: str, output: str | None) -> None:
-    if output in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        Path(output).write_text(text, encoding="utf-8", newline="")
+# Each command below takes the resolved configuration and the declared inputs
+# the runner parsed (None where undeclared), and returns its report: a JSON
+# payload, or CSV (header, rows).
 
-
-def _emit_json(payload: dict, conf: dict) -> None:
-    config = {key: value for key, value in conf.items()
-              if key not in _EXECUTION_KEYS and value is not None}
-    payload = dict(payload, config=config, version=__version__)
-    _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", conf.get("output"))
-
-
-def _emit_csv(header: str, rows: list[str], conf: dict) -> None:
-    _write("\n".join([header] + rows) + "\n", conf.get("output"))
-
-
-def _cmd_spectrum(conf: dict) -> int:
-    potential = parse_potential(conf["potential"])
-    spectrum = assemble(potential, conf["emax"], Tolerances(conf["eig_rel"]), mode=conf["mode"])
+def _spectrum(conf, potential, s2, bump, tol):
+    spectrum = assemble(potential, conf["emax"], tol, mode=conf["mode"])
     columns = spectrum.values, spectrum.starts, spectrum.contributors
     if conf["format"] == "csv":
-        _emit_csv(LINE_HEADER, line_rows(*columns), conf)
-    else:
-        _emit_json({
-            "e_max": spectrum.e_max,
-            "mode": spectrum.mode,
-            "k_cut": spectrum.k_cut,
-            "warnings": list(spectrum.warnings),
-            "lines": line_dicts(*columns),
-        }, conf)
-    return 0
+        return LINE_HEADER, line_rows(*columns)
+    return {"e_max": spectrum.e_max, "mode": spectrum.mode, "k_cut": spectrum.k_cut,
+            "warnings": list(spectrum.warnings), "lines": line_dicts(*columns)}
 
 
-def _cmd_weyl(conf: dict) -> int:
-    s2 = parse_exact_scalar(conf["s2"])
+def _weyl(conf, potential, s2, bump, tol):
     samples = conf["samples"]
     if samples < 1:
         raise _UsageError("samples must be >= 1")
@@ -273,18 +251,12 @@ def _cmd_weyl(conf: dict) -> int:
     es = [conf["emax"] * 10.0 ** (i - samples + 1) for i in range(samples)]
     out = weyl_residual(es, s2)
     if conf["format"] == "csv":
-        rows = [f"{s.e!r},{s.count},{s.residual!r}" for s in out]
-        _emit_csv("E,N,residual", rows, conf)
-    else:
-        _emit_json({
-            "s2": render_exact_scalar(s2),
-            "samples": [{"E": s.e, "N": s.count, "residual": s.residual} for s in out],
-        }, conf)
-    return 0
+        return "E,N,residual", [f"{s.e!r},{s.count},{s.residual!r}" for s in out]
+    return {"s2": render_exact_scalar(s2),
+            "samples": [{"E": s.e, "N": s.count, "residual": s.residual} for s in out]}
 
 
-def _cmd_multiplicity(conf: dict) -> int:
-    s2 = parse_exact_scalar(conf["s2"])
+def _multiplicity(conf, potential, s2, bump, tol):
     # a rational s2 names the value, an irrational one its coordinates
     reads, unread, kind = ((["value"], ["lin", "quad"], "a rational") if s2.is_rational
                            else (["lin", "quad"], ["value"], "an irrational"))
@@ -301,81 +273,61 @@ def _cmd_multiplicity(conf: dict) -> int:
         line = multiplicity_enumeration((conf["lin"], conf["quad"]), s2)
     columns = line_columns(line)
     if conf["format"] == "csv":
-        _emit_csv(LINE_HEADER, line_rows(*columns), conf)
-        return 0
+        return LINE_HEADER, line_rows(*columns)
     payload = {"s2": render_exact_scalar(s2), **line_dicts(*columns)[0]}
     if s2.is_rational and s2.rational == 0 and value.denominator == 1:
         payload["factorization_mult"] = multiplicity_factorization(int(value))
-    _emit_json(payload, conf)
-    return 0
+    return payload
 
 
-def _cmd_concentration(conf: dict) -> int:
-    s2 = parse_exact_scalar(conf["s2"])
+def _concentration(conf, potential, s2, bump, tol):
     strip = Strip(parse_angle(conf["a"]), parse_angle(conf["b"]))
     potential = Potential(geometry="cylinder", gamma=1.0, profile=ExactFamilyProfile(s2=s2))
     cert = concentration_certificate(assemble(potential, conf["emax"], mode="exact"), strip)
-    _emit_json({
-        "strip": {"a": strip.a, "b": strip.b},
-        "e_max": cert.e_max,
-        "c_min": cert.c_min,
-        "witness_k": cert.witness_k,
-        "limit_value": cert.limit_value,
-    }, conf)
-    return 0
+    return {"strip": {"a": strip.a, "b": strip.b}, "e_max": cert.e_max, "c_min": cert.c_min,
+            "witness_k": cert.witness_k, "limit_value": cert.limit_value}
 
 
-def _cmd_solve1d(conf: dict) -> int:
-    potential = parse_potential(conf["potential"])
-    pairs = solve_eigen(potential, conf["k"], conf["m"], Tolerances(conf["eig_rel"]))
+def _solve1d(conf, potential, s2, bump, tol):
+    pairs = solve_eigen(potential, conf["k"], conf["m"], tol)
     if conf["format"] == "csv":
-        rows = [f"{p.k},{p.n},{p.lam!r},{p.err_est!r}" for p in pairs]
-        _emit_csv("k,n,lambda,err_est", rows, conf)
-    else:
-        _emit_json({
-            "potential": conf["potential"],
-            "k": conf["k"],
-            "levels": [{"n": p.n, "lambda": p.lam, "err_est": p.err_est} for p in pairs],
-        }, conf)
-    return 0
+        return "k,n,lambda,err_est", [f"{p.k},{p.n},{p.lam!r},{p.err_est!r}" for p in pairs]
+    return {"potential": conf["potential"], "k": conf["k"],
+            "levels": [{"n": p.n, "lambda": p.lam, "err_est": p.err_est} for p in pairs]}
 
 
-def _cmd_check(conf: dict) -> int:
-    potential = parse_potential(conf["potential"])
-    report = check_property_p(potential, conf["n"], conf["krange"], Tolerances(conf["eig_rel"]),
+def _check(conf, potential, s2, bump, tol):
+    report = check_property_p(potential, conf["n"], conf["krange"], tol,
                               cluster_abs=conf["cluster_abs"])
-    _emit_json({
-        "potential": conf["potential"],
-        "n": report.n,
-        "k_range": report.k_range,
-        "mode": report.mode,
-        "verdict": report.verdict,
-        "collisions": [{
-            "k": r.k, "l": r.l, "i": r.i, "j": r.j,
-            "lam_k": r.lam_k, "lam_l": r.lam_l,
-            "gap": r.gap, "err_bound": r.err_bound, "status": r.status,
-        } for r in report.collisions],
-    }, conf)
-    return 3 if report.verdict == "UNDECIDED" else 0
+    return {"potential": conf["potential"], "n": report.n, "k_range": report.k_range,
+            "mode": report.mode, "verdict": report.verdict,
+            "collisions": [{
+                "k": r.k, "l": r.l, "i": r.i, "j": r.j,
+                "lam_k": r.lam_k, "lam_l": r.lam_l,
+                "gap": r.gap, "err_bound": r.err_bound, "status": r.status,
+            } for r in report.collisions]}
 
 
-def _perturb_hf(conf, inputs, tol, potential, s2, bump) -> dict:
+# The perturb experiments return the payload fields they set; "inputs" holds
+# what their report shows beyond the declared flags.
+
+def _hf(conf, potential, s2, bump, tol):
     return {"slopes": [hellmann_feynman(potential, bump, conf["k"], conf["n"], tol)]}
 
 
-def _perturb_branch(conf, inputs, tol, potential, s2, bump) -> dict:
-    inputs["levels"] = parse_levels(conf["levels"])
-    branches = track_branches(potential, bump, conf["k"], inputs["levels"],
-                              conf["tmax"], conf["steps"], tol)
-    return {"t_grid": [float(t) for t in branches[0].t_grid],
+def _branch(conf, potential, s2, bump, tol):
+    levels = parse_levels(conf["levels"])
+    branches = track_branches(potential, bump, conf["k"], levels, conf["tmax"], conf["steps"], tol)
+    return {"inputs": {"levels": levels},
+            "t_grid": [float(t) for t in branches[0].t_grid],
             "lambdas": [[float(v) for v in br.lambdas] for br in branches],
             "slopes": [br.slope for br in branches]}
 
 
-def _perturb_split(conf, inputs, tol, potential, s2, bump) -> dict:
-    inputs["s2"] = render_exact_scalar(s2)
+def _split(conf, potential, s2, bump, tol):
     report = splitting_experiment(s2, parse_value(conf["value"]), bump, conf["t"], tol)
-    return {"t_grid": [0.0, conf["t"]],
+    return {"inputs": {"s2": render_exact_scalar(s2)},
+            "t_grid": [0.0, conf["t"]],
             "lambdas": [{"k": c.k, "n": c.n, "lambda": c.lam_perturbed, "err_est": c.err_est}
                         for c in report.contributors],
             "slopes": [{"k": c.k, "n": c.n, "slope": c.slope} for c in report.contributors],
@@ -383,15 +335,15 @@ def _perturb_split(conf, inputs, tol, potential, s2, bump) -> dict:
             "verdict": report.verdict}
 
 
-def _perturb_gap(conf, inputs, tol, potential, s2, bump) -> dict:
+def _gap(conf, potential, s2, bump, tol):
     report = check_gap_avoidance(potential, bump, conf["k"], conf["m"], tol)
-    inputs.update(lambda_m=report.info.lambda_m, radius=report.radius,
-                  j_minus=list(report.info.j_minus), j_plus=list(report.info.j_plus))
-    return {"lambdas": [{"lambda": lam, "err_est": err} for lam, err in report.window],
+    return {"inputs": {"lambda_m": report.info.lambda_m, "radius": report.radius,
+                       "j_minus": list(report.info.j_minus), "j_plus": list(report.info.j_plus)},
+            "lambdas": [{"lambda": lam, "err_est": err} for lam, err in report.window],
             "gap": report.info.kappa_m, "verdict": report.verdict}
 
 
-def _perturb_continuity(conf, inputs, tol, potential, s2, bump) -> dict:
+def _continuity(conf, potential, s2, bump, tol):
     seq = [bump.scaled(1.0 / n) for n in range(1, conf["count"] + 1)]
     report = check_continuity_bound(potential, seq, conf["k"], conf["m"], tol)
     margins = [min(r.upper_margin, r.lower_margin) for r in report.records]
@@ -401,36 +353,43 @@ def _perturb_continuity(conf, inputs, tol, potential, s2, bump) -> dict:
             "gap": min(margins) if margins else None, "verdict": report.verdict}
 
 
-# experiment -> its run, which adds to `inputs` what the report shows beyond
-# the declared flags and returns the payload fields it sets
-_PERTURB_RUNS = {"hf": _perturb_hf, "branch": _perturb_branch, "split": _perturb_split,
-                 "gap": _perturb_gap, "continuity": _perturb_continuity}
+# command or perturb experiment -> its function
+_RUNS = {"spectrum": _spectrum, "weyl": _weyl, "multiplicity": _multiplicity,
+         "concentration": _concentration, "solve1d": _solve1d, "check": _check,
+         "hf": _hf, "branch": _branch, "split": _split, "gap": _gap, "continuity": _continuity}
 
 
-def _cmd_perturb(conf: dict) -> int:
-    experiment = conf["experiment"]
-    flags = _EXPERIMENTS[experiment][1]
+def _run(conf: dict, flags: dict) -> int:
+    """Run one command from its declared ``flags``: parse the declared
+    --potential, --s2, --bump and --eig-rel, in that order, call the command,
+    write its report and return the exit code, 3 on an UNDECIDED verdict. A
+    JSON report embeds the resolved configuration and the tool version; a
+    perturb report also has every payload field, its inputs the declared
+    flags but --eig-rel."""
+    experiment = conf.get("experiment")
     potential = parse_potential(conf["potential"]) if "potential" in flags else None
     s2 = parse_exact_scalar(conf["s2"]) if "s2" in flags else None
-    bump = parse_bump(conf["bump"])
-    inputs = {flag: conf[flag] for flag in flags if flag != "eig_rel"}
-    payload = {"experiment": experiment, "inputs": inputs, "t_grid": [], "lambdas": [],
-               "slopes": [], "gap": None, "verdict": "OK"}
-    payload.update(_PERTURB_RUNS[experiment](conf, inputs, Tolerances(conf["eig_rel"]),
-                                             potential, s2, bump))
-    _emit_json(payload, conf)
-    return 3 if payload["verdict"] == "UNDECIDED" else 0
-
-
-_RUNS = {
-    "spectrum": _cmd_spectrum,
-    "weyl": _cmd_weyl,
-    "multiplicity": _cmd_multiplicity,
-    "concentration": _cmd_concentration,
-    "solve1d": _cmd_solve1d,
-    "check": _cmd_check,
-    "perturb": _cmd_perturb,
-}
+    bump = parse_bump(conf["bump"]) if "bump" in flags else None
+    tol = Tolerances(conf["eig_rel"]) if "eig_rel" in flags else None
+    report = _RUNS[experiment or conf["command"]](conf, potential, s2, bump, tol)
+    if isinstance(report, tuple):
+        header, rows = report
+        text, verdict = "\n".join([header] + rows), None
+    else:
+        if experiment:
+            inputs = {flag: conf[flag] for flag in flags if flag != "eig_rel"}
+            report = {"experiment": experiment, "t_grid": [], "lambdas": [], "slopes": [],
+                      "gap": None, "verdict": "OK", **report,
+                      "inputs": {**inputs, **report.get("inputs", {})}}
+        config = {key: value for key, value in conf.items()
+                  if key not in _EXECUTION_KEYS and value is not None}
+        payload = dict(report, config=config, version=__version__)
+        text, verdict = json.dumps(payload, sort_keys=True, indent=2), report.get("verdict")
+    if conf["output"] in (None, "-"):
+        sys.stdout.write(text + "\n")
+    else:
+        Path(conf["output"]).write_text(text + "\n", encoding="utf-8", newline="")
+    return 3 if verdict == "UNDECIDED" else 0
 
 
 def run(argv: list[str]) -> int:
@@ -440,8 +399,7 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise _UsageError("missing subcommand")
-        conf = _resolve(parser, argv, args)
-        return _RUNS[args.command](conf)
+        return _run(*_resolve(parser, argv, args))
     except _UsageError as exc:
         print(f'error: code=usage msg="{exc}"', file=sys.stderr)
         return 2

@@ -35,6 +35,7 @@ from .core import (
 )
 from .exact_family import multiplicity_enumeration
 from .schrod1d import (
+    CIRCLE_MAX_NODES,
     Grid,
     _err_floor,
     _extrapolate,
@@ -198,7 +199,9 @@ def track_branches(potential: Potential, w: Perturbation, k: int, levels,
     vectors on the same grid by certified Rayleigh-quotient iteration
     (schrod1d._seeded), which bisects a grid whose certificate fails; the
     certificate also proves the sorted order above on each grid. On the
-    circle every step is bisected with vectors.
+    circle every step is a dense solve, since a potential known at the nodes
+    only is not known to be even, so a tracking grid past CIRCLE_MAX_NODES is
+    refused right after the base solve.
 
     Precondition: t_max * k^2 * sup(base W) < kappa/2.
     """
@@ -211,6 +214,11 @@ def track_branches(potential: Potential, w: Perturbation, k: int, levels,
         raise PreconditionError("steps must be >= 1")
     m_solve = levels[-1] + 3
     base = solve_eigen(potential, k, m_solve, tol)
+    grid = base[0].grid
+    if grid.kind == "circle" and grid.npoints > CIRCLE_MAX_NODES:
+        raise PreconditionError(
+            f"the tracking grid has {grid.npoints} nodes, but each circle step is a dense "
+            f"solve, capped at {CIRCLE_MAX_NODES} nodes")
     lams0 = np.array([p.lam for p in base])
     gaps = np.diff(lams0)  # gaps[n] lies between levels n and n + 1
     kappa = float(min(np.min(gaps[max(n - 1, 0):n + 1]) for n in levels))
@@ -222,7 +230,6 @@ def track_branches(potential: Potential, w: Perturbation, k: int, levels,
 
     m_track = levels[-1] + 1
     grids, terms, seeds = _at_rest(potential, w, k, base, m_track)
-    grid = grids[1]
     slopes = {n: _slope(k, grids, terms, seeds, n) for n in levels}
     values = [eval_potential(potential, g.points()) for g in grids]
     t_grid = np.linspace(0.0, t_max, steps + 1)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from helpers import shooting_level
 
-from grushin import cli
+from grushin import cli, perturb
 from grushin.cli import _build_parser, parse_angle, parse_bump, run
 from grushin.core import CallableProfile, Potential
 
@@ -310,6 +310,72 @@ def test_concentration_refuses_the_strip_before_assembling(monkeypatch, capsys, 
     assert (got, out) == (code, "")
     assert err.startswith(error)
     assert err.count("\n") == 1
+
+
+def test_torus_branch_refuses_a_grid_past_the_dense_cap(monkeypatch, capsys):
+    # every circle step is a dense solve: the refusal follows the base solve,
+    # before the t = 0 setup solves anything on the 5,120-node tracking grid
+    def spy(*args, **kwargs):
+        raise AssertionError("the t = 0 setup ran past the dense cap")
+
+    monkeypatch.setattr(perturb, "solve_on_grid", spy)
+    code, out, err = run_capture(capsys, [
+        "perturb", "branch", "--potential", "torus:gamma=1", "--k", "1", "--levels", "32",
+        "--tmax", "1e-3", "--steps", "2", "--bump=0.5,1.5,0.2,1e-12"])
+    assert (code, out) == (1, "")
+    assert err == ('error: code=PreconditionError msg="the tracking grid has 5120 nodes, but '
+                   'each circle step is a dense solve, capped at 4096 nodes"\n')
+
+
+_POWER = ["--potential", "power:gamma=1", "--k", "1"]
+_NOT_A_POTENTIAL = 'PotentialSyntaxError msg="expected \'<kind>:<args>\' (at position 5)"'
+_NOT_A_SCALAR = ('PotentialSyntaxError msg="bad exact scalar \'bogus\': invalid literal for '
+                 'int() with base 10: \'bogus\' (at position 0)"')
+_EMPTY_BUMP = 'PreconditionError msg="need a < b, got a=1.0, b=0.0"'
+
+
+@pytest.mark.parametrize("argv, code, error", [
+    (["spectrum", "--potential", "bogus", "--emax", "4", "--eig-rel", "nan"], 1,
+     _NOT_A_POTENTIAL),
+    (["weyl", "--s2", "bogus", "--emax", "100", "--samples", "0"], 1, _NOT_A_SCALAR),
+    (["multiplicity", "--s2", "bogus", "--value", "x"], 1, _NOT_A_SCALAR),
+    (["concentration", "--s2", "bogus", "--emax", "10", "--a", "x", "--b", "y"], 1,
+     _NOT_A_SCALAR),
+    (["solve1d", "--potential", "bogus", "--k", "1", "--m", "1", "--eig-rel", "nan"], 1,
+     _NOT_A_POTENTIAL),
+    (["check", "property-p", "--potential", "bogus", "--n", "2", "--krange", "2",
+      "--eig-rel", "nan"], 1, _NOT_A_POTENTIAL),
+    (["perturb", "hf", "--potential", "bogus", "--k", "1", "--n", "0", "--bump=x"], 1,
+     _NOT_A_POTENTIAL),
+    (["perturb", "branch", *_POWER, "--levels", "x", "--tmax", "0.1", "--bump=x",
+      "--eig-rel", "nan"], 2, "usage msg=\"bump must be 'a,b,eps[,scale]', got 'x'\""),
+    (["perturb", "split", "--s2", "1", "--value", "x", "--t", "0.05", "--bump=1,0,0.2",
+      "--eig-rel", "nan"], 1, _EMPTY_BUMP),
+    (["perturb", "gap", *_POWER, "--m", "1", "--bump=1,0,0.2", "--eig-rel", "nan"], 1,
+     _EMPTY_BUMP),
+    (["perturb", "continuity", *_POWER, "--m", "1", "--count", "0", "--bump=-2,2,0.5",
+      "--eig-rel", "nan"], 1, 'InvariantViolation msg="eig_rel must lie in (0, 1)"'),
+], ids=["spectrum", "weyl", "multiplicity", "concentration", "solve1d", "check", "hf",
+        "branch", "split", "gap", "continuity"])
+def test_two_bad_flags_report_the_first_parsed(capsys, argv, code, error):
+    # the runner parses --potential, --s2, --bump and --eig-rel in that
+    # order, before the command reads any other flag
+    got, out, err = run_capture(capsys, argv)
+    assert (got, out, err) == (code, "", f"error: code={error}\n")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["weyl", "--s2", "0", "--emax", "100"], 0),
+    (["spectrum"], 2),
+])
+def test_main_exits_with_the_run_code(monkeypatch, capsys, argv, code):
+    # the console-script entry point, as users run it
+    monkeypatch.setattr(sys, "argv", ["grushin", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == code
+    out, err = capsys.readouterr()
+    assert bool(out) == (code == 0) and bool(err) == (code == 2)
 
 
 @pytest.mark.parametrize("argv", [
