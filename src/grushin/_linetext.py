@@ -3,9 +3,17 @@ offsets ``starts`` and (N, 2) int64 ``contributors`` rows (k, n), the layout
 of ``assembler.AssembledSpectrum``. The spectrum and multiplicity reports
 share these writers: CSV rows ``value,multiplicity,k:n;k:n;...`` and the JSON
 records ``{value, mult, contributors: [{k, n}]}``.
+
+``report_json`` is the JSON writer of every report: ``json.dumps(payload,
+sort_keys=True, indent=2)``, except that a spectrum's ``lines``, given as
+columns, are written by ``line_json`` straight from the columns, to the same
+bytes that dumping the ``line_dicts`` records gives, with no dict per
+contributor and no pass of json's pure-Python indenting encoder over them.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
@@ -57,3 +65,38 @@ def line_dicts(values, starts, contributors) -> list[dict]:
     return [{"value": value, "mult": b - a,
              "contributors": [{"k": k, "n": n} for k, n in pairs[a:b]]}
             for value, a, b in zip(values.tolist(), bounds, bounds[1:])]
+
+
+def line_json(values, starts, contributors, depth: int = 0) -> str:
+    """The text of ``json.dumps(line_dicts(values, starts, contributors),
+    sort_keys=True, indent=2)``, nested ``depth`` levels deep, as it reads
+    when the list is the value of a key at that depth of an indented dump."""
+    if len(values) == 0:
+        return "[]"
+    pad = ["\n" + "  " * (depth + level) for level in range(5)]
+    one = f'{pad[3]}{{{pad[4]}"k": %d,{pad[4]}"n": %d{pad[3]}}}'
+    bounds = starts.tolist()
+    # json's own float text, NaN and Infinity included
+    floats = json.dumps(values.tolist())[1:-1].split(", ")
+    # a template of the whole list, with a %d for each k and n in row order
+    # (no other text holds a '%'), filled at once
+    template = "[" + ",".join(
+        f'{pad[1]}{{{pad[2]}"contributors": '
+        + (f'[{",".join([one] * (b - a))}{pad[2]}]' if b > a else "[]")
+        + f',{pad[2]}"mult": {b - a},{pad[2]}"value": {value}{pad[1]}}}'
+        for value, a, b in zip(floats, bounds, bounds[1:])) + pad[0] + "]"
+    return template % tuple(contributors.ravel().tolist())
+
+
+def report_json(payload: dict) -> str:
+    """``json.dumps(payload, sort_keys=True, indent=2)``. A ``lines`` entry
+    given as a tuple of columns (values, starts, contributors) stands for
+    their ``line_dicts`` records, and ``line_json`` writes it in place."""
+    columns = payload.get("lines")
+    if not isinstance(columns, tuple):
+        return json.dumps(payload, sort_keys=True, indent=2)
+    # the only top-level key "lines": deeper keys are indented further, and
+    # a newline inside a string is escaped
+    head, tail = json.dumps({**payload, "lines": []}, sort_keys=True,
+                            indent=2).split('\n  "lines": []')
+    return f'{head}\n  "lines": {line_json(*columns, depth=1)}{tail}'

@@ -27,7 +27,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from ._linetext import LINE_HEADER, line_columns, line_dicts, line_rows
+from ._linetext import LINE_HEADER, line_columns, line_dicts, line_rows, report_json
 from .assembler import assemble, check_property_p
 from .concentration import Strip, concentration_certificate
 from .core import (
@@ -239,8 +239,9 @@ def _spectrum(conf, potential, s2, bump, tol):
     columns = spectrum.values, spectrum.starts, spectrum.contributors
     if conf["format"] == "csv":
         return LINE_HEADER, line_rows(*columns)
+    # the lines stay columns, which report_json writes
     return {"e_max": spectrum.e_max, "mode": spectrum.mode, "k_cut": spectrum.k_cut,
-            "warnings": list(spectrum.warnings), "lines": line_dicts(*columns)}
+            "warnings": list(spectrum.warnings), "lines": columns}
 
 
 def _weyl(conf, potential, s2, bump, tol):
@@ -384,7 +385,7 @@ def _run(conf: dict, flags: dict) -> int:
         config = {key: value for key, value in conf.items()
                   if key not in _EXECUTION_KEYS and value is not None}
         payload = dict(report, config=config, version=__version__)
-        text, verdict = json.dumps(payload, sort_keys=True, indent=2), report.get("verdict")
+        text, verdict = report_json(payload), report.get("verdict")
     if conf["output"] in (None, "-"):
         sys.stdout.write(text + "\n")
     else:

@@ -34,6 +34,14 @@ one stable sort of the int64 keys, and fills the spectrum's columns (line
 values, contributor offsets, (k, n) rows and keys; see ``assembler``)
 straight from the sorted arrays, with no per-line object. The property-P
 check compares the same keys, mode against mode, through ``_key_gaps``.
+
+At s2 = 0, the most degenerate member, the table has c modes, and two
+questions skip it. The count is 2 * sum over k <= c of
+floor((floor(c/k) + 1)/2), which Dirichlet's hyperbola method sums in
+O(sqrt c): term by term for k <= isqrt(c), and above that over the blocks
+of k with equal floor(c/k). A multiplicity is a divisor walk: level n of
+mode k is the integer t exactly when (2n+1) k = t, so the contributors are
+the divisors of t with an odd cofactor, from its factorization.
 """
 
 from __future__ import annotations
@@ -205,6 +213,10 @@ def multiplicity_enumeration(target, s2: ExactScalar) -> SpectrumLine:
     Rational s2 = p/q: the target is an exact rational (int, Fraction, or
     float taken at face value); only targets on the 1/q lattice have
     contributors, and equality is tested in integers on the ``_modes`` table.
+    At s2 = 0 the integer target t needs no table: level n of mode k is t
+    exactly when (2n+1) k = t, so the contributors are the divisors k of t
+    with an odd cofactor, listed from ``factorize(t)`` (IntegerOverflowError
+    past its 1e12 limit).
     Irrational s2: the target is a pair (lin, quad), the key of
     ``_level_keys``, each within 64 bits (IntegerOverflowError otherwise),
     and equality is pair equality; no float comparison ever happens. A pair
@@ -218,14 +230,24 @@ def multiplicity_enumeration(target, s2: ExactScalar) -> SpectrumLine:
             raise PreconditionError("eigenvalues are positive")
         key = t * s2.rational.denominator
         on_lattice = key.denominator == 1
-        contributors = []
-        # on the lattice level n of mode k equals t when (2n+1) d == r; off
-        # it none does, and a cap of 0 scans no mode but still refuses s2 < 0
-        for k, r, d in _modes(s2, t if on_lattice else 0):
-            odd = r // d
-            hit = (r % d == 0) & (odd % 2 == 1)
-            for kk, n in zip(k[hit].tolist(), (odd[hit] // 2).tolist()):
-                contributors.extend([(-kk, n), (kk, n)])
+        if s2.rational == 0 and on_lattice:
+            # (2n+1) k = t: k is the power of 2 in t times a divisor of its
+            # odd part, and 2n+1 = t / k
+            ks = [1]
+            for prime, power in factorize(int(t)).items():
+                ks = [k * prime**i for k in ks
+                      for i in (range(power + 1) if prime != 2 else (power,))]
+            pairs = [(k, int(t) // k // 2) for k in sorted(ks)]
+        else:
+            # on the lattice level n of mode k equals t when (2n+1) d == r;
+            # off it none does, and a cap of 0 scans no mode but still
+            # refuses s2 < 0
+            pairs = []
+            for k, r, d in _modes(s2, t if on_lattice else 0):
+                odd = r // d
+                hit = (r % d == 0) & (odd % 2 == 1)
+                pairs.extend(zip(k[hit].tolist(), (odd[hit] // 2).tolist()))
+        contributors = [kn for k, n in pairs for kn in ((-k, n), (k, n))]
         return SpectrumLine(value=float(t), contributors=tuple(contributors),
                             key=int(key) if on_lattice else None)
 
@@ -238,6 +260,22 @@ def multiplicity_enumeration(target, s2: ExactScalar) -> SpectrumLine:
         contributors = ((-k, n), (k, n))
     return SpectrumLine(value=_key_values((lin, quad), s2), contributors=contributors,
                         key=(lin, quad))
+
+
+def _rational_cap(s2: ExactScalar, e_max) -> tuple[int, int]:
+    """(c, k_max) for rational s2 = p/q: c = floor(q e_max), and k_max the
+    largest k with p k^2 + q k <= c. PreconditionError for s2 < 0, and
+    IntegerOverflowError once c + 2 q k_max passes 64 bits, which bounds
+    every int64 sum that the ``_modes`` table and the s2 = 0 count form."""
+    p, q = s2.rational.numerator, s2.rational.denominator
+    if p < 0:
+        raise PreconditionError(
+            f"s2 must be >= 0; at s2 = {s2.rational} the levels (2n+1)|k| + k^2 s2 "
+            "fall without bound as |k| grows")
+    c = math.floor(q * Fraction(e_max))
+    k_max = c // q if p == 0 else (math.isqrt(q * q + 4 * p * c) - q) // (2 * p)
+    _check64(c + 2 * q * k_max, "floor(q*E) + 2*q*k_max")
+    return c, k_max
 
 
 def _modes(s2: ExactScalar, e_max):
@@ -253,14 +291,7 @@ def _modes(s2: ExactScalar, e_max):
     """
     if s2.is_rational:
         p, q = s2.rational.numerator, s2.rational.denominator
-        if p < 0:
-            raise PreconditionError(
-                f"s2 must be >= 0; at s2 = {s2.rational} the levels (2n+1)|k| + k^2 s2 "
-                "fall without bound as |k| grows")
-        c = math.floor(q * Fraction(e_max))
-        # the largest k with p k^2 + q k <= c
-        k_max = c // q if p == 0 else (math.isqrt(q * q + 4 * p * c) - q) // (2 * p)
-        _check64(c + 2 * q * k_max, "floor(q*E) + 2*q*k_max")
+        c, k_max = _rational_cap(s2, e_max)
     else:
         e = float(e_max)
         k_max = int(min(e, math.sqrt(e) / math.sqrt(s2.approx)))
@@ -280,15 +311,39 @@ def _level_counts(r, d) -> np.ndarray:
     return ((r + d) // (2 * d)).astype(np.int64, copy=False)
 
 
+def _hyperbola_count(c: int) -> int:
+    """sum over k = 1..c of floor((floor(c/k) + 1)/2), the s2 = 0 level count
+    below the integer cap c, in O(sqrt c): directly for k <= r = isqrt(c),
+    and above r over the blocks of equal v = floor(c/k) <= c // (r + 1),
+    each the k in (max(c // (v + 1), r), c // v]. One int64 block of j holds
+    both, term k = j and the block v = j; together they stay below 2c, within
+    int64 since c + 2c is (``_rational_cap`` checks it)."""
+    r = math.isqrt(c)
+    total = 0
+    for lo in range(1, r + 1, _BLOCK):
+        j = np.arange(lo, min(lo + _BLOCK, r + 1), dtype=np.int64)
+        v = c // j  # >= c // r >= r, and = r for j past c // (r + 1), where width is 0
+        width = v - np.maximum(c // (j + 1), r)
+        terms = (v + 1) // 2 + (j + 1) // 2 * width
+        # the 32-bit halves of _BLOCK terms each sum within int64
+        total += (int((terms >> 32).sum()) << 32) + int((terms & 0xFFFFFFFF).sum())
+    return total
+
+
 def counting_function(e_max, s2: ExactScalar) -> int:
     """Exact number of eigenvalues (with multiplicity) <= e_max:
 
         N(E) = 2 * sum over k >= 1 of card{n : (2n+1) <= (E - k^2 s2)/k}.
 
     Integer arithmetic when s2 is rational; the tagged-irrational case
-    evaluates the cap through the numeric approximation.
+    evaluates the cap through the numeric approximation. At s2 = 0 the
+    summand is floor((floor(c/k) + 1)/2) with c = floor(E), and Dirichlet's
+    hyperbola method sums it in O(sqrt E) (``_hyperbola_count``); otherwise
+    the ``_modes`` table gives it, in O(sqrt E) modes for s2 > 0.
     """
     _check_cap(e_max)
+    if s2.is_rational and s2.rational == 0:
+        return 2 * _hyperbola_count(_rational_cap(s2, e_max)[0])
     # summed as Python ints: the total can pass 2^63 when no term does
     return 2 * sum(sum(_level_counts(r, d).tolist()) for _, r, d in _modes(s2, e_max))
 

@@ -367,7 +367,7 @@ def check_gap_avoidance(potential: Potential, w: Perturbation, k: int, m: int,
     sup_w = w.sup_weighted(potential)
     if not (sup_w < kappa / (k * k)):
         raise PreconditionError(
-            f"PRECONDITION: sup(base*W) = {sup_w!r} must be below "
+            f"sup(base*W) = {sup_w!r} must be below "
             f"kappa_m/k^2 = {kappa / (k * k)!r}")
     radius = k * k * sup_w
     info = GapInfo(lambda_m=lam_m, kappa_m=kappa,

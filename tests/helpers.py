@@ -29,6 +29,7 @@ from grushin.core import (
     eval_potential,
     render_exact_scalar,
 )
+from grushin.exact_family import SpectrumLine, _modes
 from grushin.schrod1d import EigenPair, Grid, solve_on_grid
 
 
@@ -170,6 +171,37 @@ def brute_count(e_max: int | Fraction, s2_num: int = 0, s2_den: int = 1) -> int:
         total += n
         k += 1
     return 2 * total
+
+
+def table_count(e_max, s2: ExactScalar) -> int:
+    """The eigenvalue count from the per-mode table ``exact_family._modes``,
+    as ``counting_function`` sums it for s2 > 0: 2 * sum over the modes of
+    card{n >= 0 : (2n+1) d <= r}. At s2 = 0 it scans every mode k <= E."""
+    return 2 * sum(sum(((r + d) // (2 * d)).tolist()) for _, r, d in _modes(s2, e_max))
+
+
+def odd_cofactor_pairs(c: int) -> int:
+    """card{(k, m) : k, m >= 1, m odd, k m <= c}, half the s2 = 0 count below
+    the integer cap c, by the symmetric split of the hyperbola k m <= c at
+    K = isqrt(c): pairs with k <= K, plus pairs with m <= K, less the
+    K x (odd m <= K) square counted twice. Pure Python, O(sqrt c)."""
+    root = math.isqrt(c)
+    return (sum((c // k + 1) // 2 for k in range(1, root + 1))
+            + sum(c // m for m in range(1, root + 1, 2)) - root * ((root + 1) // 2))
+
+
+def scan_multiplicity(t: int, s2: ExactScalar) -> SpectrumLine:
+    """The line of the integer target t for rational s2 by a scan of every
+    mode of the per-mode table below t: level n of mode k equals t when
+    (2n+1) d = r. At s2 = 0 it scans every k <= t."""
+    contributors = []
+    for k, r, d in _modes(s2, t):
+        odd = r // d
+        hit = (r % d == 0) & (odd % 2 == 1)
+        for kk, n in zip(k[hit].tolist(), (odd[hit] // 2).tolist()):
+            contributors.extend([(-kk, n), (kk, n)])
+    return SpectrumLine(value=float(t), contributors=tuple(contributors),
+                        key=t * s2.rational.denominator)
 
 
 def brute_exact_lines(s2: ExactScalar, e_max) -> list[tuple]:

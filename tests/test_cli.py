@@ -11,10 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 from helpers import shooting_level
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from grushin import cli, perturb
+from grushin._linetext import line_dicts, line_json, report_json
+from grushin.assembler import AssembledSpectrum, _cluster, assemble
 from grushin.cli import _build_parser, parse_angle, parse_bump, run
-from grushin.core import CallableProfile, Potential
+from grushin.core import SEPARATION, CallableProfile, Potential, parse_potential
 
 
 _ROOT = Path(__file__).resolve().parent.parent
@@ -898,6 +902,8 @@ _PINNED_EXACT_REPORTS = [
       "--format", "csv"], "af489f6b5d28b07a4d4591c7da1e4205a27fa95d9d45dcbe756ad3b5a240568b"),
     (["spectrum", "--potential", "shifted:s2=0", "--emax", "0.5", "--mode", "exact"],
      "67ab254392a45c2b23798e67f0d30cb8c7b598ae9c5e2c8fee9e0f4c6ea57215"),
+    (["spectrum", "--potential", "shifted:s2=0", "--emax", "200"],
+     "90a21a6afde2533dd962de41044fc58eaed801eecd8c29645326f52ff6e9e9f9"),
     # multiplicity rows, through the spectrum's row formatter
     (["multiplicity", "--s2", "0", "--value", "945", "--format", "csv"],
      "25768156d16300b072a6dd0186aa5c88b84c5d72c274f37defc59ebb5afa506f"),
@@ -921,6 +927,75 @@ def test_exact_reports_are_byte_stable(capsys, argv, digest):
     code, out, err = run_capture(capsys, argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _columns(lines):
+    """Line columns (values, starts, contributors) of (value, [(k, n), ...])
+    pairs."""
+    starts = np.cumsum([0] + [len(kns) for _, kns in lines])
+    return (np.array([value for value, _ in lines], dtype=float), starts,
+            np.array([kn for _, kns in lines for kn in kns], dtype=np.int64).reshape(-1, 2))
+
+
+_int64 = st.integers(-2**63, 2**63 - 1)
+
+
+@given(st.lists(st.tuples(st.floats(), st.lists(st.tuples(_int64, _int64), max_size=5)),
+                max_size=6),
+       st.dictionaries(st.sampled_from(["a", "k_cut", "mode", "z"]),
+                       st.one_of(st.integers(), st.text(), st.lists(st.text(), max_size=2))))
+@example([(1.0, [(-1, 0), (1, 0)])], {"a": '\n  "lines": []'})
+@example([], {})
+def test_line_json_is_the_indented_dump_of_the_records(lines, rest):
+    # any floats (NaN and infinities too), any int64 contributors, lines
+    # with none, and other keys of any value around "lines"
+    columns = _columns(lines)
+    records = line_dicts(*columns)
+    assert line_json(*columns) == json.dumps(records, sort_keys=True, indent=2)
+    assert report_json({**rest, "lines": columns}) == json.dumps(
+        {**rest, "lines": records}, sort_keys=True, indent=2)
+
+
+def _written_from_the_columns(out: str, spectrum) -> None:
+    """``out`` is the indented dump of its own payload, and its lines are the
+    records of the spectrum's columns."""
+    payload = json.loads(out)
+    assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    assert payload["lines"] == line_dicts(spectrum.values, spectrum.starts,
+                                          spectrum.contributors)
+    assert payload["warnings"] == list(spectrum.warnings)
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--potential", "power:gamma=1", "--emax", "8", "--mode", "numeric"],
+    ["spectrum", "--potential", "power:gamma=0.75", "--emax", "4.5", "--mode", "numeric"],
+    ["spectrum", "--potential", "shifted:s2=3/2", "--emax", "0.5"],
+])
+def test_spectrum_json_is_written_from_the_columns(capsys, argv):
+    code, out, err = run_capture(capsys, argv)
+    assert (code, err) == (0, "")
+    _written_from_the_columns(out, assemble(parse_potential(argv[2]), float(argv[4]),
+                                            mode=argv[6] if len(argv) > 5 else "auto"))
+    if argv[4] == "0.5":  # below the first level
+        assert '\n  "lines": [],\n' in out
+
+
+def test_numeric_spectrum_with_warnings_is_written_from_the_columns(monkeypatch, capsys):
+    # a chain a ~ b ~ c clustered into one line, though a and c are certified
+    # distinct, beside a line of its own
+    a, b, c = 10.0, 10.0 + 1.5 * SEPARATION, 10.0 + 3.0 * SEPARATION
+    entries = [(lam, 1.0, sign * k, n) for lam, k, n in ((a, 1, 0), (b, 2, 0), (c, 3, 0),
+                                                         (100.0, 1, 4)) for sign in (1, -1)]
+    values, starts, contributors, warnings = _cluster(entries)
+    assert len(values) == 2 and warnings
+    spectrum = AssembledSpectrum(e_max=120.0, values=values, starts=starts,
+                                 contributors=contributors, k_cut=3, mode="numeric",
+                                 warnings=tuple(warnings))
+    monkeypatch.setattr(cli, "assemble", lambda *args, **kwargs: spectrum)
+    code, out, err = run_capture(capsys, ["spectrum", "--potential", "power:gamma=1",
+                                          "--emax", "120", "--mode", "numeric"])
+    assert (code, err) == (0, "")
+    _written_from_the_columns(out, spectrum)
 
 
 

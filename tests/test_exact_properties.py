@@ -10,7 +10,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from helpers import brute_count, brute_exact_lines
+from helpers import (
+    brute_count,
+    brute_exact_lines,
+    odd_cofactor_pairs,
+    scan_multiplicity,
+    table_count,
+)
 
 from grushin.assembler import assemble
 from grushin.cli import run
@@ -21,7 +27,12 @@ from grushin.core import (
     Potential,
     parse_exact_scalar,
 )
-from grushin.exact_family import counting_function, enumerate_exact_pairs, multiplicity_enumeration
+from grushin.exact_family import (
+    counting_function,
+    enumerate_exact_pairs,
+    factorize,
+    multiplicity_enumeration,
+)
 
 shifts = st.tuples(st.integers(0, 60), st.integers(1, 50))
 
@@ -41,6 +52,74 @@ caps = st.one_of(
 def test_counting_matches_brute_lattice_count(pq, e):
     p, q = pq
     assert counting_function(e, ExactScalar.from_rational(p, q)) == brute_count(Fraction(e), p, q)
+
+
+S0 = ExactScalar.from_rational(0)
+# the integer caps c where the hyperbola sum's split moves: r = isqrt(c) steps
+# up at c = K^2, and c // (r + 1), its last block of equal c // k, at K(K+1);
+# K^2 - 1, K^2, K^2 + 1, K(K+1) - 1, K(K+1) and K(K+1) + 1
+edges = st.tuples(st.integers(2, 70), st.sampled_from([0, 1]), st.sampled_from([-1, 0, 1]))
+
+
+@given(st.one_of(edges.map(lambda kab: kab[0] * (kab[0] + kab[1]) + kab[2]),
+                 st.integers(1, 5000)),
+       st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)))
+@example(1, 0.0)
+@example(2, 0.0)
+@example(3, 0.5)
+def test_s2_zero_count_is_the_brute_and_table_count(c, frac):
+    e = c + frac  # a real cap, which may round up to c + 1
+    assert counting_function(e, S0) == brute_count(Fraction(e)) == table_count(e, S0)
+
+
+def test_s2_zero_count_at_large_caps():
+    # both values were read from the per-mode scan, which takes seconds here
+    assert counting_function(1e8, S0) == 1_926_826_078
+    assert counting_function(1e9, S0) == 21_570_844_484
+    # past 2^33 the terms pass 32 bits, which the block sums split
+    for c in (10**12, 2**41 + 3):
+        assert counting_function(c, S0) == 2 * odd_cofactor_pairs(c)
+
+
+# c = floor(E) past (2^63 - 1) / 3 makes c + 2 k_max pass 64 bits
+_EDGE = (2**63 - 1) // 3
+
+
+@given(st.one_of(st.integers(_EDGE + 1, 2**80), st.floats(float(_EDGE + 2**10), 1e300),
+                 st.fractions(_EDGE + 1, 2**70)))
+@example(_EDGE + 1)
+def test_s2_zero_count_refuses_caps_past_64_bits(e):
+    # the refusal and its message are the per-mode table's
+    c = int(Fraction(e))
+    message = f"^floor\\(q\\*E\\) \\+ 2\\*q\\*k_max = {3 * c} exceeds the 64-bit guard$"
+    with pytest.raises(IntegerOverflowError, match=message):
+        counting_function(e, S0)
+    with pytest.raises(IntegerOverflowError, match=message):
+        table_count(e, S0)
+
+
+def _powers(p: int, top: int):
+    return st.integers(0, top).map(lambda a: p**a)
+
+
+@given(st.one_of(st.integers(1, 3000), st.sampled_from([1, 2, 3, 5, 7, 997, 7919, 65537]),
+                 _powers(2, 16), _powers(3, 9), _powers(5, 6), _powers(7, 5),
+                 st.tuples(_powers(2, 6), st.sampled_from([3, 45, 105, 1155, 3**5 * 7]))
+                 .map(lambda pair: pair[0] * pair[1])))
+def test_s2_zero_multiplicity_is_the_mode_scan(t):
+    # the same contributors, in the same order, and the same key
+    line = multiplicity_enumeration(t, S0)
+    assert line == scan_multiplicity(t, S0)
+    assert line.multiplicity == 2 * len([d for d in range(1, t + 1, 2) if t % d == 0])
+
+
+def test_s2_zero_multiplicity_past_the_factorization_limit_raises():
+    # the mode scan would take hours; the divisor walk refuses by name
+    assert factorize(10**12) == {2: 12, 5: 12}
+    assert multiplicity_enumeration(10**12, S0).multiplicity == 26
+    with pytest.raises(IntegerOverflowError,
+                       match="^1000000000001 exceeds the trial-division limit 1000000000000$"):
+        multiplicity_enumeration(10**12 + 1, S0)
 
 
 @given(shifts, caps)

@@ -354,8 +354,14 @@ def test_gap_avoidance_level_at_an_endpoint_is_undecided(monkeypatch, capsys):
 
 
 def test_gap_avoidance_precondition_violation():
-    with pytest.raises(PreconditionError, match="PRECONDITION"):
-        check_gap_avoidance(HARMONIC, BUMP.scaled(10.0), 1, 1)
+    # the message names only its cause, the sup of base*W against the gap
+    bump = BUMP.scaled(10.0)
+    base = solve_eigen(HARMONIC, 1, 3)
+    kappa = min(base[2].lam - base[1].lam, base[1].lam - base[0].lam)
+    with pytest.raises(PreconditionError) as refused:
+        check_gap_avoidance(HARMONIC, bump, 1, 1)
+    assert str(refused.value) == (f"sup(base*W) = {bump.sup_weighted(HARMONIC)!r} must be below "
+                                  f"kappa_m/k^2 = {kappa!r}")
 
 
 # W is not wrapped: the torus operator sees only [-pi, pi), so a bump past pi
