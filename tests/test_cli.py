@@ -902,8 +902,6 @@ _PINNED_EXACT_REPORTS = [
       "--format", "csv"], "af489f6b5d28b07a4d4591c7da1e4205a27fa95d9d45dcbe756ad3b5a240568b"),
     (["spectrum", "--potential", "shifted:s2=0", "--emax", "0.5", "--mode", "exact"],
      "67ab254392a45c2b23798e67f0d30cb8c7b598ae9c5e2c8fee9e0f4c6ea57215"),
-    (["spectrum", "--potential", "shifted:s2=0", "--emax", "200"],
-     "90a21a6afde2533dd962de41044fc58eaed801eecd8c29645326f52ff6e9e9f9"),
     # multiplicity rows, through the spectrum's row formatter
     (["multiplicity", "--s2", "0", "--value", "945", "--format", "csv"],
      "25768156d16300b072a6dd0186aa5c88b84c5d72c274f37defc59ebb5afa506f"),
@@ -919,6 +917,9 @@ _PINNED_EXACT_REPORTS = [
     (["check", "property-p", "--potential", "shifted:s2=irr:sqrt2", "--n", "12", "--krange",
       "12", "--cluster-abs", "0.5"],
      "af7856ae7c106d9047e92eb2b603d9c2b095c0fe7fb12832b54da0923954af0b"),
+    # the s2 = 0 spectrum in the default mode
+    (["spectrum", "--potential", "shifted:s2=0", "--emax", "200"],
+     "90a21a6afde2533dd962de41044fc58eaed801eecd8c29645326f52ff6e9e9f9"),
 ]
 
 
