@@ -6,9 +6,9 @@ records ``{value, mult, contributors: [{k, n}]}``.
 
 ``report_json`` is the JSON writer of every report: ``json.dumps(payload,
 sort_keys=True, indent=2)``, except that a spectrum's ``lines``, given as
-columns, are written by ``line_json`` straight from the columns, to the same
-bytes that dumping the ``line_dicts`` records gives, with no dict per
-contributor and no pass of json's pure-Python indenting encoder over them.
+columns, are written straight from the columns, to the same bytes that
+dumping the ``line_dicts`` records gives, with no dict per contributor and
+no pass of json's pure-Python indenting encoder over them.
 """
 
 from __future__ import annotations
@@ -67,13 +67,21 @@ def line_dicts(values, starts, contributors) -> list[dict]:
             for value, a, b in zip(values.tolist(), bounds, bounds[1:])]
 
 
-def line_json(values, starts, contributors, depth: int = 0) -> str:
-    """The text of ``json.dumps(line_dicts(values, starts, contributors),
-    sort_keys=True, indent=2)``, nested ``depth`` levels deep, as it reads
-    when the list is the value of a key at that depth of an indented dump."""
+def report_json(payload: dict) -> str:
+    """``json.dumps(payload, sort_keys=True, indent=2)``. A ``lines`` entry
+    given as a tuple of columns (values, starts, contributors) stands for
+    their ``line_dicts`` records, and is written in place from the columns."""
+    columns = payload.get("lines")
+    if not isinstance(columns, tuple):
+        return json.dumps(payload, sort_keys=True, indent=2)
+    # the only top-level key "lines": deeper keys are indented further, and
+    # a newline inside a string is escaped
+    head, tail = json.dumps({**payload, "lines": []}, sort_keys=True,
+                            indent=2).split('\n  "lines": []')
+    values, starts, contributors = columns
     if len(values) == 0:
-        return "[]"
-    pad = ["\n" + "  " * (depth + level) for level in range(5)]
+        return f'{head}\n  "lines": []{tail}'
+    pad = ["\n" + "  " * level for level in range(1, 6)]
     one = f'{pad[3]}{{{pad[4]}"k": %d,{pad[4]}"n": %d{pad[3]}}}'
     bounds = starts.tolist()
     # json's own float text, NaN and Infinity included
@@ -85,18 +93,4 @@ def line_json(values, starts, contributors, depth: int = 0) -> str:
         + (f'[{",".join([one] * (b - a))}{pad[2]}]' if b > a else "[]")
         + f',{pad[2]}"mult": {b - a},{pad[2]}"value": {value}{pad[1]}}}'
         for value, a, b in zip(floats, bounds, bounds[1:])) + pad[0] + "]"
-    return template % tuple(contributors.ravel().tolist())
-
-
-def report_json(payload: dict) -> str:
-    """``json.dumps(payload, sort_keys=True, indent=2)``. A ``lines`` entry
-    given as a tuple of columns (values, starts, contributors) stands for
-    their ``line_dicts`` records, and ``line_json`` writes it in place."""
-    columns = payload.get("lines")
-    if not isinstance(columns, tuple):
-        return json.dumps(payload, sort_keys=True, indent=2)
-    # the only top-level key "lines": deeper keys are indented further, and
-    # a newline inside a string is escaped
-    head, tail = json.dumps({**payload, "lines": []}, sort_keys=True,
-                            indent=2).split('\n  "lines": []')
-    return f'{head}\n  "lines": {line_json(*columns, depth=1)}{tail}'
+    return f'{head}\n  "lines": {template % tuple(contributors.ravel().tolist())}{tail}'

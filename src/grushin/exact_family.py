@@ -38,10 +38,10 @@ check compares the same keys, mode against mode, through ``_key_gaps``.
 At s2 = 0, the most degenerate member, the table has c modes, and two
 questions skip it. The count is 2 * sum over k <= c of
 floor((floor(c/k) + 1)/2), which Dirichlet's hyperbola method sums in
-O(sqrt c): term by term for k <= isqrt(c), and above that over the blocks
-of k with equal floor(c/k). A multiplicity is a divisor walk: level n of
-mode k is the integer t exactly when (2n+1) k = t, so the contributors are
-the divisors of t with an odd cofactor, from its factorization.
+O(sqrt c) by splitting the hyperbola k m <= c (m odd) at isqrt(c). A
+multiplicity is a divisor walk: level n of mode k is the integer t exactly
+when (2n+1) k = t, so the contributors are the divisors of t with an odd
+cofactor, from its factorization.
 """
 
 from __future__ import annotations
@@ -266,7 +266,8 @@ def _rational_cap(s2: ExactScalar, e_max) -> tuple[int, int]:
     """(c, k_max) for rational s2 = p/q: c = floor(q e_max), and k_max the
     largest k with p k^2 + q k <= c. PreconditionError for s2 < 0, and
     IntegerOverflowError once c + 2 q k_max passes 64 bits, which bounds
-    every int64 sum that the ``_modes`` table and the s2 = 0 count form."""
+    every int64 sum that the ``_modes`` table forms. The s2 = 0 count, in
+    Python ints, keeps the same refusal."""
     p, q = s2.rational.numerator, s2.rational.denominator
     if p < 0:
         raise PreconditionError(
@@ -313,21 +314,13 @@ def _level_counts(r, d) -> np.ndarray:
 
 def _hyperbola_count(c: int) -> int:
     """sum over k = 1..c of floor((floor(c/k) + 1)/2), the s2 = 0 level count
-    below the integer cap c, in O(sqrt c): directly for k <= r = isqrt(c),
-    and above r over the blocks of equal v = floor(c/k) <= c // (r + 1),
-    each the k in (max(c // (v + 1), r), c // v]. One int64 block of j holds
-    both, term k = j and the block v = j; together they stay below 2c, within
-    int64 since c + 2c is (``_rational_cap`` checks it)."""
+    below the integer cap c: the number of pairs (k, m), m odd, with k m <= c.
+    The hyperbola k m = c is split at r = isqrt(c): the pairs with k <= r,
+    plus those with m <= r, less the r x (odd m <= r) square counted in both.
+    O(sqrt c) Python ints, so no sum can overflow."""
     r = math.isqrt(c)
-    total = 0
-    for lo in range(1, r + 1, _BLOCK):
-        j = np.arange(lo, min(lo + _BLOCK, r + 1), dtype=np.int64)
-        v = c // j  # >= c // r >= r, and = r for j past c // (r + 1), where width is 0
-        width = v - np.maximum(c // (j + 1), r)
-        terms = (v + 1) // 2 + (j + 1) // 2 * width
-        # the 32-bit halves of _BLOCK terms each sum within int64
-        total += (int((terms >> 32).sum()) << 32) + int((terms & 0xFFFFFFFF).sum())
-    return total
+    return (sum((c // k + 1) // 2 for k in range(1, r + 1))
+            + sum(c // m for m in range(1, r + 1, 2)) - r * ((r + 1) // 2))
 
 
 def counting_function(e_max, s2: ExactScalar) -> int:

@@ -180,16 +180,6 @@ def table_count(e_max, s2: ExactScalar) -> int:
     return 2 * sum(sum(((r + d) // (2 * d)).tolist()) for _, r, d in _modes(s2, e_max))
 
 
-def odd_cofactor_pairs(c: int) -> int:
-    """card{(k, m) : k, m >= 1, m odd, k m <= c}, half the s2 = 0 count below
-    the integer cap c, by the symmetric split of the hyperbola k m <= c at
-    K = isqrt(c): pairs with k <= K, plus pairs with m <= K, less the
-    K x (odd m <= K) square counted twice. Pure Python, O(sqrt c)."""
-    root = math.isqrt(c)
-    return (sum((c // k + 1) // 2 for k in range(1, root + 1))
-            + sum(c // m for m in range(1, root + 1, 2)) - root * ((root + 1) // 2))
-
-
 def scan_multiplicity(t: int, s2: ExactScalar) -> SpectrumLine:
     """The line of the integer target t for rational s2 by a scan of every
     mode of the per-mode table below t: level n of mode k equals t when

@@ -15,7 +15,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from grushin import cli, perturb
-from grushin._linetext import line_dicts, line_json, report_json
+from grushin._linetext import line_dicts, report_json
 from grushin.assembler import AssembledSpectrum, _cluster, assemble
 from grushin.cli import _build_parser, parse_angle, parse_bump, run
 from grushin.core import SEPARATION, CallableProfile, Potential, parse_potential
@@ -947,14 +947,12 @@ _int64 = st.integers(-2**63, 2**63 - 1)
                        st.one_of(st.integers(), st.text(), st.lists(st.text(), max_size=2))))
 @example([(1.0, [(-1, 0), (1, 0)])], {"a": '\n  "lines": []'})
 @example([], {})
-def test_line_json_is_the_indented_dump_of_the_records(lines, rest):
+def test_report_json_is_the_indented_dump_of_the_records(lines, rest):
     # any floats (NaN and infinities too), any int64 contributors, lines
     # with none, and other keys of any value around "lines"
     columns = _columns(lines)
-    records = line_dicts(*columns)
-    assert line_json(*columns) == json.dumps(records, sort_keys=True, indent=2)
     assert report_json({**rest, "lines": columns}) == json.dumps(
-        {**rest, "lines": records}, sort_keys=True, indent=2)
+        {**rest, "lines": line_dicts(*columns)}, sort_keys=True, indent=2)
 
 
 def _written_from_the_columns(out: str, spectrum) -> None:

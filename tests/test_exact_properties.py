@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from helpers import (
     brute_count,
     brute_exact_lines,
-    odd_cofactor_pairs,
     scan_multiplicity,
     table_count,
 )
@@ -76,9 +75,9 @@ def test_s2_zero_count_at_large_caps():
     # both values were read from the per-mode scan, which takes seconds here
     assert counting_function(1e8, S0) == 1_926_826_078
     assert counting_function(1e9, S0) == 21_570_844_484
-    # past 2^33 the terms pass 32 bits, which the block sums split
-    for c in (10**12, 2**41 + 3):
-        assert counting_function(c, S0) == 2 * odd_cofactor_pairs(c)
+    # the blocked hyperbola sum in int64 and the symmetric split agreed on both
+    assert counting_function(10**12, S0) == 28_478_599_629_520
+    assert counting_function(2**41 + 3, S0) == 64_357_962_407_384
 
 
 # c = floor(E) past (2^63 - 1) / 3 makes c + 2 k_max pass 64 bits
@@ -111,6 +110,18 @@ def test_s2_zero_multiplicity_is_the_mode_scan(t):
     line = multiplicity_enumeration(t, S0)
     assert line == scan_multiplicity(t, S0)
     assert line.multiplicity == 2 * len([d for d in range(1, t + 1, 2) if t % d == 0])
+
+
+def test_s2_zero_multiplicity_of_a_large_target_is_the_mode_scan():
+    # mult and factorization_mult both read factorize(t); this list was read
+    # from the scan of every mode k <= t, which takes seconds here
+    line = multiplicity_enumeration(1_000_000_005, S0)
+    assert [k for k, _ in line.contributors[1::2]] == [
+        1, 3, 5, 15, 66666667, 200000001, 333333335, 1000000005]
+    assert [n for _, n in line.contributors[1::2]] == [
+        500000002, 166666667, 100000000, 33333333, 7, 2, 1, 0]
+    assert line.contributors[::2] == tuple((-k, n) for k, n in line.contributors[1::2])
+    assert line.key == 1_000_000_005
 
 
 def test_s2_zero_multiplicity_past_the_factorization_limit_raises():
