@@ -59,6 +59,11 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # "-" then a digit or ".digit" is a value (-1/2, -1e3, -1,1,0.2), never a flag
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):  # single-line, machine-parsable usage diagnostics
         raise _UsageError(message)
 

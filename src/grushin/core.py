@@ -16,6 +16,8 @@ from typing import Callable
 
 import numpy as np
 
+from ._mollifier import standard_mollifier_cdf
+
 __all__ = [
     "GrushinError",
     "PotentialSyntaxError",
@@ -374,35 +376,57 @@ def parse_potential(spec: str) -> Potential:
 
 
 # ---------------------------------------------------------------------------
-# Suprema of unimodal functions by golden-section search
+# Suprema of unimodal functions by Brent's method
 # ---------------------------------------------------------------------------
 
 # relative accuracy of the suprema
 SUP_REL = 1e-10
 
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # the golden-section step, 0.382 of the interval
+
 
 def sup_on_interval(fn: Callable[[float], float], lo: float, hi: float) -> float:
     """sup of fn over [lo, hi] to relative accuracy SUP_REL, for fn unimodal
-    on [lo, hi]: one golden-section search over the whole interval, calling
-    fn on one float at a time."""
+    on [lo, hi]: Brent's method on -fn (Brent, Algorithms for Minimization
+    without Derivatives, 1973, ch. 5), calling fn on one float at a time. Each
+    step is the vertex of the parabola through the three best points when
+    that lies inside the bracket and moves less than half the step before
+    last, and a golden-section step otherwise; no step is shorter than a
+    quarter of the final width. It stops when the bracket around the best
+    point is SUP_REL * max(|lo|, |hi|) wide, the width at which golden-section
+    search stopped."""
     if hi <= lo:
         raise PreconditionError("empty interval")
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    tol = 0.25 * SUP_REL * max(abs(lo), abs(hi), 1e-30)
     a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = float(fn(c))
-    fd = float(fn(d))
-    while (b - a) > SUP_REL * max(abs(a), abs(b), 1e-30):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = float(fn(c))
+    x = w = v = a + _GOLDEN * (b - a)
+    fx = fw = fv = -float(fn(x))
+    d = e = 0.0
+    while max(x - a, b - x) > 2.0 * tol:
+        p = q = 0.0
+        if abs(e) > tol:  # the parabola through x, w and v
+            r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
+            p, q = (x - v) * q - (x - w) * r, 2.0 * (q - r)
+            p, q = (-p, q) if q > 0.0 else (p, -q)
+        if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+            e, d = d, p / q
+            if min(x + d - a, b - x - d) < 2.0 * tol:  # too near an end: toward the middle
+                d = math.copysign(tol, a + b - 2.0 * x)
         else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = float(fn(d))
-    return max(fc, fd)
+            e = (b if x < 0.5 * (a + b) else a) - x
+            d = _GOLDEN * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = -float(fn(u))
+        if fu <= fx:
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (a, u) if u >= x else (u, b)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return -fx
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +444,10 @@ class Perturbation:
         W(x) = scale * (F((x - a)/eps) - F((x - b)/eps)).
 
     Each point on a ramp costs one 8-node sum of the bump, and a point off
-    the ramps none. Branch tracking evaluates W once per grid, not per step.
+    the ramps none. An array of points takes one array pass of F: the
+    arguments of both ramps are joined, and the result split, with the bits
+    of two separate calls. A scalar takes F's scalar path twice. Branch
+    tracking evaluates W once per grid, not per step.
 
     The plain sup of W is ``scale``. The weighted sup of base * W has no
     closed form but has a shape: W is the indicator of [a, b] convolved with
@@ -428,8 +455,8 @@ class Perturbation:
     Math. 34 (1973) 335), and log base, 2*gamma*log|x| on the cylinder and
     2*gamma*log|2 sin(x/2)| on the torus, is concave on each side of x = 0.
     So base * W is unimodal on each side of 0, and ``sup_weighted`` runs one
-    golden-section search per side. W is not wrapped, so a torus bump must
-    lie in [-pi, pi], where 0 is the only zero of base.
+    search by Brent's method (sup_on_interval) per side. W is not wrapped, so
+    a torus bump must lie in [-pi, pi], where 0 is the only zero of base.
     """
 
     a: float
@@ -452,12 +479,15 @@ class Perturbation:
         return (self.a - self.eps, self.b + self.eps)
 
     def __call__(self, x) -> np.ndarray | float:
-        return self._w(x if np.isscalar(x) else np.asarray(x, dtype=float))
+        return self._w(float(x) if np.ndim(x) == 0 else np.asarray(x, dtype=float))
 
     def _w(self, x):
         # the formula holds everywhere: off the support both F terms are 0 or both 1
-        return self.scale * (standard_mollifier_cdf((x - self.a) / self.eps)
-                             - standard_mollifier_cdf((x - self.b) / self.eps))
+        za, zb = (x - self.a) / self.eps, (x - self.b) / self.eps
+        if isinstance(x, float):
+            return self.scale * (standard_mollifier_cdf(za) - standard_mollifier_cdf(zb))
+        f = standard_mollifier_cdf(np.concatenate((za, zb), axis=None))
+        return self.scale * (f[:x.size] - f[x.size:]).reshape(x.shape)
 
     def scaled(self, factor: float) -> "Perturbation":
         return replace(self, scale=self.scale * factor)
@@ -470,72 +500,14 @@ class Perturbation:
                 f"torus bump support [{lo!r}, {hi!r}] must lie in [-pi, pi]")
 
     def sup_weighted(self, potential: Potential) -> float:
-        """sup of base * W: one golden-section search on each side of 0 that
-        evaluates base * W at one scalar point at a time (class docstring)."""
+        """sup of base * W: one search by Brent's method on each side of 0
+        that evaluates base * W at one scalar point at a time (class
+        docstring)."""
         self.check_fits(potential)
         lo, hi = self.support
         pieces = [(lo, 0.0), (0.0, hi)] if lo < 0.0 < hi else [(lo, hi)]
         return max(sup_on_interval(lambda x: base_factor(potential, x) * self._w(x), p, q)
                    for p, q in pieces)
-
-
-# The antiderivative F of the standard bump exp(-1/(1-u^2)) at the knots
-# -1 + j/128, j = 0..256: each panel's mass is an 8-node Gauss-Legendre sum, the
-# masses are added by fsum, and F is normalised by their fsum, so F = 1 at the
-# last knot (composite Gauss-Legendre; Davis & Rabinowitz, Methods of Numerical
-# Integration, 1984, 2.7).
-_GL_SHIFTED, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-_GL_SHIFTED += 1.0  # nodes on [0, 2]
-# below it F underflows to 0, and no node rounds to -1, where the exponent divides by 0
-_Z_MIN = -1.0 + 2.0**-40
-
-
-def _sum8(terms):
-    # terms[0] + ... + terms[7] in one fixed order, for floats and arrays alike,
-    # so that the scalar and the array path round the same way
-    return ((terms[0] + terms[1]) + (terms[2] + terms[3])) + \
-        ((terms[4] + terms[5]) + (terms[6] + terms[7]))
-
-
-def _gl_sums(lo: np.ndarray, half) -> np.ndarray:
-    """8-node Gauss-Legendre sums of the bump over [lo, lo + 2 half], divided
-    by half, one per entry of lo; callers keep the nodes in (-1, 1)."""
-    u = lo + half * _GL_SHIFTED[:, None]
-    return _sum8(np.exp(1.0 / (u * u - 1.0)) * _GL_WEIGHTS[:, None])
-
-
-_MASSES = (_gl_sums(np.arange(256) / 128.0 - 1.0, 1.0 / 256.0) / 256.0).tolist()
-_BUMP_TOTAL = math.fsum(_MASSES)
-_CDF_KNOTS = np.array([math.fsum(_MASSES[:j]) for j in range(257)]) / _BUMP_TOTAL
-
-
-def standard_mollifier_cdf(z) -> np.ndarray | float:
-    """Integral of the unit-mass standard bump from -1 to z: 0 for z <= -1
-    (and up to -1 + 2^-40, where it underflows), 1 for z >= 1, smooth and
-    increasing in between. F(z) is the table value at the knot -1 + j/128 at
-    or below z plus one 8-node Gauss-Legendre sum from that knot to z, so it
-    is within about 1e-16 of the exact value. A scalar z does the array
-    path's arithmetic in Python floats, with one numpy exp of 8 values, and
-    gets the same bits."""
-    if np.isscalar(z):
-        z = float(z)
-        if not _Z_MIN < z < 1.0:  # nan lands here and gives 0, as in the array path
-            return 1.0 if z >= 1.0 else 0.0
-        j = min(int((z + 1.0) * 128.0), 255)
-        lo = j / 128.0 - 1.0
-        half = 0.5 * (z - lo)
-        u = [lo + half * g for g in _GL_SHIFTED.tolist()]
-        terms = np.exp([1.0 / (x * x - 1.0) for x in u]) * _GL_WEIGHTS
-        return float(_CDF_KNOTS[j] + half * _sum8(terms.tolist()) / _BUMP_TOTAL)
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    out = np.where(z >= 1.0, 1.0, 0.0)
-    inside = (z > _Z_MIN) & (z < 1.0)
-    if np.any(inside):
-        j = np.minimum(((z[inside] + 1.0) * 128.0).astype(np.intp), 255)
-        lo = j / 128.0 - 1.0
-        half = 0.5 * (z[inside] - lo)
-        out[inside] = _CDF_KNOTS[j] + half * _gl_sums(lo, half) / _BUMP_TOTAL
-    return out
 
 
 # A numeric level is certified distinct from another, or above a cap, when the

@@ -17,11 +17,16 @@ The first grid of a solve, and any fixed grid asked of solve_on_grid, takes
 its lowest m eigenvalues from Sturm-sequence bisection with inverse-iteration
 eigenvectors (LAPACK stebz/stein). Each refined line grid is instead solved
 from the answer next to it: the grid 2h coarser carries its eigenvectors over
-(coarse node i is fine node 2i + 1, an even fine node the mean of its
-neighbours), and Rayleigh-quotient iteration from those seeds is accepted only
-with a certificate that each value is the level it claims (residual intervals
-that are disjoint and one Sturm count; proof in _rqi); where the certificate
-fails the grid is bisected. Every circle grid is bisected, without vectors.
+(coarse node i is fine node 2i + 1, an even fine node the value that solves
+its own row at the coarse eigenvalue; _rqi.carry), and Rayleigh-quotient
+iteration from those seeds, one solve per level when the seeds are good, is
+accepted only with a certificate that each value is the level it claims
+(residual intervals that are disjoint and one Sturm count) and that the
+exact Rayleigh quotient of each vector lies within eps ||T|| of its
+eigenvalue (Kato-Temple), the accuracy assumed of bisection. Before, that
+accuracy of a certified quotient was only argued; the proof is in _rqi.
+Where the certificate fails the grid is bisected. Every circle grid is
+bisected, without vectors.
 
 The line is cut to [-L, L] by the Agmon action (truncation_length): a level
 at E decays like exp(-S), S = int sqrt(k^2 V - E) dx, past its turning point,
@@ -62,7 +67,7 @@ from .core import (
     _check_cap,
     eval_potential,
 )
-from ._rqi import certified_eigh, prolong, sturm_count
+from ._rqi import carry, certified_eigh, sturm_count
 
 __all__ = [
     "Grid",
@@ -275,16 +280,20 @@ def _count_below(potential: Potential, k: int, cap: float, grid: Grid) -> int:
     return sturm_count(*_tridiagonal_matrix(potential, k, grid), cap)
 
 
-def _seeded(potential: Potential, k: int, m: int, grid: Grid, seeds: np.ndarray | None):
+def _seeded(potential: Potential, k: int, m: int, grid: Grid, seeds: np.ndarray | None,
+            coarse: np.ndarray | None = None):
     """Levels 0..m-1 on ``grid`` and their vectors, normalized as by
     solve_on_grid but unsigned. On the line, certified Rayleigh-quotient
     iteration from the first m columns of ``seeds`` (_rqi), which it
-    overwrites, with bisection where the certificate fails; on the circle, or
-    with no seeds, solve_on_grid, which computes vectors only when seeds are
-    given."""
+    overwrites, with bisection where the certificate fails; given ``coarse``,
+    the seeds are vectors of the grid 2h coarser, with those eigenvalues, and
+    _rqi.carry brings them to ``grid`` first. On the circle, or with no
+    seeds, solve_on_grid, which computes vectors only when seeds are given."""
     if seeds is None or grid.kind == "circle":
         return solve_on_grid(potential, k, m, grid, vectors=seeds is not None)
     diag, off = _tridiagonal_matrix(potential, k, grid)
+    if coarse is not None:
+        seeds = carry(diag, off, seeds, coarse)
     lams, vecs = certified_eigh(diag, off, seeds[:, :m]) or _tridiagonal(diag, off, m, True)
     vecs /= math.sqrt(grid.h)
     return lams, vecs
@@ -333,9 +342,9 @@ def solve_on_grid(potential: Potential, k: int, m: int, grid: Grid, *,
 def _err_floor(grid: Grid, lam: float) -> float:
     # roundoff floor of the extrapolant: bisection resolves each discrete
     # eigenvalue to about eps * ||T|| ~ 4 eps / h^2, and a certified Rayleigh
-    # quotient (_rqi) to rho^2 / gap plus its rounding, no worse for a residual
-    # rho of a few eps ||T||; (4 lam_{h/2} - lam_h)/3 adds the errors of both
-    # grids with weights 4/3 and 1/3
+    # quotient (_rqi) is proven within eps * ||T||, by the Kato-Temple bound
+    # s^2 / gap of its certificate, plus its own rounding; (4 lam_{h/2} -
+    # lam_h)/3 adds the errors of both grids with weights 4/3 and 1/3
     return 6.0 * _EPS / (grid.h * grid.h) + 4.0 * _EPS * abs(lam)
 
 
@@ -364,7 +373,7 @@ def _refine(potential: Potential, k: int, m: int, grid: Grid, tol: Tolerances,
     err_est <= eig_rel * lambda, and return the extrapolants, their error
     estimates, the final grid and, on the line, the vectors of the final
     grid's coarsening and of the final grid. Each refined grid is solved by
-    _seeded from its coarsening's vectors, carried over by _rqi.prolong.
+    _seeded from its coarsening's vectors and eigenvalues (_rqi.carry).
     ConvergenceError, with the best estimates attached, when the node budget
     runs out or the roundoff floor already exceeds the target."""
     max_nodes = CIRCLE_MAX_NODES if _dense_circle(potential, grid) else LINE_MAX_NODES
@@ -385,7 +394,7 @@ def _refine(potential: Potential, k: int, m: int, grid: Grid, tol: Tolerances,
         if fine.npoints > max_nodes:
             raise failure(f"refinement budget of {max_nodes} nodes exhausted")
         kept = vecs
-        lams_fine, vecs = _seeded(potential, k, m, fine, None if kept is None else prolong(kept))
+        lams_fine, vecs = _seeded(potential, k, m, fine, kept, lams)
         visited.append(fine.npoints)
         extrap, raw = _extrapolate(coarser, lams, lams_fine)
         floor = _err_floor(fine, float(np.max(np.abs(extrap))))

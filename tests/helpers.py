@@ -12,9 +12,18 @@ import scipy.linalg
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq, minimize
 
+from grushin._mollifier import (
+    _BUMP_TOTAL,
+    _CDF_KNOTS,
+    _GL_SHIFTED,
+    _GL_WEIGHTS,
+    _Z_MIN,
+    standard_mollifier_cdf,
+)
 from grushin.assembler import PropertyPPair
 from grushin.concentration import Strip, min_ratio
 from grushin.core import (
+    SUP_REL,
     CallableProfile,
     ConvergenceError,
     ExactFamilyProfile,
@@ -290,6 +299,57 @@ def central_difference_slope(potential: Potential, w: Perturbation, k: int,
         return float(lams[n])
 
     return (lam(-2 * delta) - 8 * lam(-delta) + 8 * lam(delta) - lam(2 * delta)) / (12 * delta)
+
+
+def _masked_mollifier_cdf(z) -> np.ndarray:
+    """standard_mollifier_cdf's array path as it was before its single pass:
+    boolean-mask indexing, and the 8 Gauss-Legendre terms added row by row
+    in _sum8's order."""
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    out = np.where(z >= 1.0, 1.0, 0.0)
+    inside = (z > _Z_MIN) & (z < 1.0)
+    if np.any(inside):
+        j = np.minimum(((z[inside] + 1.0) * 128.0).astype(np.intp), 255)
+        lo = j / 128.0 - 1.0
+        half = 0.5 * (z[inside] - lo)
+        u = lo + half * _GL_SHIFTED[:, None]
+        t = np.exp(1.0 / (u * u - 1.0)) * _GL_WEIGHTS[:, None]
+        sums = ((t[0] + t[1]) + (t[2] + t[3])) + ((t[4] + t[5]) + (t[6] + t[7]))
+        out[inside] = _CDF_KNOTS[j] + half * sums / _BUMP_TOTAL
+    return out
+
+
+def two_call_bump(w: Perturbation, x):
+    """W(x) = scale * (F((x - a)/eps) - F((x - b)/eps)) with one call of F per
+    ramp, as Perturbation evaluated it before its single array pass: a 0-d
+    input takes F's scalar path, an array the masked array path."""
+    if np.ndim(x) == 0:
+        return w.scale * (standard_mollifier_cdf((x - w.a) / w.eps)
+                          - standard_mollifier_cdf((x - w.b) / w.eps))
+    x = np.asarray(x, dtype=float)
+    return w.scale * (_masked_mollifier_cdf((x - w.a) / w.eps)
+                      - _masked_mollifier_cdf((x - w.b) / w.eps))
+
+
+def golden_section_sup(fn, lo: float, hi: float) -> float:
+    """sup of a unimodal fn over [lo, hi] by golden-section search, stopping
+    when the bracket is SUP_REL * max(|a|, |b|) wide: the search
+    sup_on_interval ran before Brent's method."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = float(fn(c)), float(fn(d))
+    while (b - a) > SUP_REL * max(abs(a), abs(b), 1e-30):
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = float(fn(c))
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = float(fn(d))
+    return max(fc, fd)
 
 
 def branch_overlaps(branch) -> np.ndarray:

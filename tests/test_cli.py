@@ -397,6 +397,31 @@ def test_negative_s2_is_single_line_exit_1(capsys, argv):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["weyl", "--s2", "-1/2", "--emax", "10"],
+     "s2 must be >= 0; at s2 = -1/2 the levels (2n+1)|k| + k^2 s2 fall without bound as |k| grows"),
+    (["weyl", "--s2", "0", "--emax", "-1e3"], "e_max must be positive"),
+    (["perturb", "split", "--s2", "1", "--value", "6", "--t", "-1e-3", "--bump=-1,1,0.2"],
+     "t must be >= 0"),
+    (["multiplicity", "--s2", "0", "--value", "-3/2"], "eigenvalues are positive"),
+], ids=["weyl-s2", "weyl-emax", "split-t", "multiplicity-value"])
+def test_negative_value_as_a_separate_argument_reaches_its_refusal(capsys, argv, message):
+    # an argument that starts with "-" and a digit is a value, not an option:
+    # the same refusal as the --flag=value form, not a usage error
+    code, out, err = run_capture(capsys, argv)
+    assert (code, out, err) == (1, "", f'error: code=PreconditionError msg="{message}"\n')
+    i = next(i for i, arg in enumerate(argv) if arg[:1] == "-" and arg[1:2].isdigit())
+    joined = argv[:i - 1] + [f"{argv[i - 1]}={argv[i]}"] + argv[i + 1:]
+    assert run_capture(capsys, joined) == (code, out, err)
+
+
+def test_bump_as_a_separate_argument_answers(capsys):
+    argv = ["perturb", "hf", "--potential", "power:gamma=1", "--k", "1", "--n", "0"]
+    separate = run_capture(capsys, argv + ["--bump", "-1,1,0.2"])
+    assert separate[0] == 0
+    assert separate == run_capture(capsys, argv + ["--bump=-1,1,0.2"])
+
+
 def test_potential_syntax_error_exit_code(capsys):
     code, _, err = run_capture(capsys, [
         "spectrum", "--potential", "power:gamma=nope", "--emax", "5"])

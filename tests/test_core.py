@@ -3,14 +3,16 @@ import math
 
 import numpy as np
 import pytest
-from helpers import render_potential
+from helpers import golden_section_sup, render_potential, two_call_bump
 from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from grushin.assembler import check_property_p
+from grushin._mollifier import _Z_MIN
 from grushin.core import (
     IRRATIONAL_TAGS,
+    SUP_REL,
     ExactFamilyProfile,
     ExactScalar,
     InvariantViolation,
@@ -229,6 +231,15 @@ def test_mollifier_cdf_scalar_path_matches_array_path(z):
     assert scalar.hex() == float(standard_mollifier_cdf(np.array([z]))[0]).hex()
 
 
+def test_mollifier_cdf_array_path_is_the_scalar_path_on_a_sweep():
+    # the array path's pairwise halvings add the 8 terms in _sum8's order: a
+    # sweep of (-1, 1) has the scalar path's bits at every point (another
+    # order changes about one value in 80)
+    zs = np.linspace(-1.0, 1.0, 20001)
+    got = standard_mollifier_cdf(zs)
+    assert got.tobytes() == np.array([standard_mollifier_cdf(float(z)) for z in zs]).tobytes()
+
+
 def test_mollifier_cdf_matches_a_40_digit_reference():
     # in-repo reference: the bump integrated at 40 digits between consecutive
     # sweep points (mpmath tanh-sinh), summed and divided by its total; the
@@ -360,6 +371,85 @@ def test_sup_on_interval_accuracy():
     # sharp interior maximum: f(x) = exp(-(x-0.3)^2 * 50)
     val = sup_on_interval(lambda x: np.exp(-50.0 * (x - 0.3) ** 2), -1.0, 1.0)
     assert val == pytest.approx(1.0, rel=1e-10)
+
+
+def _gaussian(x):
+    return np.exp(-50.0 * (x - 0.3) ** 2)
+
+
+# each side of 0 of base * W for the benchmark's perturbation bumps (centre c
+# in [-0.05, 0.05]), on the cylinder and the torus at gamma 0.5, 1 and 2, and
+# the Gaussian above
+_SUP_CASES = [
+    *[(f"{geo}:gamma={g}", (-1.0 + c, 1.0 + c, 0.2, scale), side)
+      for geo in ("power", "torus") for g in ("0.5", "1", "2")
+      for c, scale in ((-0.05, 1.0), (0.046, 0.2), (0.0, 1.0)) for side in (0, 1)],
+    *[(f"{geo}:gamma={g}", (-2.0 + c, 2.0 + c, 0.5, 1.0), side)
+      for geo in ("power", "torus") for g in ("0.5", "1", "2")
+      for c in (-0.05, 0.046) for side in (0, 1)],
+    ("gaussian", None, None),
+]
+
+
+@pytest.mark.parametrize("spec, bump, side", _SUP_CASES)
+def test_brent_sup_is_the_golden_section_sup(spec, bump, side):
+    # the same sup as golden-section search, to SUP_REL, in at most 60
+    # evaluations, where golden section takes about 50
+    if spec == "gaussian":
+        fn, lo, hi = _gaussian, -1.0, 1.0
+    else:
+        pot, w = parse_potential(spec), Perturbation(*bump)
+        fn = lambda x: base_factor(pot, x) * w(x)  # noqa: E731
+        lo, hi = ((w.support[0], 0.0), (0.0, w.support[1]))[side]
+    calls = []
+    sup = sup_on_interval(lambda x: calls.append(x) or fn(x), lo, hi)
+    assert abs(sup - golden_section_sup(fn, lo, hi)) <= SUP_REL * abs(sup)
+    assert len(calls) <= 60
+    assert all(lo <= x <= hi for x in calls)
+
+
+def test_brent_takes_far_fewer_evaluations_than_golden_section():
+    # over the cases above, Brent's method needs under 60% of golden
+    # section's evaluations (about 40%); golden section takes about 50 a side
+    brent, golden = [], []
+    for spec, bump, side in _SUP_CASES[:-1]:
+        pot, w = parse_potential(spec), Perturbation(*bump)
+        lo, hi = ((w.support[0], 0.0), (0.0, w.support[1]))[side]
+        sup_on_interval(lambda x: brent.append(x) or base_factor(pot, x) * w(x), lo, hi)
+        golden_section_sup(lambda x: golden.append(x) or base_factor(pot, x) * w(x), lo, hi)
+    assert len(brent) <= 0.6 * len(golden)
+
+
+_SPECIAL_BUMPS = [Perturbation(-0.954, 1.046, 0.2, 0.2), Perturbation(-1.954, 2.046, 0.5),
+                  Perturbation(0.0, 1.0, 0.25, 3.0)]  # the last puts x = eps * _Z_MIN on a float
+
+
+@st.composite
+def _bump_and_points(draw):
+    if draw(st.booleans()):
+        w = draw(st.sampled_from(_SPECIAL_BUMPS))
+    else:
+        a = draw(st.floats(-3.0, 3.0))
+        b = a + draw(st.floats(1e-3, 6.0))
+        w = Perturbation(a, b, draw(st.floats(1e-3, 1.0)) * (b - a) / 2.0,
+                         draw(st.floats(0.0, 3.0)))
+    edges = [w.a - w.eps, w.a + w.eps, w.b - w.eps, w.b + w.eps, w.a, w.b,
+             w.a + w.eps * _Z_MIN, w.b + w.eps * _Z_MIN]
+    edges += [math.nextafter(e, d) for e in edges for d in (-math.inf, math.inf)]
+    point = st.one_of(st.sampled_from(edges), st.floats(w.a - 2 * w.eps, w.b + 2 * w.eps))
+    shape = draw(st.sampled_from([(), (1,), (7,), (2, 3), (3, 1, 4)]))
+    return w, np.array(draw(st.lists(point, min_size=math.prod(shape),
+                                     max_size=math.prod(shape)))).reshape(shape)
+
+
+@given(_bump_and_points())
+def test_bump_is_the_two_call_formula_bit_for_bit(drawn):
+    # one array pass over both ramps gives the bits of one F call per ramp,
+    # for arrays of any shape; a 0-d array is a float, as before
+    w, x = drawn
+    got, ref = w(x), two_call_bump(w, x)
+    assert type(got) is type(ref) and np.shape(got) == np.shape(x)
+    assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
 
 
 def test_tolerances_validated():

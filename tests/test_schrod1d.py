@@ -401,9 +401,9 @@ def test_refinement_bisects_only_the_first_line_grid(monkeypatch):
         bisected.append((grid.kind, grid.npoints, vectors))
         return solve(potential, k, m, grid, vectors=vectors)
 
-    def spy_seed(potential, k, m, grid, seeds):
+    def spy_seed(potential, k, m, grid, seeds, coarse=None):
         seeded.append((grid.kind, grid.npoints, seeds is not None))
-        return seed(potential, k, m, grid, seeds)
+        return seed(potential, k, m, grid, seeds, coarse)
 
     monkeypatch.setattr(schrod1d, "solve_on_grid", spy_solve)
     monkeypatch.setattr(schrod1d, "_seeded", spy_seed)
@@ -682,9 +682,9 @@ def test_seeded_solve_matches_bisection(spec, k, m, npoints):
     # bisection within the roundoff floor and the vectors to 1e-10
     pot = _SEEDED_POTENTIALS[spec]
     grid = _line_grid(pot, k, m, npoints)
-    _, coarse = solve_on_grid(pot, k, m, grid.coarsened())
+    coarse_lams, coarse = solve_on_grid(pot, k, m, grid.coarsened())
     diag, off = schrod1d._tridiagonal_matrix(pot, k, grid)
-    out = _rqi.certified_eigh(diag, off, _rqi.prolong(coarse))
+    out = _rqi.certified_eigh(diag, off, _rqi.carry(diag, off, coarse, coarse_lams))
     assert out is not None
     lams, vecs = out
     ref, ref_vecs = schrod1d._tridiagonal(diag, off, m, True)
@@ -692,7 +692,7 @@ def test_seeded_solve_matches_bisection(spec, k, m, npoints):
         assert abs(lam - lam_ref) <= _err_floor(grid, lam_ref)
     assert np.all(np.abs(np.sum(vecs * ref_vecs, axis=0)) >= 1.0 - 1e-10)
     # through _seeded, normalized as solve_on_grid normalizes
-    lams_s, vecs_s = schrod1d._seeded(pot, k, m, grid, _rqi.prolong(coarse))
+    lams_s, vecs_s = schrod1d._seeded(pot, k, m, grid, coarse, coarse_lams)
     assert np.array_equal(lams_s, lams)
     assert_allclose(grid.h * np.sum(vecs_s * vecs_s, axis=0), 1.0, rtol=1e-12)
 
@@ -727,13 +727,106 @@ def test_failed_certificate_falls_back_to_bisection_bit_for_bit(monkeypatch):
     # every column seeded with level 0: the certificate fails, and _seeded
     # returns exactly what bisection on the same grid returns
     pot, k, grid, diag, off, _ = _exact_seeds([0])
-    _, seed = solve_on_grid(pot, k, 1, grid.coarsened())
-    seeds = np.repeat(_rqi.prolong(seed), 4, axis=1)
+    lam, seed = solve_on_grid(pot, k, 1, grid.coarsened())
+    seeds = np.repeat(_rqi.carry(diag, off, seed, lam), 4, axis=1)
     assert _rqi.certified_eigh(diag, off, seeds.copy(order="F")) is None
     lams, vecs = schrod1d._seeded(pot, k, 4, grid, seeds)
     ref, ref_vecs = schrod1d._tridiagonal(diag, off, 4, True)
     assert np.array_equal(lams, ref)
     assert np.array_equal(vecs, ref_vecs / math.sqrt(grid.h))
+
+
+def _joined_blocks(shift: float):
+    # two copies of tridiag(-1, 2, -1) of order 10, joined by a zero
+    # off-diagonal, the second raised by shift * eps * ||T||: the two lowest
+    # eigenvalues lie that far apart, with exact vectors as seeds
+    diag, off = np.full(20, 2.0), np.full(19, -1.0)
+    off[9] = 0.0
+    diag[10:] += shift * _rqi._EPS * 4.0
+    return diag, off
+
+
+@pytest.mark.parametrize("m, shift, accepted", [
+    (2, 80.0, False), (2, 400.0, True), (1, 60.0, False), (1, 400.0, True)])
+def test_certificate_refuses_a_quotient_it_cannot_prove_accurate(m, shift, accepted):
+    # exact seeds, so rho is a fraction of eps ||T|| and r about 24 eps ||T||.
+    # m = 2 at 80 apart: the residual intervals are disjoint and the count
+    # holds, but s^2 > eps ||T|| g, so the Kato-Temple bound proves nothing.
+    # m = 1 at 60 apart: the count at sigma + r is 1, but the count point
+    # that the bound needs, about 113 eps ||T|| up, already passes level 1.
+    diag, off = _joined_blocks(shift)
+    lams, vecs = scipy.linalg.eigh_tridiagonal(diag, off, select="i", select_range=(0, m - 1))
+    unit = _rqi._EPS * _rqi._norm_inf(diag, off)
+    # what the certificate asked before: disjoint intervals, a count of m at
+    # sigma + r; the seeds meet it
+    r = np.array([1.01 * _rqi._rayleigh(diag, off, v.copy())[1] for v in vecs.T])
+    r += _rqi.MARGIN_EPS * unit
+    assert np.all(lams[:-1] + r[:-1] < lams[1:] - r[1:])
+    assert _rqi.sturm_count(diag, off, lams[-1] + r[-1]) == m
+    out = _rqi.certified_eigh(diag, off, np.asfortranarray(vecs))
+    assert (out is not None) == accepted
+    if accepted:
+        assert np.all(np.abs(out[0] - lams) <= unit)
+
+
+def test_near_degenerate_pair_iterates_then_bisects(monkeypatch):
+    # a symmetric double well, its levels 0 and 1 about 1e9 eps ||T|| apart.
+    # Carried from the coarse vectors, each level takes one solve; seeds that
+    # each sit in one well mix the pair, so one solve does not meet the bound:
+    # the columns iterate to the cap, and the grid is bisected
+    pot = Potential("cylinder", 1.0, CallableProfile(lambda x: (x * x - 6.25) ** 2 / 6.25))
+    grid = Grid("line", 1023, 6.5)
+    lams_c, vecs_c = solve_on_grid(pot, 1, 2, grid.coarsened())
+    ref = solve_on_grid(pot, 1, 2, grid, vectors=False)[0]
+    solves, dgtsv = [], scipy.linalg.lapack.dgtsv
+    monkeypatch.setattr(scipy.linalg.lapack, "dgtsv",
+                        lambda *a, **kw: solves.append(1) or dgtsv(*a, **kw))
+    wells = np.column_stack([vecs_c[:, 0] + vecs_c[:, 1], vecs_c[:, 0] - vecs_c[:, 1]])
+    for seeds, taken in ((vecs_c, 2), (wells, 2 * _rqi.ITERATIONS)):
+        solves.clear()
+        lams, _ = schrod1d._seeded(pot, 1, 2, grid, seeds.copy(), lams_c)
+        assert len(solves) == taken
+        for lam, lam_ref in zip(lams, ref):
+            assert abs(lam - lam_ref) <= _err_floor(grid, lam_ref)
+
+
+# the operations of the benchmark's perturb_lab pass and the numeric spectra
+# of its line_spectrum pass, at seed 1
+_BUMP = "--bump=-0.954,1.046,0.2"
+_SEEDED_RUNS = {
+    "perturb": [
+        ["perturb", "branch", "--potential", "power:gamma=1", "--k", "1", "--levels", "0,1",
+         "--tmax", "0.1", "--steps", "8", _BUMP],
+        ["perturb", "hf", "--potential", "power:gamma=1", "--k", "1", "--n", "0", _BUMP],
+        ["perturb", "split", "--s2", "1", "--value", "6", "--t", "0.05", _BUMP],
+        ["perturb", "gap", "--potential", "power:gamma=1", "--k", "1", "--m", "1", _BUMP + ",0.2"],
+        ["perturb", "continuity", "--potential", "power:gamma=1", "--k", "1", "--m", "1",
+         "--count", "3", "--bump=-1.954,2.046,0.5"],
+    ],
+    "spectrum": [["spectrum", "--potential", f"power:gamma={g}", "--emax", e, "--mode", "numeric"]
+                 for g, e in (("1", "6.703"), ("2", "12.062"), ("0.75", "4.628"))],
+}
+
+
+@pytest.mark.parametrize("runs, solves", [("perturb", 92), ("spectrum", 34)])
+def test_one_shifted_solve_per_seeded_column(monkeypatch, capsys, runs, solves):
+    # carried seeds leave residuals near 1e-7 ||T||, and one Rayleigh step
+    # then meets the Kato-Temple bound: one dgtsv solve per seeded column,
+    # every certificate accepted (the mean-of-neighbours carry took 183 and 64)
+    calls, columns, certify, dgtsv = [], [], schrod1d.certified_eigh, scipy.linalg.lapack.dgtsv
+
+    def spy(diag, off, y):
+        out = certify(diag, off, y)
+        columns.append(y.shape[1] if out is not None else 0)
+        return out
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgtsv",
+                        lambda *a, **kw: calls.append(1) or dgtsv(*a, **kw))
+    monkeypatch.setattr(schrod1d, "certified_eigh", spy)
+    for argv in _SEEDED_RUNS[runs]:
+        assert run(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == sum(columns) == solves
 
 
 # (spec, k, npoints): line grids cut for 6 levels of mode 1, and even circles
